@@ -3,8 +3,10 @@
 
 Builds random synthetic instances (static graphs with freely declared
 collision pairs) and checks the exact decision against brute-force
-enumeration of all height orders; where the bipartition route finds a split,
-the swept heights must verify. Exits nonzero on any mismatch.
+enumeration of all height orders.  Where the bipartition route finds a
+split, the swept heights must verify; where it finds none ("exhausted" or
+"not-bipartite"), brute-force enumeration of all splits must find none
+either. Exits nonzero on any mismatch.
 """
 import argparse
 import itertools
@@ -54,6 +56,26 @@ def brute_force(g, pairs):
     return False
 
 
+def acyclic(nodes, arcs):
+    """Peel off nodes with no arc in from the rest until none are left."""
+    left = set(nodes)
+    while left:
+        sources = {n for n in left if not any(u in left and v == n for u, v in arcs)}
+        if not sources:
+            return False
+        left -= sources
+    return True
+
+
+def brute_force_split(c):
+    nodes = c.nodes
+    for mask in range(2 ** len(nodes)):
+        upper = {n for k, n in enumerate(nodes) if mask >> k & 1}
+        if acyclic(upper, c.arcs) and acyclic(set(nodes) - upper, c.arcs):
+            return True
+    return False
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=500)
@@ -78,13 +100,17 @@ def main():
             if not verify_collision_free(g, pairs, witness).ok:
                 mismatches += 1
                 print(f"MISMATCH trial {k}: witness does not verify")
-        dec = decide_partition(build_collision_graph(g, pairs))
+        c = build_collision_graph(g, pairs)
+        dec = decide_partition(c)
         if dec.found:
             splits += 1
             heights = assign_heights(g, pairs, dec.partition)
             if not verify_collision_free(g, pairs, heights).ok:
                 mismatches += 1
                 print(f"MISMATCH trial {k}: swept heights do not verify")
+        elif brute_force_split(c):
+            mismatches += 1
+            print(f"MISMATCH trial {k}: split search says {dec.reason}, but a split exists")
     dt = time.perf_counter() - t0
 
     print(f"{args.trials} trials, seed {args.seed}: {solvable} solvable, "

@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from heapq import heappop, heappush
+from typing import Iterable, Sequence
 
 from .collide import CollisionPair
 from .motion import MovingGraph, edge_label
@@ -22,6 +23,9 @@ __all__ = [
     "build_collision_graph",
     "induced",
     "is_acyclic",
+    "find_cycle",
+    "on_cycle",
+    "topo_order",
     "multi_edged_subgraph",
     "bipartition",
     "to_dot",
@@ -56,6 +60,11 @@ class CollisionGraph:
             succ[u].append(v)
         return {n: tuple(sorted(vs, key=self.index.__getitem__)) for n, vs in succ.items()}
 
+    @cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        """``successors`` by node index, for the ordering core below."""
+        return tuple(tuple(self.index[v] for v in self.successors[n]) for n in self.nodes)
+
 
 def build_collision_graph(g: MovingGraph, pairs: Iterable[CollisionPair]) -> CollisionGraph:
     labels = g.edge_labels
@@ -85,39 +94,70 @@ def induced(c: CollisionGraph, keep: Iterable[str]) -> CollisionGraph:
 
 def is_acyclic(c: CollisionGraph) -> tuple[bool, tuple[str, ...] | None]:
     """DFS cycle check. On failure returns a closed node sequence as witness."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in c.nodes}
-    path: list[str] = []
+    cyc = find_cycle(c.succ)
+    return (True, None) if cyc is None else (False, tuple(c.nodes[i] for i in cyc))
 
-    def dfs(start: str) -> tuple[str, ...] | None:
-        stack = [(start, iter(c.successors[start]))]
-        color[start] = GRAY
-        path.append(start)
+
+# ---------------------------------------------------------------------------
+# int-indexed ordering core: succ[i] lists the successors of node i
+
+
+def find_cycle(succ: Sequence[Sequence[int]]) -> list[int] | None:
+    """Closed node sequence of some cycle, or None; roots and successors are
+    visited in index order, so the witness is canonical."""
+    color = bytearray(len(succ))  # 0 unseen, 1 on the current path, 2 done
+    for root in range(len(succ)):
+        if color[root]:
+            continue
+        color[root] = 1
+        path, stack = [root], [iter(succ[root])]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    i = path.index(nxt)
-                    return tuple(path[i:]) + (nxt,)
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    stack.append((nxt, iter(c.successors[nxt])))
-                    advanced = True
+            for y in stack[-1]:
+                if color[y] == 1:
+                    return path[path.index(y):] + [y]
+                if not color[y]:
+                    color[y] = 1
+                    path.append(y)
+                    stack.append(iter(succ[y]))
                     break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
+            else:
+                color[path.pop()] = 2
                 stack.pop()
-        return None
+    return None
 
-    for n in c.nodes:
-        if color[n] == WHITE:
-            cyc = dfs(n)
-            if cyc is not None:
-                return False, cyc
-    return True, None
+
+def on_cycle(succ: Sequence[Sequence[int]], x: int, alive: bytearray | None = None) -> bool:
+    """Does x reach itself through nodes marked in ``alive`` (all if None)?
+    Decides whether arcs or nodes just added at x closed a cycle."""
+    seen = bytearray(len(succ))
+    stack = [x]
+    while stack:
+        for y in succ[stack.pop()]:
+            if y == x:
+                return True
+            if not seen[y] and (alive is None or alive[y]):
+                seen[y] = 1
+                stack.append(y)
+    return False
+
+
+def topo_order(succ: Sequence[Sequence[int]]) -> list[int]:
+    """Kahn sort taking the lowest ready index first; shorter than succ
+    exactly when the graph has a cycle.  Repeated arcs are fine."""
+    indeg = [0] * len(succ)
+    for ys in succ:
+        for y in ys:
+            indeg[y] += 1
+    ready = [x for x, d in enumerate(indeg) if d == 0]  # sorted, hence a heap
+    out = []
+    while ready:
+        x = heappop(ready)
+        out.append(x)
+        for y in succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                heappush(ready, y)
+    return out
 
 
 @dataclass(frozen=True)

@@ -155,14 +155,12 @@ def cmd_detect(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     if args.interval is not None:
         g = dataclasses.replace(g, domain=_interval(args.interval))
-    cfg = DetectionConfig(
-        samples=args.samples, collide_eps=args.eps, report_margin=args.report_margin
-    )
+    cfg = DetectionConfig(samples=args.samples, collide_eps=args.eps)
     _warn_if_not_periodic(g)
     t0 = time.perf_counter()
     result = detect_all(g, cfg)
     dt = time.perf_counter() - t0
-    margin = result.clear_margin if cfg.report_margin else None
+    margin = result.clear_margin if args.report_margin else None
     _emit(pairs_to_json(result.pairs, args.graph, margin=margin), args.out)
     _say(f"detect: {result.probed} pairs probed, {len(result.pairs)} collisions, {dt:.3f}s")
     if result.clear_margin is not None:

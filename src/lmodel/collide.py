@@ -53,7 +53,6 @@ class DetectionConfig:
     samples: int = 2048
     refine_tol: float = 1e-12
     collide_eps: float = 1e-7
-    report_margin: bool = False
 
     def __post_init__(self):
         if self.samples < 16:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exprs import parse_expression
+from .exprs import _fmt_const, parse_expression
 from .motion import MovingGraph
 
 __all__ = [
@@ -33,13 +33,6 @@ __all__ = [
     "s2",
     "S2_EDGES",
 ]
-
-
-def _num(v: float) -> str:
-    v = float(v)
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
 
 
 def _check_radii(name: str, vals: tuple[float, ...], count: int) -> None:
@@ -94,11 +87,11 @@ def dixon1(p: Dixon1Params) -> MovingGraph:
     put("p0", "sin(t)", "0")
     for i in range(1, p.m):
         sign = "-" if p.sx[i - 1] < 0 else ""
-        put(f"p{i}", f"{sign}sqrt({_num(p.a[i - 1])}+sin(t)^2)", "0")
+        put(f"p{i}", f"{sign}sqrt({_fmt_const(p.a[i - 1])}+sin(t)^2)", "0")
     put("q0", "0", "cos(t)")
     for j in range(1, p.n):
         sign = "-" if p.sy[j - 1] < 0 else ""
-        put(f"q{j}", "0", f"{sign}sqrt({_num(p.b[j - 1])}+cos(t)^2)")
+        put(f"q{j}", "0", f"{sign}sqrt({_fmt_const(p.b[j - 1])}+cos(t)^2)")
 
     edges = tuple((f"q{j}", f"p{i}") for j in range(p.n) for i in range(p.m))
     return MovingGraph(tuple(vertices), edges, motion)
@@ -129,7 +122,8 @@ class Dixon2Params:
 
 
 def dixon2(p: Dixon2Params) -> MovingGraph:
-    a, bb, dd, aa = _num(p.a), _num(p.b * p.b), _num(p.d * p.d), _num(p.a * p.a)
+    a, aa = _fmt_const(p.a), _fmt_const(p.a * p.a)
+    bb, dd = _fmt_const(p.b * p.b), _fmt_const(p.d * p.d)
     bx = f"sqrt({bb}-{aa}*sin(t)^2)"
     dy = f"sqrt({dd}-{aa}*cos(t)^2)"
     x_in = f"({a}*cos(t)+{bx})/2"
@@ -188,8 +182,8 @@ S2_EDGES = (
 
 
 def s2(p: S2Params = S2Params()) -> MovingGraph:
-    a, a3 = _num(p.a), _num(3.0 * p.a)
-    bb, cc, aa = _num(p.b * p.b), _num(p.c * p.c), _num(p.a * p.a)
+    a, a3 = _fmt_const(p.a), _fmt_const(3.0 * p.a)
+    bb, cc, aa = _fmt_const(p.b * p.b), _fmt_const(p.c * p.c), _fmt_const(p.a * p.a)
     bx = f"sqrt({bb}-{aa}*sin(t)^2)"
     cy = f"sqrt({cc}-{aa}*cos(t)^2)"
     coords = {

@@ -16,18 +16,19 @@ above every edge at the vertex.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .cgraph import (
     CollisionGraph,
     bipartition,
     build_collision_graph,
+    find_cycle,
     induced,
     is_acyclic,
     multi_edged_subgraph,
+    on_cycle,
+    topo_order,
 )
 from .collide import CollisionPair
 from .motion import GraphFormatError, MovingGraph, edge_label
@@ -62,7 +63,12 @@ class CyclicGraphError(ValueError):
 
 
 class SearchCapError(RuntimeError):
-    """The partition search space is too large to enumerate exhaustively."""
+    """The partition search ran past its expansion budget undecided."""
+
+
+# search nodes ``decide_partition`` may expand before giving up; the hardest
+# 40-edge instance of the perfbench plan-synth pool exhausts in about 11k
+SPLIT_SEARCH_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -90,20 +96,18 @@ def minimal_nodes(c: CollisionGraph) -> tuple[str, ...]:
 
 
 def _sweep(c: CollisionGraph, start: int, step: int) -> dict[str, int]:
-    ok, cycle = is_acyclic(c)
-    if not ok:
-        raise CyclicGraphError(cycle)
-    heights: dict[str, int] = {}
-    k = start
-    cur = c
-    while cur.nodes:
-        wave = minimal_nodes(cur)
-        for n in wave:
-            heights[n] = k
-            k += step
-        gone = set(wave)
-        cur = induced(cur, [n for n in cur.nodes if n not in gone])
-    return heights
+    # a node's wave is its longest path from an in-degree-0 node; waves are
+    # numbered in turn, each in canonical node order
+    succ = c.succ
+    order = topo_order(succ)
+    if len(order) < len(succ):
+        raise CyclicGraphError([c.nodes[i] for i in find_cycle(succ)])
+    wave = [0] * len(succ)
+    for x in order:
+        for y in succ[x]:
+            wave[y] = max(wave[y], wave[x] + 1)
+    ranked = sorted(range(len(succ)), key=lambda x: (wave[x], x))
+    return {c.nodes[x]: start + step * k for k, x in enumerate(ranked)}
 
 
 def heights_up(c: CollisionGraph) -> dict[str, int]:
@@ -133,7 +137,7 @@ class PartitionDecision:
         return self.partition is not None
 
 
-def decide_partition(c: CollisionGraph, max_free_nodes: int = 24) -> PartitionDecision:
+def decide_partition(c: CollisionGraph) -> PartitionDecision:
     """Search for a bipartition of c with both induced subgraphs acyclic.
 
     Every pair of nodes joined by a directed two-cycle must be separated, so
@@ -141,55 +145,49 @@ def decide_partition(c: CollisionGraph, max_free_nodes: int = 24) -> PartitionDe
     kills the search immediately, with a shortest odd cycle as witness.
     What remains is one flip choice per connected component plus a free side
     choice per node not on any two-cycle, enumerated depth-first with
-    acyclicity checked as each choice lands.  Free nodes beyond
-    ``max_free_nodes`` make that enumeration too big; that raises
-    :class:`SearchCapError` rather than silently degrading.
+    acyclicity checked as each choice lands.  A search that expands more
+    than ``SPLIT_SEARCH_BUDGET`` nodes undecided raises
+    :class:`SearchCapError` rather than running on.
     """
     u = multi_edged_subgraph(c)
     bip = bipartition(u)
     if not bip.bipartite:
         return PartitionDecision(None, "not-bipartite", bip.odd_cycle)
+    idx = c.index
+    items = [
+        tuple([idx[n] for n in comp if bip.coloring[n] == k] for k in (0, 1))
+        for comp in bip.components
+    ]
     in_u = set(u.nodes)
-    free = [n for n in c.nodes if n not in in_u]
-    if len(free) > max_free_nodes:
-        raise SearchCapError(
-            f"{len(free)} nodes outside the two-cycle structure exceed the cap of {max_free_nodes}"
-        )
+    items += [([idx[n]], []) for n in c.nodes if n not in in_u]
 
-    items: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    for comp in bip.components:
-        part0 = tuple(n for n in comp if bip.coloring[n] == 0)
-        part1 = tuple(n for n in comp if bip.coloring[n] == 1)
-        items.append((part0, part1))
-    for n in free:
-        items.append(((n,), ()))
+    succ = c.succ
+    upper, lower = bytearray(len(succ)), bytearray(len(succ))
+    budget = SPLIT_SEARCH_BUDGET
 
-    upper: set[str] = set()
-    lower: set[str] = set()
-
-    def side_ok(side: set[str]) -> bool:
-        ok, _ = is_acyclic(induced(c, side))
-        return ok
+    def place(nodes: list[int], side: bytearray) -> bool:
+        # the side was acyclic before, so any new cycle runs through nodes
+        for x in nodes:
+            side[x] = 1
+        return not any(on_cycle(succ, x, side) for x in nodes)
 
     def dfs(i: int) -> bool:
+        nonlocal budget
         if i == len(items):
             return True
+        budget -= 1
+        if budget < 0:
+            raise SearchCapError(f"split search ran past {SPLIT_SEARCH_BUDGET} expansions")
         part0, part1 = items[i]
-        for flip in (False, True):
-            up, lo = (part0, part1) if not flip else (part1, part0)
-            upper.update(up)
-            lower.update(lo)
-            if (not up or side_ok(upper)) and (not lo or side_ok(lower)) and dfs(i + 1):
+        for up, lo in ((part0, part1), (part1, part0)):
+            if place(up, upper) and place(lo, lower) and dfs(i + 1):
                 return True
-            upper.difference_update(up)
-            lower.difference_update(lo)
+            for x in up + lo:  # each node is in one item, so both sides held 0
+                upper[x] = lower[x] = 0
         return False
 
     if dfs(0):
-        part = Partition(
-            tuple(n for n in c.nodes if n in upper), tuple(n for n in c.nodes if n in lower)
-        )
-        return PartitionDecision(part)
+        return PartitionDecision(make_partition(c.nodes, (n for n, b in zip(c.nodes, upper) if b)))
     return PartitionDecision(None, "exhausted")
 
 
@@ -297,7 +295,7 @@ def exists_arrangement(
     """
     labels = g.edge_labels
     index = {lab: i for i, lab in enumerate(labels)}
-    constraints: list[tuple[str, tuple[str, ...]]] = []
+    constraints: list[tuple[int, list[int]]] = []
     for p in pairs:
         if p.vertex not in g.incident:
             raise ValueError(f"pair references unknown vertex {p.vertex!r}")
@@ -306,25 +304,12 @@ def exists_arrangement(
             raise ValueError(f"pair references unknown edge {target!r}")
         inc = g.incident[p.vertex]
         if inc:
-            constraints.append((target, inc))
+            constraints.append((index[target], [index[f] for f in inc]))
     # most-constrained first; the sort is stable so ties keep input order
     constraints.sort(key=lambda con: -len(con[1]))
 
-    succ: dict[str, defaultdict] = {lab: defaultdict(int) for lab in labels}
-
-    def creates_cycle(e: str) -> bool:
-        # every new arc touches e, so any new cycle passes through e
-        seen = set()
-        stack = [v for v, cnt in succ[e].items() if cnt > 0]
-        while stack:
-            n = stack.pop()
-            if n == e:
-                return True
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(v for v, cnt in succ[n].items() if cnt > 0)
-        return False
+    # the constraint digraph; a choice appends its arcs, backtracking pops them
+    succ: list[list[int]] = [[] for _ in labels]
 
     def solve(i: int) -> bool:
         if i == len(constraints):
@@ -333,37 +318,21 @@ def exists_arrangement(
         for below in (True, False):
             arcs = [(e, f) for f in inc] if below else [(f, e) for f in inc]
             for x, y in arcs:
-                succ[x][y] += 1
-            if not creates_cycle(e) and solve(i + 1):
+                succ[x].append(y)
+            # every new arc touches e, so any new cycle passes through e
+            if not on_cycle(succ, e) and solve(i + 1):
                 return True  # keep the arcs; the caller reads the final digraph
-            for x, y in arcs:
-                succ[x][y] -= 1
+            for x, _ in arcs:
+                succ[x].pop()
         return False
 
     if not solve(0):
         return None
 
-    # topological order over the accumulated strict constraints, lowest
-    # canonical index first among ready nodes
-    indeg = {lab: 0 for lab in labels}
-    for x in labels:
-        for y, cnt in succ[x].items():
-            if cnt > 0:
-                indeg[y] += 1
-    ready = [index[lab] for lab in labels if indeg[lab] == 0]
-    heapify(ready)
-    out: list[str] = []
-    while ready:
-        lab = labels[heappop(ready)]
-        out.append(lab)
-        for y, cnt in succ[lab].items():
-            if cnt > 0:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    heappush(ready, index[y])
+    out = topo_order(succ)
     if len(out) != len(labels):
         raise RuntimeError("internal error: constraint digraph has a cycle")
-    heights = {lab: i for i, lab in enumerate(out)}
+    heights = {labels[i]: k for k, i in enumerate(out)}
     report = verify_collision_free(g, pairs, heights)
     if not report.ok:
         raise RuntimeError("internal error: witness failed verification")

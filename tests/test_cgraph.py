@@ -11,9 +11,12 @@ from lmodel.cgraph import (
     induced,
     is_acyclic,
     multi_edged_subgraph,
+    on_cycle,
     to_dot,
+    topo_order,
 )
 from lmodel.collide import CollisionPair
+from lmodel.plan import decide_partition, partition_is_valid
 
 from expected import (
     DIXON1_REF_ARCS,
@@ -173,6 +176,16 @@ def kahn_is_acyclic(c):
     return seen == len(c.nodes)
 
 
+def brute_force_split(c):
+    """Is there any split of the nodes into two acyclic sides?"""
+    for mask in range(2 ** len(c.nodes)):
+        up = [n for k, n in enumerate(c.nodes) if mask >> k & 1]
+        lo = [n for n in c.nodes if n not in up]
+        if kahn_is_acyclic(induced(c, up)) and kahn_is_acyclic(induced(c, lo)):
+            return True
+    return False
+
+
 def random_digraph(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 7)
@@ -192,6 +205,29 @@ def test_is_acyclic_matches_kahn(seed):
         assert witness[0] == witness[-1]
         for u, v in zip(witness, witness[1:]):
             assert (u, v) in c.arcs
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=150)
+def test_ordering_core_matches_kahn(seed):
+    c = random_digraph(seed)
+    acyclic = kahn_is_acyclic(c)
+    order = topo_order(c.succ)
+    assert (len(order) == len(c.nodes)) == acyclic
+    assert any(on_cycle(c.succ, x) for x in range(len(c.nodes))) != acyclic
+    if acyclic:
+        pos = {c.nodes[x]: k for k, x in enumerate(order)}
+        assert all(pos[u] < pos[v] for u, v in c.arcs)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=100)
+def test_decide_partition_matches_brute_force(seed):
+    c = random_digraph(seed)
+    dec = decide_partition(c)
+    assert dec.found == brute_force_split(c)
+    if dec.found:
+        assert partition_is_valid(c, dec.partition)
 
 
 @given(st.integers(min_value=0, max_value=10**9))

@@ -6,7 +6,8 @@ import pytest
 
 from lmodel import exprs as E
 from lmodel.cli import main
-from lmodel.collide import pairs_from_json
+from lmodel.collide import pairs_from_json, pairs_to_json
+from lmodel.families import Dixon1Params
 from lmodel.motion import MovingGraph, load_graph, save_graph
 from lmodel.plan import heights_from_json, verify_collision_free
 
@@ -17,6 +18,7 @@ from expected import (
     DIXON1_REF_UPPER,
     S2_TRIANGLE,
 )
+from synth import dixon1_rule_pairs, fake_pairs
 
 REF_ARGS = [
     "generate", "--family", "dixon1", "--m", "4", "--n", "3",
@@ -93,6 +95,22 @@ def test_plan_without_upper_finds_a_partition(tmp_path, capsys):
     assert main(["plan", str(gpath), str(ppath), "--out", str(hpath)]) == 0
     capsys.readouterr()
     assert main(["verify", str(gpath), str(ppath), str(hpath)]) == 0
+
+
+@pytest.mark.parametrize("k", [6, 10, 14])
+def test_plan_splits_default_dixon1(k, tmp_path, capsys):
+    # the README promises a split for every dixon1 instance; these sizes were
+    # once refused with exit 2.  Detection takes seconds here, so the pairs
+    # come from the geometric rule, which acceptance criterion 5 checks
+    # against detect.
+    gpath, ppath, hpath = (tmp_path / f for f in ("graph.json", "pairs.json", "heights.json"))
+    assert main(["generate", "--family", "dixon1", "--m", str(k), "--n", str(k),
+                 "--out", str(gpath)]) == 0
+    p = Dixon1Params(k, k, range(1, k), range(1, k), [1] * (k - 1), [1] * (k - 1))
+    ppath.write_text(pairs_to_json(fake_pairs(sorted(dixon1_rule_pairs(p))), str(gpath)))
+    assert main(["plan", str(gpath), str(ppath), "--out", str(hpath)]) == 0
+    assert main(["verify", str(gpath), str(ppath), str(hpath)]) == 0
+    assert "0 violation(s)" in capsys.readouterr().err
 
 
 def test_plan_rejects_cyclic_partition(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmodel import plan
 from lmodel.cgraph import CollisionGraph, build_collision_graph, induced, is_acyclic
 from lmodel.collide import CollisionPair
 from lmodel.motion import GraphFormatError
@@ -167,14 +168,36 @@ def test_decide_partition_exhausted():
     assert dec.odd_cycle is None
 
 
-def test_decide_partition_free_node_cap():
+def test_decide_partition_checks_every_placed_node():
+    # w is two-cycled to a, x, y and z, so they share a side; the directed
+    # triangle x -> y -> z -> x misses a, the first of them
+    arcs = {("w", n) for n in "axyz"} | {(n, "w") for n in "axyz"}
+    arcs |= {("x", "y"), ("y", "z"), ("z", "x")}
+    dec = decide_partition(CollisionGraph(("w", "a", "x", "y", "z"), frozenset(arcs)))
+    assert dec.reason == "exhausted"
+
+
+def test_decide_partition_backtracks_a_failed_flip():
+    # two-cycles a-b, c-d and c-e; b -> e -> d -> b closes once b, d and e
+    # share a side, so the c component's first flip fails and d and e must
+    # leave the lower side before the second flip is tried
+    arcs = {("a", "b"), ("b", "a"), ("c", "d"), ("d", "c"), ("c", "e"), ("e", "c")}
+    arcs |= {("b", "e"), ("e", "d"), ("d", "b")}
+    dec = decide_partition(CollisionGraph(("a", "b", "c", "d", "e"), frozenset(arcs)))
+    assert dec.partition == Partition(("a", "d", "e"), ("b", "c"))
+
+
+def test_decide_partition_expansion_budget(monkeypatch):
+    # 25 nodes off every two-cycle: no longer refused for their count alone
     nodes = tuple(f"e{i}" for i in range(25))
     c = CollisionGraph(nodes, frozenset())
-    with pytest.raises(SearchCapError):
-        decide_partition(c)
-    dec = decide_partition(c, max_free_nodes=25)
+    dec = decide_partition(c)
     assert dec.found
     assert partition_is_valid(c, dec.partition)
+    # the same search needs 25 expansions, so a budget of 10 runs out
+    monkeypatch.setattr(plan, "SPLIT_SEARCH_BUDGET", 10)
+    with pytest.raises(SearchCapError, match="10 expansions"):
+        decide_partition(c)
 
 
 # ---------------------------------------------------------------------------
