@@ -35,7 +35,6 @@ from .exprs import (
     Expr,
     ExprDomainError,
     ExprSyntaxError,
-    compile_fn,
     evaluate,
     parse_expression,
     to_text,
@@ -67,7 +66,6 @@ from .plan import (
     heights_to_json,
     heights_up,
     make_partition,
-    minimal_nodes,
     partition_is_valid,
     split_layers,
     verify_collision_free,

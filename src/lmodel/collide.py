@@ -7,8 +7,8 @@ when the triangle-inequality slack
 
 vanishes.  The slack is nonnegative everywhere, so its zeros are tangential
 minima, not sign changes; root bracketing would miss them entirely.  The
-detector therefore samples the gap on a dense grid, then drives every sampled
-local minimum into a tiny bracket with golden-section search.
+detector therefore samples the gap on a dense grid, then drives the sampled
+local minima of all pairs together into tiny brackets by golden-section search.
 
 Classification uses two thresholds.  A refined minimum below ``collide_eps``
 is a collision.  A minimum between ``collide_eps`` and ten times it is
@@ -21,13 +21,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .exprs import ExprDomainError, compile_fn
-from .motion import GraphFormatError, MovingGraph, edge_label, eval_position, evaluate_on
+from .exprs import ExprDomainError, evaluate, evaluate_on
+from .motion import GraphFormatError, MovingGraph, edge_label, eval_position
 
 __all__ = [
     "AMBIGUITY_FACTOR",
@@ -98,74 +99,80 @@ class DetectionError(RuntimeError):
         super().__init__(f"{len(self.failures)} pair(s) undecidable: {detail}")
 
 
+def _gap(xv, yv, xi, yi, xj, yj):
+    """The slack, elementwise: the one gap kernel, shared by every caller."""
+    return np.hypot(xv - xi, yv - yi) + np.hypot(xv - xj, yv - yj) - np.hypot(xi - xj, yi - yj)
+
+
 def gap(g: MovingGraph, v: str, e: tuple[str, str], t: float) -> float:
     if v == e[0] or v == e[1]:
         raise ValueError(f"vertex {v!r} is incident to edge {edge_label(e)!r}")
-    xv, yv = eval_position(g, v, t)
-    xi, yi = eval_position(g, e[0], t)
-    xj, yj = eval_position(g, e[1], t)
-    return (
-        math.hypot(xv - xi, yv - yi)
-        + math.hypot(xv - xj, yv - yj)
-        - math.hypot(xi - xj, yi - yj)
-    )
+    (xv, yv), (xi, yi), (xj, yj) = (eval_position(g, w, t) for w in (v, *e))
+    return float(_gap(xv, yv, xi, yi, xj, yj))
 
 
 # ---------------------------------------------------------------------------
-# scalar minimization
+# minimization
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def golden_minimize(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
     tol: float,
-    seeds: Iterable[float] = (),
-) -> tuple[float, float]:
-    """Shrink [lo, hi] to width tol by golden-section search.
+    seeds: Iterable[np.ndarray] = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shrink every bracket [lo[k], hi[k]] to width tol by golden-section search.
 
-    Returns the best (t, f(t)) over every point actually evaluated, which
-    includes lo, hi and the seeds, so the result never regresses below the
-    information already in hand.
+    ``f`` maps an array of one time per bracket to the array of values there;
+    all brackets advance together.  Each bracket probes its seeds, lo, hi and
+    the two interior points, then one point per step, and stops at width tol
+    or after a step cap fixed by its initial width.  Returns the best (t,
+    f(t)) per bracket over every point it evaluated, the first on ties, so
+    the result never regresses below the information already in hand.  A NaN
+    value is never best.
     """
-    best_t = lo
-    best_v = math.inf
+    best_t = lo.copy()
+    best_v = np.full(lo.shape, math.inf)
 
-    def probe(x: float) -> float:
-        nonlocal best_t, best_v
-        v = f(x)
-        if v < best_v:
-            best_t, best_v = x, v
-        return v
+    def probe(x: np.ndarray, live: np.ndarray | bool = True) -> np.ndarray:
+        y = f(x)
+        better = live & (y < best_v)
+        best_t[better] = x[better]
+        best_v[better] = y[better]
+        return y
 
     for s in seeds:
         probe(s)
     probe(lo)
     probe(hi)
-    a, b = lo, hi
-    if b - a <= tol:
-        return best_t, best_v
+    a, b = lo.copy(), hi.copy()
+    # a bracket that is not live re-probes lo, a point it already evaluated,
+    # and keeps its state
+    wide = b - a > tol
     c = a + _INV_PHI2 * (b - a)
     d = a + _INV_PHI * (b - a)
-    yc = probe(c)
-    yd = probe(d)
+    yc = probe(np.where(wide, c, lo), wide)
+    yd = probe(np.where(wide, d, lo), wide)
     # the bracket shrinks by 1/phi per step; cap the loop in case float
     # rounding stalls it near the tolerance
-    max_iters = int(math.ceil(math.log(tol / (b - a)) / math.log(_INV_PHI))) + 8
-    for _ in range(max_iters):
-        if b - a <= tol:
+    width = np.maximum(b - a, tol).tolist()
+    max_iters = np.array([math.ceil(math.log(tol / w) / math.log(_INV_PHI)) + 8 for w in width])
+    for k in range(int(max_iters.max(initial=0))):
+        live = (k < max_iters) & (b - a > tol)
+        if not live.any():
             break
-        if yc < yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI2 * (b - a)
-            yc = probe(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * (b - a)
-            yd = probe(d)
+        left = live & (yc < yd)
+        right = live & ~left
+        b[left], d[left], yd[left] = d[left], c[left], yc[left]
+        a[right], c[right], yc[right] = c[right], d[right], yd[right]
+        x = np.where(left, a + _INV_PHI2 * (b - a), a + _INV_PHI * (b - a))
+        y = probe(np.where(live, x, lo), live)
+        c[left], yc[left] = x[left], y[left]
+        d[right], yd[right] = x[right], y[right]
     return best_t, best_v
 
 
@@ -184,50 +191,115 @@ def _local_min_indices(gs: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # detection
 
-
-def _scalar_gap(fns: dict, v: str, e: tuple[str, str]) -> Callable[[float], float]:
-    fvx, fvy = fns[v]
-    fix, fiy = fns[e[0]]
-    fjx, fjy = fns[e[1]]
-
-    def gp(t: float) -> float:
-        xv, yv = fvx(t), fvy(t)
-        xi, yi = fix(t), fiy(t)
-        xj, yj = fjx(t), fjy(t)
-        return (
-            math.hypot(xv - xi, yv - yi)
-            + math.hypot(xv - xj, yv - yj)
-            - math.hypot(xi - xj, yi - yj)
-        )
-
-    return gp
+# brackets refined together; bounds the memory that refinement holds at once
+_REFINE_CHUNK = 2048
 
 
-def _probe_pair(
-    ts: np.ndarray,
-    grid: dict,
-    fns: dict,
-    v: str,
-    e: tuple[str, str],
-    cfg: DetectionConfig,
-) -> PairProbe:
-    xv, yv = grid[v]
-    xi, yi = grid[e[0]]
-    xj, yj = grid[e[1]]
-    gs = np.hypot(xv - xi, yv - yi) + np.hypot(xv - xj, yv - yj) - np.hypot(xi - xj, yi - yj)
-    f = _scalar_gap(fns, v, e)
-    best_t = float(ts[int(np.argmin(gs))])
-    best_v = math.inf
-    last = len(ts) - 1
-    for i in _local_min_indices(gs):
-        lo = float(ts[max(i - 1, 0)])
-        hi = float(ts[min(i + 1, last)])
-        tt, vv = golden_minimize(f, lo, hi, cfg.refine_tol, seeds=(float(ts[i]),))
-        if vv < best_v:
-            best_v, best_t = vv, tt
-    collides = best_v < cfg.collide_eps
-    ambiguous = not collides and best_v < AMBIGUITY_FACTOR * cfg.collide_eps
-    return PairProbe(v, e, collides, best_v, best_t, ambiguous)
+def _chunk_gap(motion: list, roles: np.ndarray, seed: np.ndarray, errors: dict):
+    """``f`` for golden_minimize over one chunk of brackets.
+
+    ``roles`` holds the vertex indices (v, i, j) of each bracket's pair, one
+    row per role.  Every vertex is evaluated once per call, at the times of
+    all brackets that use it.  A bracket whose probe leaves the domain is
+    charged its first error in ``errors`` and reads NaN from then on.
+    """
+    m = roles.shape[1]
+    slots = roles.ravel()  # role-major: slot r*m + k is role r of bracket k
+    used = np.flatnonzero(np.bincount(slots)).tolist()
+    groups = [(motion[w], np.flatnonzero(slots == w)) for w in used]
+    failed = np.zeros(m, dtype=bool)
+
+    def f(x: np.ndarray) -> np.ndarray:
+        # a failed bracket is probed at its seed, a grid time known to evaluate
+        t = np.tile(np.where(failed, seed, x), 3)
+        px, py = np.zeros((2, 3 * m))
+        bad = {}
+        for (xe, ye), at in groups:
+            try:
+                px[at] = evaluate_on(xe, t[at])
+                py[at] = evaluate_on(ye, t[at])
+            except ExprDomainError:
+                # find every slot that raises, in the order x, y
+                for q in at.tolist():
+                    try:
+                        px[q] = evaluate(xe, float(t[q]))
+                        py[q] = evaluate(ye, float(t[q]))
+                    except ExprDomainError as err:
+                        bad[q] = err
+        px, py = px.reshape(3, m), py.reshape(3, m)
+        y = _gap(px[0], py[0], px[1], py[1], px[2], py[2])
+        # ascending slots give a bracket's lowest role first: v, then i, then j
+        for q in sorted(bad):
+            errors.setdefault(q % m, bad[q])
+        failed[list(errors)] = True
+        y[failed] = math.nan
+        return y
+
+    return f
+
+
+def _probe(
+    g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig
+) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Minimum gap of every pair, with the time it is attained.
+
+    ``roles`` is a 3 x n array of vertex indices: row 0 the vertex, rows 1
+    and 2 the edge's endpoints.  Samples each vertex once on the grid,
+    brackets every sampled local minimum of every pair and refines all
+    brackets together.  Returns (witness times, minimum gaps, {pair index:
+    domain error}).
+    """
+    ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
+    motion = [g.motion[w] for w in g.vertices]
+    xs, ys = np.zeros((2, len(motion), len(ts)))
+    grid_err: dict[int, ExprDomainError] = {}
+    for w in np.flatnonzero(np.bincount(roles.ravel())).tolist():
+        try:
+            xs[w] = evaluate_on(motion[w][0], ts)
+            ys[w] = evaluate_on(motion[w][1], ts)
+        except ExprDomainError as err:
+            grid_err[w] = err
+    failures: dict[int, Exception] = {}
+    for k, trio in enumerate(roles.T.tolist() if grid_err else ()):
+        bad = [grid_err[w] for w in trio if w in grid_err]
+        if bad:
+            failures[k] = bad[0]
+    ok = np.ones(roles.shape[1], dtype=bool)
+    ok[list(failures)] = False
+
+    best_t = np.empty(roles.shape[1])
+    best_v = np.full(roles.shape[1], math.inf)
+    found = array("q")  # every sampled local minimum, as pair index * samples + sample index
+    for k in np.flatnonzero(ok):
+        v, i, j = roles[:, k].tolist()
+        gs = _gap(xs[v], ys[v], xs[i], ys[i], xs[j], ys[j])
+        best_t[k] = ts[np.argmin(gs)]
+        found.frombytes((k * len(ts) + _local_min_indices(gs)).astype(np.int64).tobytes())
+    owner, mid = np.divmod(np.frombuffer(found, dtype=np.int64), len(ts))
+    del xs, ys  # refinement evaluates its own points
+
+    for s in range(0, len(owner), _REFINE_CHUNK):
+        ks = owner[s : s + _REFINE_CHUNK]
+        i = mid[s : s + _REFINE_CHUNK]
+        errors: dict[int, Exception] = {}
+        f = _chunk_gap(motion, roles[:, ks], ts[i], errors)
+        lo = ts[np.maximum(i - 1, 0)]
+        hi = ts[np.minimum(i + 1, len(ts) - 1)]
+        t_at, v_at = golden_minimize(f, lo, hi, cfg.refine_tol, seeds=(ts[i],))
+        for k in sorted(errors):
+            failures.setdefault(int(ks[k]), errors[k])
+        # brackets come in pair order, each pair's in time order, so a scan
+        # with < keeps the first bracket reaching the pair's smallest value
+        for q in range(len(ks)):
+            if v_at[q] < best_v[ks[q]]:
+                best_t[ks[q]], best_v[ks[q]] = t_at[q], v_at[q]
+    return best_t, best_v, failures
+
+
+def _verdict(v: str, e: tuple[str, str], t: float, gv: float, cfg: DetectionConfig) -> PairProbe:
+    collides = gv < cfg.collide_eps
+    ambiguous = not collides and gv < AMBIGUITY_FACTOR * cfg.collide_eps
+    return PairProbe(v, e, collides, gv, t, ambiguous)
 
 
 def _canonical_edge(g: MovingGraph, e: tuple[str, str]) -> tuple[str, str]:
@@ -247,54 +319,36 @@ def detect_pair(
         raise ValueError(f"unknown vertex {v!r}")
     if v == e[0] or v == e[1]:
         raise ValueError(f"vertex {v!r} is incident to edge {edge_label(e)!r}")
-    ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
-    used = (v, e[0], e[1])
-    grid = {w: (evaluate_on(g.motion[w][0], ts), evaluate_on(g.motion[w][1], ts)) for w in used}
-    fns = {w: (compile_fn(g.motion[w][0]), compile_fn(g.motion[w][1])) for w in used}
-    return _probe_pair(ts, grid, fns, v, e, cfg)
+    roles = np.array([[g.vertices.index(w)] for w in (v, *e)], dtype=np.intp)
+    best_t, best_v, failures = _probe(g, roles, cfg)
+    if failures:
+        raise failures[0]
+    return _verdict(v, e, float(best_t[0]), float(best_v[0]), cfg)
 
 
 def detect_all(g: MovingGraph, cfg: DetectionConfig | None = None) -> DetectionResult:
     """Probe every non-incident vertex-edge pair, in canonical order."""
     cfg = cfg or DetectionConfig()
-    ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
-    grid: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    grid_err: dict[str, ExprDomainError] = {}
-    for w in g.vertices:
-        xe, ye = g.motion[w]
-        try:
-            grid[w] = (evaluate_on(xe, ts), evaluate_on(ye, ts))
-        except ExprDomainError as err:
-            grid_err[w] = err
-    fns = {w: (compile_fn(x), compile_fn(y)) for w, (x, y) in g.motion.items()}
+    index = {w: k for k, w in enumerate(g.vertices)}
+    ends = np.array([(index[u], index[w]) for u, w in g.edges], dtype=np.intp).reshape(-1, 2)
+    pv = np.repeat(np.arange(len(g.vertices)), len(g.edges))
+    pe = np.tile(np.arange(len(g.edges)), len(g.vertices))
+    keep = (pv != ends[pe, 0]) & (pv != ends[pe, 1])
+    pv, pe = pv[keep], pe[keep]
+    best_t, best_v, failures = _probe(g, np.stack([pv, ends[pe, 0], ends[pe, 1]]), cfg)
+    if failures:
+        raise DetectionError(
+            [(g.vertices[pv[k]], g.edges[pe[k]], failures[k]) for k in sorted(failures)]
+        )
 
     pairs: list[CollisionPair] = []
     ambiguous: list[PairProbe] = []
-    failures: list[tuple[str, tuple[str, str], Exception]] = []
-    clear = math.inf
-    probed = 0
-    for v in g.vertices:
-        for e in g.edges:
-            if v == e[0] or v == e[1]:
-                continue
-            probed += 1
-            bad = next((w for w in (v, e[0], e[1]) if w in grid_err), None)
-            if bad is not None:
-                failures.append((v, e, grid_err[bad]))
-                continue
-            try:
-                probe = _probe_pair(ts, grid, fns, v, e, cfg)
-            except ExprDomainError as err:
-                failures.append((v, e, err))
-                continue
-            if probe.collides:
-                pairs.append(CollisionPair(v, e, probe.witness_t, probe.min_gap))
-            else:
-                clear = min(clear, probe.min_gap)
-                if probe.ambiguous:
-                    ambiguous.append(probe)
-    if failures:
-        raise DetectionError(failures)
+    for k in np.flatnonzero(best_v < AMBIGUITY_FACTOR * cfg.collide_eps).tolist():
+        probe = _verdict(g.vertices[pv[k]], g.edges[pe[k]], float(best_t[k]), float(best_v[k]), cfg)
+        if probe.collides:
+            pairs.append(CollisionPair(probe.vertex, probe.edge, probe.witness_t, probe.min_gap))
+        elif probe.ambiguous:
+            ambiguous.append(probe)
     if ambiguous:
         worst = ", ".join(f"({p.vertex}, {edge_label(p.edge)})" for p in ambiguous)
         warnings.warn(
@@ -304,8 +358,9 @@ def detect_all(g: MovingGraph, cfg: DetectionConfig | None = None) -> DetectionR
             RuntimeWarning,
             stacklevel=2,
         )
+    clear = float(best_v[best_v >= cfg.collide_eps].min(initial=math.inf))
     return DetectionResult(
-        tuple(pairs), tuple(ambiguous), None if math.isinf(clear) else clear, probed
+        tuple(pairs), tuple(ambiguous), None if math.isinf(clear) else clear, len(pv)
     )
 
 
@@ -354,7 +409,7 @@ def pairs_from_json(text: str, g: MovingGraph) -> tuple[CollisionPair, ...]:
             raise GraphFormatError(f"pair vertex {v!r} is incident to edge {edge_label(e)!r}")
         t = entry["t"]
         gap_val = entry["gap"]
-        if not isinstance(t, (int, float)) or not isinstance(gap_val, (int, float)):
+        if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in (t, gap_val)):
             raise GraphFormatError(f"pair entry {entry!r} has non-numeric t or gap")
         if not t0 - 1e-9 <= t <= t1 + 1e-9:
             raise GraphFormatError(f"pair witness t={t!r} is outside the domain [{t0}, {t1}]")

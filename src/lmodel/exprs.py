@@ -15,18 +15,14 @@ node kind for it.  Evaluation either returns a finite value or raises
 :class:`ExprDomainError` (square root of a negative number, division by zero,
 overflow); it never silently produces NaN or infinity.
 
-Two evaluators are provided.  :func:`evaluate` works on scalars and numpy
-arrays and is used for dense grid sampling.  :func:`compile_fn` builds a
-scalar closure over :mod:`math`, which is much faster for the many
-single-point evaluations done during minimum refinement.  Both apply the same
-domain checks.
+:func:`evaluate` is the one evaluator.  It works on scalars and on numpy
+arrays, so detection samples a grid and refines many minima at once with it.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -49,7 +45,6 @@ __all__ = [
     "to_text",
     "evaluate",
     "evaluate_on",
-    "compile_fn",
 ]
 
 _ARITY = {
@@ -351,8 +346,8 @@ def evaluate(e: Expr, t):
 
     The result of a constant subtree stays scalar even for array input; use
     :func:`evaluate_on` when a full-size array is required.  Overflow is
-    caught at the node that produces it, so both evaluators fail at the same
-    place on the same input.
+    caught at the node that produces it, so a scalar and an array holding
+    the same time fail at the same place.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _ev(e, t)
@@ -425,87 +420,3 @@ def _ev(e: Expr, t):
     if bad.any():
         raise ExprDomainError("non-finite result (overflow)", e, _offending_t(bad, t))
     return val
-
-
-def compile_fn(e: Expr) -> Callable[[float], float]:
-    """Compile to a fast scalar evaluator with the same domain checks."""
-    return _compile(e)
-
-
-def _compile(e: Expr) -> Callable[[float], float]:
-    k = e.kind
-    if k == "const":
-        v = e.value
-        return lambda t: v
-    if k == "t":
-        return lambda t: t
-    a = _compile(e.args[0])
-    if k == "neg":
-        return lambda t: -a(t)
-    if k == "sin":
-        return lambda t: math.sin(a(t))
-    if k == "cos":
-        return lambda t: math.cos(a(t))
-    if k == "sqrt":
-
-        def fsqrt(t: float) -> float:
-            v = a(t)
-            if v < 0.0:
-                raise ExprDomainError("square root of a negative value", e, t)
-            return math.sqrt(v)
-
-        return fsqrt
-    if k == "pow":
-        p = e.exponent
-
-        def fpow(t: float) -> float:
-            try:
-                v = a(t) ** p
-            except OverflowError:
-                raise ExprDomainError("non-finite result (overflow)", e, t) from None
-            if not math.isfinite(v):
-                raise ExprDomainError("non-finite result (overflow)", e, t)
-            return v
-
-        return fpow
-    b = _compile(e.args[1])
-    if k == "div":
-
-        def fdiv(t: float) -> float:
-            den = b(t)
-            if den == 0.0:
-                raise ExprDomainError("division by zero", e, t)
-            v = a(t) / den
-            if not math.isfinite(v):
-                raise ExprDomainError("non-finite result (overflow)", e, t)
-            return v
-
-        return fdiv
-    if k == "add":
-
-        def fadd(t: float) -> float:
-            v = a(t) + b(t)
-            if not math.isfinite(v):
-                raise ExprDomainError("non-finite result (overflow)", e, t)
-            return v
-
-        return fadd
-    if k == "sub":
-
-        def fsub(t: float) -> float:
-            v = a(t) - b(t)
-            if not math.isfinite(v):
-                raise ExprDomainError("non-finite result (overflow)", e, t)
-            return v
-
-        return fsub
-    if k == "mul":
-
-        def fmul(t: float) -> float:
-            v = a(t) * b(t)
-            if not math.isfinite(v):
-                raise ExprDomainError("non-finite result (overflow)", e, t)
-            return v
-
-        return fmul
-    raise AssertionError(k)

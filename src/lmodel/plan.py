@@ -41,7 +41,6 @@ __all__ = [
     "Violation",
     "VerifyReport",
     "make_partition",
-    "minimal_nodes",
     "heights_up",
     "heights_down",
     "partition_is_valid",
@@ -86,13 +85,6 @@ def make_partition(all_labels: Sequence[str], upper: Iterable[str]) -> Partition
         tuple(l for l in all_labels if l in upper_set),
         tuple(l for l in all_labels if l not in upper_set),
     )
-
-
-def minimal_nodes(c: CollisionGraph) -> tuple[str, ...]:
-    indeg = {n: 0 for n in c.nodes}
-    for _, v in c.arcs:
-        indeg[v] += 1
-    return tuple(n for n in c.nodes if indeg[n] == 0)
 
 
 def _sweep(c: CollisionGraph, start: int, step: int) -> dict[str, int]:
@@ -293,6 +285,7 @@ def exists_arrangement(
     is feasible exactly when the constraint digraph is acyclic.  Returns a
     witness assignment (heights 0..len-1 along a topological order) or None.
     """
+    pairs = tuple(pairs)
     labels = g.edge_labels
     index = {lab: i for i, lab in enumerate(labels)}
     constraints: list[tuple[int, list[int]]] = []

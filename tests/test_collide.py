@@ -78,30 +78,86 @@ def test_gap_is_nonnegative_on_grid(ref_dixon1):
 
 
 # ---------------------------------------------------------------------------
-# scalar minimization
+# minimization
+
+
+def scalar_golden(f, lo, hi, tol, seeds=()):
+    """Golden-section search on one bracket, as a loop: the reference for the batch."""
+    best_t, best_v = lo, math.inf
+
+    def probe(x):
+        nonlocal best_t, best_v
+        v = f(x)
+        if v < best_v:
+            best_t, best_v = x, v
+        return v
+
+    for s in seeds:
+        probe(s)
+    probe(lo)
+    probe(hi)
+    a, b = lo, hi
+    if b - a <= tol:
+        return best_t, best_v
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    inv_phi2 = (3.0 - math.sqrt(5.0)) / 2.0
+    c, d = a + inv_phi2 * (b - a), a + inv_phi * (b - a)
+    yc, yd = probe(c), probe(d)
+    for _ in range(math.ceil(math.log(tol / (b - a)) / math.log(inv_phi)) + 8):
+        if b - a <= tol:
+            break
+        if yc < yd:
+            b, d, yd = d, c, yc
+            c = a + inv_phi2 * (b - a)
+            yc = probe(c)
+        else:
+            a, c, yc = c, d, yd
+            d = a + inv_phi * (b - a)
+            yd = probe(d)
+    return best_t, best_v
 
 
 def test_golden_minimize_quadratic():
-    t, v = golden_minimize(lambda x: (x - 1.3) ** 2, 0.0, 3.0, 1e-10)
-    assert abs(t - 1.3) <= 1e-6
-    assert v <= 1e-12
+    centers = np.array([1.3, 0.4])
+    t, v = golden_minimize(
+        lambda x: (x - centers) ** 2, np.array([0.0, 0.0]), np.array([3.0, 1.0]), 1e-10
+    )
+    assert np.all(np.abs(t - centers) <= 1e-6)
+    assert np.all(v <= 1e-12)
 
 
 def test_golden_minimize_never_regresses_below_seed():
     spike = 0.123456
 
     def f(x):
-        return 0.0 if x == spike else 1.0 + (x - 2.0) ** 2
+        return np.where(x == spike, 0.0, 1.0 + (x - 2.0) ** 2)
 
-    t, v = golden_minimize(f, 0.0, 3.0, 1e-10, seeds=(spike,))
-    assert t == spike
-    assert v == 0.0
+    t, v = golden_minimize(f, np.array([0.0]), np.array([3.0]), 1e-10, seeds=(np.array([spike]),))
+    assert t[0] == spike
+    assert v[0] == 0.0
 
 
 def test_golden_minimize_degenerate_bracket():
-    t, v = golden_minimize(lambda x: x * x, 1.0, 1.0, 1e-12)
-    assert t == 1.0
-    assert v == 1.0
+    t, v = golden_minimize(lambda x: x * x, np.array([1.0]), np.array([1.0]), 1e-12)
+    assert t[0] == 1.0
+    assert v[0] == 1.0
+
+
+def test_golden_minimize_matches_scalar_search():
+    # a staircase: plateaus make ties, so the first-best rule is exercised too
+    def f(x):
+        return np.floor((x - 1.1) ** 2 * (x - 2.7) ** 2 * 1e4) / 1e4
+
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(0.0, 3.0, 64)
+    hi = lo + np.concatenate([rng.uniform(0.0, 1.0, 60), [0.0, 1e-13, 1e-12, 2e-12]])
+    seeds = rng.uniform(lo, hi)
+    t, v = golden_minimize(f, lo, hi, 1e-12, seeds=(seeds,))
+    for k in range(len(lo)):
+        want = scalar_golden(
+            lambda x: float(f(np.array([x]))[0]), lo[k], hi[k], 1e-12, seeds=(seeds[k],)
+        )
+        assert (t[k], v[k]) == want
 
 
 @pytest.mark.parametrize(
@@ -159,6 +215,20 @@ def test_detect_pair_argument_errors(ref_dixon1):
         detect_pair(ref_dixon1, "zz", ("q0", "p1"))
     with pytest.raises(ValueError, match="incident"):
         detect_pair(ref_dixon1, "q0", ("q0", "p1"))
+
+
+def test_detect_pair_matches_detect_all(ref_dixon1, ref_dixon1_result):
+    probes = [
+        detect_pair(ref_dixon1, v, e)
+        for v in ref_dixon1.vertices
+        for e in ref_dixon1.edges
+        if v not in e
+    ]
+    assert len(probes) == ref_dixon1_result.probed
+    hits = [CollisionPair(p.vertex, p.edge, p.witness_t, p.min_gap) for p in probes if p.collides]
+    assert tuple(hits) == ref_dixon1_result.pairs
+    assert tuple(p for p in probes if p.ambiguous) == ref_dixon1_result.ambiguous
+    assert min(p.min_gap for p in probes if not p.collides) == ref_dixon1_result.clear_margin
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +333,34 @@ def test_detect_all_reports_undecidable_pairs():
     assert isinstance(err, E.ExprDomainError)
 
 
+def test_detect_all_charges_refinement_errors_to_their_pairs():
+    # v's height sqrt((t-c)^2 - 1e-10) is undefined only within 1e-5 of c,
+    # which lies midway between two grid samples: the grid evaluates, and
+    # only refinement of the minima near c leaves the domain
+    ts = np.linspace(0.0, 2 * math.pi, DetectionConfig().samples)
+    c = E.const(float((ts[1000] + ts[1001]) / 2))
+    dip = E.sqrt(E.sub(E.powi(E.sub(E.tvar(), c), 2), E.const(1e-10)))
+    g = MovingGraph(
+        ("s0", "s1", "v", "w"),
+        (("s0", "s1"), ("v", "w")),
+        {
+            "s0": (E.const(-1.0), E.const(0.0)),
+            "s1": (E.const(1.0), E.const(0.0)),
+            "v": (E.const(0.0), dip),
+            "w": (E.const(0.0), E.const(5.0)),
+        },
+    )
+    with pytest.raises(DetectionError) as exc:
+        detect_all(g)
+    failures = exc.value.failures
+    assert [(v, e) for v, e, _ in failures] == [
+        ("s0", ("v", "w")),
+        ("s1", ("v", "w")),
+        ("v", ("s0", "s1")),
+    ]
+    assert all(isinstance(err, E.ExprDomainError) for _, _, err in failures)
+
+
 # ---------------------------------------------------------------------------
 # file format
 
@@ -288,6 +386,8 @@ def test_pairs_json_canonicalizes_edges(ref_dixon1):
         ({"vertex": "q0", "edge": ["q0", "p1"], "t": 0.0, "gap": 0.0}, "incident"),
         ({"vertex": "p0", "edge": ["q0", "p1"], "t": 9.0, "gap": 0.0}, "outside the domain"),
         ({"vertex": "p0", "edge": ["q0", "p1"], "t": "x", "gap": 0.0}, "non-numeric"),
+        ({"vertex": "p0", "edge": ["q0", "p1"], "t": True, "gap": 0.0}, "non-numeric"),
+        ({"vertex": "p0", "edge": ["q0", "p1"], "t": 0.0, "gap": False}, "non-numeric"),
     ],
 )
 def test_pairs_json_rejects_bad_entries(ref_dixon1, entry, msg):

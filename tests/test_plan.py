@@ -22,7 +22,6 @@ from lmodel.plan import (
     heights_to_json,
     heights_up,
     make_partition,
-    minimal_nodes,
     partition_is_valid,
     split_layers,
     verify_collision_free,
@@ -50,12 +49,6 @@ def ref_partition(ref_dixon1):
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-
-def test_minimal_nodes(ref_cgraph):
-    assert minimal_nodes(ref_cgraph) == (
-        "q0-p0", "q1-p1", "q1-p2", "q1-p3", "q2-p1", "q2-p2", "q2-p3"
-    )
 
 
 def test_heights_up_reference_upper_class(ref_cgraph, ref_partition):
@@ -320,6 +313,21 @@ def test_exists_reference_instances(
 def test_exists_with_no_pairs_uses_canonical_order():
     g = static_graph(4, [("n0", "n1"), ("n1", "n2"), ("n2", "n3")])
     assert exists_arrangement(g, ()) == {"n0-n1": 0, "n1-n2": 1, "n2-n3": 2}
+
+
+def test_exists_verifies_every_pair_of_a_generator(ref_dixon1, ref_dixon1_result, monkeypatch):
+    seen = []
+    real = plan.verify_collision_free
+
+    def spy(g, pairs, heights):
+        pairs = tuple(pairs)
+        seen.append(len(pairs))
+        return real(g, pairs, heights)
+
+    monkeypatch.setattr(plan, "verify_collision_free", spy)
+    pairs = ref_dixon1_result.pairs
+    assert exists_arrangement(ref_dixon1, (p for p in pairs)) is not None
+    assert seen == [len(pairs)] == [6]
 
 
 def test_exists_validates_pairs(ref_dixon1):
