@@ -10,6 +10,12 @@ minima, not sign changes; root bracketing would miss them entirely.  The
 detector therefore samples the gap on a dense grid, then drives the sampled
 local minima of all pairs together into tiny brackets by golden-section search.
 
+Both stages work on the whole graph at once (:mod:`lmodel.sampling`).  The
+grid stage reads every pair's gap off a table of vertex-to-vertex
+distances, one block of samples at a time.  Each refinement step evaluates
+every coordinate expression shape once, over the brackets of all vertices
+that share it.
+
 Classification uses two thresholds.  A refined minimum below ``collide_eps``
 is a collision.  A minimum between ``collide_eps`` and ten times it is
 neither accepted nor silently dropped: it lands in the result's ``ambiguous``
@@ -21,14 +27,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .exprs import ExprDomainError, evaluate, evaluate_on
+from .exprs import ExprDomainError, evaluate_on, split_constants
 from .motion import GraphFormatError, MovingGraph, edge_label, eval_position
+from .sampling import bracket_gap, by_pair, grid_minima, slack
 
 __all__ = [
     "AMBIGUITY_FACTOR",
@@ -99,16 +105,11 @@ class DetectionError(RuntimeError):
         super().__init__(f"{len(self.failures)} pair(s) undecidable: {detail}")
 
 
-def _gap(xv, yv, xi, yi, xj, yj):
-    """The slack, elementwise: the one gap kernel, shared by every caller."""
-    return np.hypot(xv - xi, yv - yi) + np.hypot(xv - xj, yv - yj) - np.hypot(xi - xj, yi - yj)
-
-
 def gap(g: MovingGraph, v: str, e: tuple[str, str], t: float) -> float:
     if v == e[0] or v == e[1]:
         raise ValueError(f"vertex {v!r} is incident to edge {edge_label(e)!r}")
     (xv, yv), (xi, yi), (xj, yj) = (eval_position(g, w, t) for w in (v, *e))
-    return float(_gap(xv, yv, xi, yi, xj, yj))
+    return float(slack(xv, yv, xi, yi, xj, yj))
 
 
 # ---------------------------------------------------------------------------
@@ -176,66 +177,11 @@ def golden_minimize(
     return best_t, best_v
 
 
-def _local_min_indices(gs: np.ndarray) -> np.ndarray:
-    """Indices of sampled local minima, plateau-left-edge and endpoint aware."""
-    n = len(gs)
-    left_ok = np.empty(n, dtype=bool)
-    right_ok = np.empty(n, dtype=bool)
-    left_ok[0] = True
-    left_ok[1:] = gs[1:] < gs[:-1]
-    right_ok[n - 1] = True
-    right_ok[:-1] = gs[:-1] <= gs[1:]
-    return np.nonzero(left_ok & right_ok)[0]
-
-
 # ---------------------------------------------------------------------------
 # detection
 
 # brackets refined together; bounds the memory that refinement holds at once
 _REFINE_CHUNK = 2048
-
-
-def _chunk_gap(motion: list, roles: np.ndarray, seed: np.ndarray, errors: dict):
-    """``f`` for golden_minimize over one chunk of brackets.
-
-    ``roles`` holds the vertex indices (v, i, j) of each bracket's pair, one
-    row per role.  Every vertex is evaluated once per call, at the times of
-    all brackets that use it.  A bracket whose probe leaves the domain is
-    charged its first error in ``errors`` and reads NaN from then on.
-    """
-    m = roles.shape[1]
-    slots = roles.ravel()  # role-major: slot r*m + k is role r of bracket k
-    used = np.flatnonzero(np.bincount(slots)).tolist()
-    groups = [(motion[w], np.flatnonzero(slots == w)) for w in used]
-    failed = np.zeros(m, dtype=bool)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        # a failed bracket is probed at its seed, a grid time known to evaluate
-        t = np.tile(np.where(failed, seed, x), 3)
-        px, py = np.zeros((2, 3 * m))
-        bad = {}
-        for (xe, ye), at in groups:
-            try:
-                px[at] = evaluate_on(xe, t[at])
-                py[at] = evaluate_on(ye, t[at])
-            except ExprDomainError:
-                # find every slot that raises, in the order x, y
-                for q in at.tolist():
-                    try:
-                        px[q] = evaluate(xe, float(t[q]))
-                        py[q] = evaluate(ye, float(t[q]))
-                    except ExprDomainError as err:
-                        bad[q] = err
-        px, py = px.reshape(3, m), py.reshape(3, m)
-        y = _gap(px[0], py[0], px[1], py[1], px[2], py[2])
-        # ascending slots give a bracket's lowest role first: v, then i, then j
-        for q in sorted(bad):
-            errors.setdefault(q % m, bad[q])
-        failed[list(errors)] = True
-        y[failed] = math.nan
-        return y
-
-    return f
 
 
 def _probe(
@@ -253,36 +199,35 @@ def _probe(
     motion = [g.motion[w] for w in g.vertices]
     xs, ys = np.zeros((2, len(motion), len(ts)))
     grid_err: dict[int, ExprDomainError] = {}
+    shapes = {}
     for w in np.flatnonzero(np.bincount(roles.ravel())).tolist():
         try:
             xs[w] = evaluate_on(motion[w][0], ts)
             ys[w] = evaluate_on(motion[w][1], ts)
         except ExprDomainError as err:
             grid_err[w] = err
+        else:
+            shapes[w] = [split_constants(e) for e in motion[w]]
     failures: dict[int, Exception] = {}
     for k, trio in enumerate(roles.T.tolist() if grid_err else ()):
         bad = [grid_err[w] for w in trio if w in grid_err]
         if bad:
             failures[k] = bad[0]
-    ok = np.ones(roles.shape[1], dtype=bool)
-    ok[list(failures)] = False
 
-    best_t = np.empty(roles.shape[1])
-    best_v = np.full(roles.shape[1], math.inf)
-    found = array("q")  # every sampled local minimum, as pair index * samples + sample index
-    for k in np.flatnonzero(ok):
-        v, i, j = roles[:, k].tolist()
-        gs = _gap(xs[v], ys[v], xs[i], ys[i], xs[j], ys[j])
-        best_t[k] = ts[np.argmin(gs)]
-        found.frombytes((k * len(ts) + _local_min_indices(gs)).astype(np.int64).tobytes())
-    owner, mid = np.divmod(np.frombuffer(found, dtype=np.int64), len(ts))
+    best_t, runs = grid_minima(xs, ys, roles, ts)
     del xs, ys  # refinement evaluates its own points
+    found = by_pair(runs, roles.shape[1], len(ts))
+    del runs
+    if failures:
+        ok = np.ones(roles.shape[1], dtype=bool)
+        ok[list(failures)] = False
+        found = found[ok[found // len(ts)]]
 
-    for s in range(0, len(owner), _REFINE_CHUNK):
-        ks = owner[s : s + _REFINE_CHUNK]
-        i = mid[s : s + _REFINE_CHUNK]
+    best_v = np.full(roles.shape[1], math.inf)
+    for s in range(0, len(found), _REFINE_CHUNK):
+        ks, i = np.divmod(found[s : s + _REFINE_CHUNK], len(ts))
         errors: dict[int, Exception] = {}
-        f = _chunk_gap(motion, roles[:, ks], ts[i], errors)
+        f = bracket_gap(motion, shapes, roles[:, ks], ts[i], errors)
         lo = ts[np.maximum(i - 1, 0)]
         hi = ts[np.minimum(i + 1, len(ts) - 1)]
         t_at, v_at = golden_minimize(f, lo, hi, cfg.refine_tol, seeds=(ts[i],))
@@ -326,25 +271,34 @@ def detect_pair(
     return _verdict(v, e, float(best_t[0]), float(best_v[0]), cfg)
 
 
+def _pair_roles(g: MovingGraph) -> np.ndarray:
+    """Vertex indices (v, i, j) of every non-incident vertex-edge pair, in canonical order."""
+    index = {w: k for k, w in enumerate(g.vertices)}
+    # int32: detection holds this table throughout
+    ends = np.array([(index[u], index[w]) for u, w in g.edges], dtype=np.int32).reshape(-1, 2)
+    pv = np.repeat(np.arange(len(g.vertices), dtype=np.int32), len(g.edges))
+    pe = np.tile(np.arange(len(g.edges)), len(g.vertices))
+    keep = (pv != ends[pe, 0]) & (pv != ends[pe, 1])
+    return np.stack([pv[keep], ends[pe[keep], 0], ends[pe[keep], 1]])
+
+
 def detect_all(g: MovingGraph, cfg: DetectionConfig | None = None) -> DetectionResult:
     """Probe every non-incident vertex-edge pair, in canonical order."""
     cfg = cfg or DetectionConfig()
-    index = {w: k for k, w in enumerate(g.vertices)}
-    ends = np.array([(index[u], index[w]) for u, w in g.edges], dtype=np.intp).reshape(-1, 2)
-    pv = np.repeat(np.arange(len(g.vertices)), len(g.edges))
-    pe = np.tile(np.arange(len(g.edges)), len(g.vertices))
-    keep = (pv != ends[pe, 0]) & (pv != ends[pe, 1])
-    pv, pe = pv[keep], pe[keep]
-    best_t, best_v, failures = _probe(g, np.stack([pv, ends[pe, 0], ends[pe, 1]]), cfg)
+    roles = _pair_roles(g)
+    best_t, best_v, failures = _probe(g, roles, cfg)
+
+    def named(k: int) -> tuple[str, tuple[str, str]]:
+        v, i, j = (g.vertices[w] for w in roles[:, k].tolist())
+        return v, (i, j)
+
     if failures:
-        raise DetectionError(
-            [(g.vertices[pv[k]], g.edges[pe[k]], failures[k]) for k in sorted(failures)]
-        )
+        raise DetectionError([(*named(k), failures[k]) for k in sorted(failures)])
 
     pairs: list[CollisionPair] = []
     ambiguous: list[PairProbe] = []
     for k in np.flatnonzero(best_v < AMBIGUITY_FACTOR * cfg.collide_eps).tolist():
-        probe = _verdict(g.vertices[pv[k]], g.edges[pe[k]], float(best_t[k]), float(best_v[k]), cfg)
+        probe = _verdict(*named(k), float(best_t[k]), float(best_v[k]), cfg)
         if probe.collides:
             pairs.append(CollisionPair(probe.vertex, probe.edge, probe.witness_t, probe.min_gap))
         elif probe.ambiguous:
@@ -360,7 +314,7 @@ def detect_all(g: MovingGraph, cfg: DetectionConfig | None = None) -> DetectionR
         )
     clear = float(best_v[best_v >= cfg.collide_eps].min(initial=math.inf))
     return DetectionResult(
-        tuple(pairs), tuple(ambiguous), None if math.isinf(clear) else clear, len(pv)
+        tuple(pairs), tuple(ambiguous), None if math.isinf(clear) else clear, roles.shape[1]
     )
 
 
@@ -411,6 +365,8 @@ def pairs_from_json(text: str, g: MovingGraph) -> tuple[CollisionPair, ...]:
         gap_val = entry["gap"]
         if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in (t, gap_val)):
             raise GraphFormatError(f"pair entry {entry!r} has non-numeric t or gap")
+        if not math.isfinite(gap_val):
+            raise GraphFormatError(f"pair entry {entry!r} has a non-finite gap")
         if not t0 - 1e-9 <= t <= t1 + 1e-9:
             raise GraphFormatError(f"pair witness t={t!r} is outside the domain [{t0}, {t1}]")
         out.append(CollisionPair(v, e, float(t), float(gap_val)))

@@ -17,6 +17,11 @@ overflow); it never silently produces NaN or infinity.
 
 :func:`evaluate` is the one evaluator.  It works on scalars and on numpy
 arrays, so detection samples a grid and refines many minima at once with it.
+Trees that differ only in their constants share a *shape*:
+:func:`split_constants` folds a tree's constant parts, and
+:func:`merge_shapes` joins the trees of one shape into a single tree whose
+constant leaves hold one value per evaluation point, so one evaluation
+serves them all.
 """
 from __future__ import annotations
 
@@ -45,6 +50,8 @@ __all__ = [
     "to_text",
     "evaluate",
     "evaluate_on",
+    "split_constants",
+    "merge_shapes",
 ]
 
 _ARITY = {
@@ -308,7 +315,8 @@ def _fmt_const(v: float) -> str:
 def _render(e: Expr, min_level: int) -> str:
     lvl = _LEVEL[e.kind]
     if e.kind == "const":
-        s = _fmt_const(e.value)
+        # the constant leaves of a merged shape hold arrays
+        s = _fmt_const(e.value) if np.ndim(e.value) == 0 else "c"
     elif e.kind == "t":
         s = "t"
     elif e.kind in _FUNCS:
@@ -420,3 +428,72 @@ def _ev(e: Expr, t):
     if bad.any():
         raise ExprDomainError("non-finite result (overflow)", e, _offending_t(bad, t))
     return val
+
+
+# ---------------------------------------------------------------------------
+# shapes
+
+
+_HOLE = const(0.0)
+
+
+def _has_t(e: Expr) -> bool:
+    return e.kind == "t" or any(_has_t(a) for a in e.args)
+
+
+def _split(e: Expr, values: list) -> Expr:
+    if not _has_t(e):
+        values.append(evaluate(e, 0.0))
+        return _HOLE
+    if not e.args:
+        return e
+    return Expr(e.kind, exponent=e.exponent, args=tuple(_split(a, values) for a in e.args))
+
+
+def split_constants(e: Expr) -> tuple[Expr, tuple]:
+    """The shape of ``e`` and the values of its constant parts.
+
+    Every maximal subtree without ``t`` is evaluated, exactly as
+    :func:`evaluate` computes it inside the whole tree, and replaced by a
+    ``const(0)`` hole; the values come in depth-first order.  Trees with
+    equal shapes differ only in these values.  Raises
+    :class:`ExprDomainError` when a constant part fails.
+    """
+    values: list = []
+    return _split(e, values), tuple(values)
+
+
+class _Slots:
+    """A constant leaf of a merged shape: one value per evaluation point.
+
+    Only :func:`merge_shapes` builds it: :class:`Expr` accepts finite
+    scalars only, and ``_ev`` reads nothing but ``kind`` and ``value`` here.
+    """
+
+    kind = "const"
+    exponent = 0
+    args = ()
+
+    def __init__(self, value: np.ndarray):
+        self.value = value
+
+
+def _merge(e: Expr, holes):
+    if e.kind == "const":
+        return _Slots(next(holes))
+    if not e.args:
+        return e
+    return Expr(e.kind, exponent=e.exponent, args=tuple(_merge(a, holes) for a in e.args))
+
+
+def merge_shapes(shape: Expr, values: list[tuple], sizes: list[int]):
+    """One tree for several trees of ``shape``, each over its own points.
+
+    Tree k has the constants ``values[k]`` (from :func:`split_constants`)
+    and owns the next ``sizes[k]`` points of the array the merged tree is
+    evaluated on; each hole holds one constant per point.  Each point then
+    gets the bits of its own tree: numpy's elementwise operations do not
+    depend on their neighbours, and a scalar operand gives the bits of the
+    same value repeated in an array.
+    """
+    return _merge(shape, (np.repeat(h, sizes) for h in zip(*values)))

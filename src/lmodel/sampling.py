@@ -1,0 +1,196 @@
+"""Gaps of all vertex-edge pairs at once: on the sample grid and in refinement.
+
+The gap of vertex v against edge {i, j} needs only the three distances
+between v, i and j.  :func:`grid_minima` therefore builds, for each block
+of grid samples, the table of distances between the vertex pairs that the
+probed pairs use, and reads every pair's gap off three of its columns.
+:func:`bracket_gap` evaluates the gaps at the probe times of a batch of
+refinement brackets, with one evaluation per coordinate expression shape
+(see :func:`lmodel.exprs.merge_shapes`).  Both give, bit for bit, what
+evaluating pair by pair and vertex by vertex gives.
+"""
+from __future__ import annotations
+
+import math
+from array import array
+
+import numpy as np
+
+from .exprs import ExprDomainError, evaluate, evaluate_on, merge_shapes
+
+__all__ = ["GRID_BLOCK", "slack", "grid_minima", "by_pair", "bracket_gap"]
+
+# doubles in one distance-table block and in one gap chunk of the grid stage;
+# bounds the memory that sampling holds beyond the grid itself
+GRID_BLOCK = 1 << 13
+
+
+def slack(xv, yv, xi, yi, xj, yj):
+    """The slack, elementwise: the one gap kernel, shared by every caller."""
+    return np.hypot(xv - xi, yv - yi) + np.hypot(xv - xj, yv - yj) - np.hypot(xi - xj, yi - yj)
+
+
+def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarray):
+    """First sampled argmin of every pair's gap, and every sampled local minimum.
+
+    ``xs``, ``ys`` hold the vertices' grid samples, one row per vertex.  The
+    gap needs only vertex-to-vertex distances, so each block of samples
+    builds the table D of the vertex pairs the probed pairs use and takes
+    ``D[v,i] + D[v,j] - D[i,j]``, a chunk of pairs at a time.  hypot(a, b)
+    equals hypot(-a, -b) and the sum keeps ``slack``'s operand order, so the
+    gaps are ``slack``'s bit for bit.  A sample is a local minimum when it is
+    below its left neighbour and not above its right one, so a plateau
+    counts at its left edge and the endpoints count; each block reaches one
+    sample past both of its edges for the neighbours.  Returns the argmin
+    times and the minima as ``pair index * samples + sample index``, one
+    array per block, each in pair order (see :func:`by_pair`).
+    """
+    n_samples, n_pairs = len(ts), roles.shape[1]
+    v, i, j = roles
+    near = np.zeros((len(xs), len(xs)), dtype=bool)
+    for a, b in ((v, i), (v, j), (i, j)):
+        near[np.minimum(a, b), np.maximum(a, b)] = True
+    ua, ub = np.nonzero(near)
+    col = np.zeros(near.shape, dtype=np.intp)  # the table's column of each vertex pair
+    col[ua, ub] = col[ub, ua] = np.arange(len(ua))
+    width = max(1, min(n_samples, GRID_BLOCK // max(len(ua), 1) - 2))  # samples per block
+    chunk = max(1, GRID_BLOCK // (width + 2))
+
+    best_t = np.full(n_pairs, ts[0])
+    best_v = np.full(n_pairs, math.inf)
+    runs = []  # each block's minima, in pair order
+    for lo in range(0, n_samples, width):
+        found = array("q")
+        hi = min(lo + width, n_samples)
+        e0, e1 = max(lo - 1, 0), min(hi + 1, n_samples)
+        span = slice(e0, e1)
+        # built in place, so that no more than three tables live at once
+        dist = xs[ua, span]
+        dist -= xs[ub, span]
+        dy = ys[ua, span]
+        dy -= ys[ub, span]
+        np.hypot(dist, dy, out=dist)
+        del dy
+        for s in range(0, n_pairs, chunk):
+            k = slice(s, s + chunk)
+            gs = dist.take(col[v[k], i[k]], axis=0)
+            gs += dist.take(col[v[k], j[k]], axis=0)
+            gs -= dist.take(col[i[k], j[k]], axis=0)
+            # first minimum or first NaN; the samples a block shares with its
+            # neighbours come again in the same order, so the first stays first
+            at = gs.argmin(axis=1)
+            low = gs[np.arange(len(gs)), at]
+            bv, bt = best_v[k], best_t[k]
+            better = (low < bv) | (np.isnan(low) & ~np.isnan(bv))
+            bv[better], bt[better] = low[better], ts[e0 + at[better]]
+            # neighbours along the flattened rows; where one row meets the
+            # next the comparison stands for the grid's missing neighbour
+            w, flat = e1 - e0, gs.ravel()
+            left, right = flat[1:] < flat[:-1], flat[:-1] <= flat[1:]
+            if lo == 0:
+                left[w - 1 :: w] = True
+            if hi == n_samples:
+                right[w - 1 :: w] = True
+            is_min = np.ones(len(flat), dtype=bool)
+            is_min[1:] = left
+            is_min[:-1] &= right
+            block = is_min.reshape(gs.shape)[:, lo - e0 : hi - e0]
+            r, c = np.divmod(np.flatnonzero(block), hi - lo)
+            found.frombytes((r * n_samples + c + (s * n_samples + lo)).astype(np.int64).tobytes())
+            del gs
+        del dist
+        runs.append(np.frombuffer(found, dtype=np.int64))
+    return best_t, runs
+
+
+def by_pair(runs: list, n_pairs: int, n_samples: int) -> np.ndarray:
+    """Merge runs of codes ``pair * n_samples + sample`` into pair order.
+
+    Each run is in pair order; within a pair the runs keep their order.  A
+    counting sort by pair: every code goes to its pair's next free place.
+    (np.sort would do, but its kernels add ~0.3 MB of resident memory to a
+    process that has not loaded them yet.)
+    """
+    counts = np.zeros(n_pairs, dtype=np.int64)
+    for run in runs:
+        counts += np.bincount(run // n_samples, minlength=n_pairs)
+    fill = np.cumsum(counts) - counts  # the next free place of each pair
+    out = np.empty(int(counts.sum()), dtype=np.int64)
+    for run in runs:
+        pair = run // n_samples
+        first = np.flatnonzero(np.diff(pair, prepend=-1))  # each pair's first code in the run
+        size = np.diff(first, append=len(run))
+        out[fill[pair] + np.arange(len(run)) - np.repeat(first, size)] = run
+        fill[pair[first]] += size
+    return out
+
+
+def bracket_gap(
+    motion: list, shapes: dict, roles: np.ndarray, seed: np.ndarray, errors: dict
+):
+    """``f`` for :func:`lmodel.collide.golden_minimize` over one batch of brackets.
+
+    ``roles`` holds the vertex indices (v, i, j) of each bracket's pair, one
+    row per role; ``shapes[w]`` holds :func:`lmodel.exprs.split_constants`
+    of vertex w's two coordinates.  Every coordinate expression shape is
+    evaluated once per call, merged over the brackets of every vertex that
+    uses it.  A call that leaves the domain is redone vertex by vertex, and
+    then point by point for a vertex that fails, so a bracket whose probe
+    leaves the domain is charged its first error in ``errors`` and reads
+    NaN from then on.
+    """
+    m = roles.shape[1]
+    slots = roles.ravel()  # role-major: slot r*m + k is role r of bracket k
+    used = np.flatnonzero(np.bincount(slots)).tolist()
+    vertex_slots = {w: np.flatnonzero(slots == w) for w in used}
+    members: dict = {}  # shape -> [(vertex, axis)]
+    for w in used:
+        for axis in (0, 1):
+            members.setdefault(shapes[w][axis][0], []).append((w, axis))
+    merged = []  # (merged tree, its slots in px|py)
+    for shape, group in members.items():
+        values = [shapes[w][axis][1] for w, axis in group]
+        sizes = [len(vertex_slots[w]) for w, _ in group]
+        at = np.concatenate([vertex_slots[w] + axis * 3 * m for w, axis in group])
+        merged.append((merge_shapes(shape, values, sizes), at))
+    failed = np.zeros(m, dtype=bool)
+
+    def by_vertex(t: np.ndarray, p: np.ndarray) -> dict:
+        px, py = p.reshape(2, 3 * m)
+        bad = {}
+        for w, at in vertex_slots.items():
+            xe, ye = motion[w]
+            try:
+                px[at] = evaluate_on(xe, t[at])
+                py[at] = evaluate_on(ye, t[at])
+            except ExprDomainError:
+                # find every slot that raises, in the order x, y
+                for q in at.tolist():
+                    try:
+                        px[q] = evaluate(xe, float(t[q]))
+                        py[q] = evaluate(ye, float(t[q]))
+                    except ExprDomainError as err:
+                        bad[q] = err
+        return bad
+
+    def f(x: np.ndarray) -> np.ndarray:
+        # a failed bracket is probed at its seed, a grid time known to evaluate
+        t = np.where(failed, seed, x)
+        p = np.zeros(6 * m)
+        bad = {}
+        try:
+            for tree, at in merged:
+                # slot r*m + k of either coordinate is probed at t[k]
+                p[at] = evaluate_on(tree, t[at % m])
+        except ExprDomainError:
+            bad = by_vertex(np.tile(t, 3), p)
+        px, py = p.reshape(2, 3, m)
+        y = slack(px[0], py[0], px[1], py[1], px[2], py[2])
+        # ascending slots give a bracket's lowest role first: v, then i, then j
+        for q in sorted(bad):
+            errors.setdefault(q % m, bad[q])
+        failed[list(errors)] = True
+        y[failed] = math.nan
+        return y
+
+    return f

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lmodel import exprs as E
+from lmodel import sampling
 from lmodel.collide import (
     AMBIGUITY_FACTOR,
     CollisionPair,
@@ -16,9 +17,9 @@ from lmodel.collide import (
     golden_minimize,
     pairs_from_json,
     pairs_to_json,
-    _local_min_indices,
 )
 from lmodel.motion import GraphFormatError, MovingGraph
+from lmodel.sampling import by_pair, grid_minima, slack
 
 from expected import DIXON1_REF_PAIRS, DIXON1_REF_WITNESS, S2_PAIRS
 from synth import dixon2_partner_pairs
@@ -160,6 +161,77 @@ def test_golden_minimize_matches_scalar_search():
         assert (t[k], v[k]) == want
 
 
+# ---------------------------------------------------------------------------
+# grid stage
+
+
+def local_min_indices(gs):
+    """Indices of one pair's sampled local minima, plateau-left-edge and endpoint aware."""
+    n = len(gs)
+    left_ok = np.empty(n, dtype=bool)
+    right_ok = np.empty(n, dtype=bool)
+    left_ok[0] = True
+    left_ok[1:] = gs[1:] < gs[:-1]
+    right_ok[n - 1] = True
+    right_ok[:-1] = gs[:-1] <= gs[1:]
+    return np.nonzero(left_ok & right_ok)[0]
+
+
+def per_pair_grid(xs, ys, roles, ts):
+    """The grid stage as a loop over pairs: the reference for the whole-graph one."""
+    best_t = np.empty(roles.shape[1])
+    found = []
+    for k, (v, i, j) in enumerate(roles.T.tolist()):
+        gs = slack(xs[v], ys[v], xs[i], ys[i], xs[j], ys[j])
+        best_t[k] = ts[np.argmin(gs)]
+        found += (k * len(ts) + local_min_indices(gs)).tolist()
+    return best_t, found
+
+
+def assert_grid_matches_reference(xs, ys, roles, ts):
+    with np.errstate(all="ignore"):
+        want_t, want_found = per_pair_grid(xs, ys, roles, ts)
+        got_t, runs = grid_minima(xs, ys, roles, ts)
+    assert got_t.tobytes() == want_t.tobytes()
+    assert by_pair(runs, roles.shape[1], len(ts)).tolist() == want_found
+
+
+def random_roles(rng, n_vertices, n_pairs):
+    """(v, i, j) columns with v off the edge {i, j}; edges repeat, in both orientations."""
+    cols = []
+    while len(cols) < n_pairs:
+        v, i, j = rng.choice(n_vertices, size=3, replace=False).tolist()
+        cols.append((v, i, j))
+    return np.array(cols, dtype=np.intp).T.reshape(3, -1)
+
+
+# 1 makes every block one sample wide and every chunk one pair
+BLOCKS = [1, 9, 16, 40, 1 << 13]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("kind", ["smooth", "plateaus", "overflow"])
+def test_grid_stage_matches_per_pair_loop(monkeypatch, block, kind):
+    monkeypatch.setattr(sampling, "GRID_BLOCK", block)
+    rng = np.random.default_rng(BLOCKS.index(block))
+    for _ in range(12):
+        n_vertices, n_samples = int(rng.integers(3, 7)), int(rng.integers(1, 41))
+        ts = np.linspace(0.0, 1.0, n_samples)
+        shape = (n_vertices, n_samples)
+        if kind == "smooth":
+            xs, ys = rng.normal(size=shape).cumsum(axis=1), rng.normal(size=shape).cumsum(axis=1)
+        elif kind == "plateaus":
+            # few distinct positions: equal gaps, flat runs, constant rows
+            xs, ys = rng.integers(-1, 2, size=shape) * 1.0, rng.integers(0, 2, size=shape) * 1.0
+        else:
+            # distances overflow to inf, so gaps are inf, -inf or NaN
+            xs = rng.choice([-1.5e308, 0.0, 1.0, 1.5e308], size=shape)
+            ys = rng.choice([0.0, 1e308], size=shape)
+        roles = random_roles(rng, n_vertices, int(rng.integers(1, 25)))
+        assert_grid_matches_reference(xs, ys, roles, ts)
+
+
+@pytest.mark.parametrize("block", [1, 4, 1 << 13])
 @pytest.mark.parametrize(
     "gs,want",
     [
@@ -171,9 +243,30 @@ def test_golden_minimize_matches_scalar_search():
         ([2.0, 1.0, 2.0, 0.0, 2.0], [1, 3]),
     ],
 )
-def test_local_min_indices(gs, want):
-    got = _local_min_indices(np.asarray(gs, dtype=float))
-    assert list(got) == want
+def test_grid_stage_local_minima(monkeypatch, block, gs, want):
+    # vertex 0 sits at (gap/2, 0) over an edge with both ends at the origin,
+    # so the sampled gap is exactly gs
+    monkeypatch.setattr(sampling, "GRID_BLOCK", block)
+    xs = np.zeros((3, len(gs)))
+    xs[0] = np.asarray(gs) / 2
+    ys = np.zeros_like(xs)
+    roles = np.array([[0], [1], [2]])
+    ts = np.arange(len(gs), dtype=float)
+    _, runs = grid_minima(xs, ys, roles, ts)
+    assert by_pair(runs, 1, len(gs)).tolist() == want
+    assert_grid_matches_reference(xs, ys, roles, ts)
+
+
+@pytest.mark.parametrize("block", [24, 100])
+def test_detection_does_not_depend_on_the_block_size(
+    monkeypatch, ref_dixon1, ref_dixon1_result, block
+):
+    # on this graph 24 makes every block one sample wide, 100 two
+    probes = (("p0", ("q0", "p1")), ("p2", ("q0", "p1")), ("q0", ("q2", "p0")))
+    want = [detect_pair(ref_dixon1, v, e) for v, e in probes]
+    monkeypatch.setattr(sampling, "GRID_BLOCK", block)
+    assert detect_all(ref_dixon1) == ref_dixon1_result
+    assert [detect_pair(ref_dixon1, v, e) for v, e in probes] == want
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +454,40 @@ def test_detect_all_charges_refinement_errors_to_their_pairs():
     assert all(isinstance(err, E.ExprDomainError) for _, _, err in failures)
 
 
+def test_refinement_error_in_a_merged_shape():
+    # u shares v's coordinate shape, so both are evaluated as one merged
+    # tree; v's error must still reach exactly the brackets that hit it, at
+    # the times the vertex-by-vertex evaluation reports
+    ts = np.linspace(0.0, 2 * math.pi, DetectionConfig().samples)
+    c = float((ts[1000] + ts[1001]) / 2)
+
+    def dip(center, depth):
+        return E.sqrt(E.sub(E.powi(E.sub(E.tvar(), E.const(center)), 2), E.const(depth)))
+
+    g = MovingGraph(
+        ("s0", "s1", "v", "w", "u"),
+        (("s0", "s1"), ("v", "w"), ("w", "u")),
+        {
+            "s0": (E.const(-1.0), E.const(0.0)),
+            "s1": (E.const(1.0), E.const(0.0)),
+            "v": (E.const(0.0), dip(c, 1e-10)),
+            "w": (E.const(0.0), E.const(5.0)),
+            "u": (E.const(3.0), dip(2.0, -1.0)),
+        },
+    )
+    with pytest.raises(DetectionError) as exc:
+        detect_all(g)
+    got = [(v, e, err.t) for v, e, err in exc.value.failures]
+    assert got == [
+        ("s0", ("v", "w"), 3.0709998321574012),
+        ("s1", ("v", "w"), 3.0709998321574012),
+        ("v", ("s0", "s1"), 3.0709998321574012),
+        ("u", ("v", "w"), 3.070990299579947),
+    ]
+    for _, _, err in exc.value.failures:
+        assert str(err) == str(E.ExprDomainError("square root of a negative value", dip(c, 1e-10), err.t))
+
+
 # ---------------------------------------------------------------------------
 # file format
 
@@ -388,6 +515,9 @@ def test_pairs_json_canonicalizes_edges(ref_dixon1):
         ({"vertex": "p0", "edge": ["q0", "p1"], "t": "x", "gap": 0.0}, "non-numeric"),
         ({"vertex": "p0", "edge": ["q0", "p1"], "t": True, "gap": 0.0}, "non-numeric"),
         ({"vertex": "p0", "edge": ["q0", "p1"], "t": 0.0, "gap": False}, "non-numeric"),
+        ({"vertex": "p0", "edge": ["q0", "p1"], "t": 0.0, "gap": math.nan}, "non-finite"),
+        ({"vertex": "p0", "edge": ["q0", "p1"], "t": 0.0, "gap": math.inf}, "non-finite"),
+        ({"vertex": "p0", "edge": ["q0", "p1"], "t": 0.0, "gap": -math.inf}, "non-finite"),
     ],
 )
 def test_pairs_json_rejects_bad_entries(ref_dixon1, entry, msg):

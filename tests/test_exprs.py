@@ -163,3 +163,86 @@ _trees = st.recursive(
 @settings(max_examples=200)
 def test_print_parse_round_trip(tree):
     assert E.parse_expression(E.to_text(tree)) == tree
+
+
+# ---------------------------------------------------------------------------
+# merged shapes
+
+_const_trees = st.recursive(
+    st.builds(E.const, st.floats(min_value=0.0, max_value=30.0)),
+    lambda kids: st.one_of(
+        st.builds(E.neg, kids),
+        st.builds(E.sin, kids),
+        st.builds(E.sqrt, kids),
+        st.builds(E.powi, kids, st.integers(min_value=0, max_value=5)),
+        st.builds(E.add, kids, kids),
+        st.builds(E.div, kids, kids),
+    ),
+    max_leaves=4,
+)
+
+# a t-dependent tree times a constant power: the case where scalar and array
+# pow part ways in the last bit
+_members = st.one_of(
+    _trees,
+    st.builds(lambda c, n, e: E.mul(E.powi(c, n), e), _const_trees, st.integers(0, 5), _trees),
+)
+
+
+def _recast(e, rng):
+    """``e`` with fresh constants: the same shape, other values."""
+    if e.kind == "const":
+        return E.const(float(rng.choice([0.0, -0.0, 0.5, 1.0, 2.0, 3.7, 1e3, e.value])))
+    return E.Expr(e.kind, exponent=e.exponent, args=tuple(_recast(a, rng) for a in e.args))
+
+
+def _evaluate_each(trees, times):
+    out = []
+    for e, t in zip(trees, times):
+        try:
+            out.append(E.evaluate_on(e, t))
+        except E.ExprDomainError:
+            out.append(None)
+    return out
+
+
+@given(_members, st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300)
+def test_merged_shape_evaluation_matches_each_tree(tree, seed):
+    rng = np.random.default_rng(seed)
+    trees = [tree] + [_recast(tree, rng) for _ in range(int(rng.integers(1, 5)))]
+    times = [rng.uniform(-4.0, 4.0, int(rng.integers(1, 6))) for _ in trees]
+    want = _evaluate_each(trees, times)
+    parts = []
+    for e in trees:
+        try:
+            parts.append(E.split_constants(e))
+        except E.ExprDomainError:
+            parts.append(None)
+    shapes = {}
+    for k, part in enumerate(parts):
+        if part is None:
+            # a constant part that fails fails every evaluation
+            assert want[k] is None
+        else:
+            shapes.setdefault(part[0], []).append(k)
+    for shape, members in shapes.items():
+        sizes = [len(times[k]) for k in members]
+        tree = E.merge_shapes(shape, [parts[k][1] for k in members], sizes)
+        try:
+            got = E.evaluate_on(tree, np.concatenate([times[k] for k in members]))
+        except E.ExprDomainError:
+            assert any(want[k] is None for k in members)
+            continue
+        for k, piece in zip(members, np.split(got, np.cumsum(sizes)[:-1])):
+            assert want[k] is not None
+            assert piece.tobytes() == want[k].tobytes()
+
+
+def test_split_constants_folds_constant_parts():
+    e = E.parse_expression("2^3*sin(t)+sqrt(2)-t^2")
+    shape, values = E.split_constants(e)
+    assert values == (8.0, math.sqrt(2.0))
+    assert E.to_text(shape) == "0*sin(t)+0-t^2"
+    assert E.split_constants(E.parse_expression("3^3*sin(t)+sqrt(5)-t^2"))[0] == shape
+    assert E.split_constants(E.parse_expression("1+2"))[0] == E.const(0.0)
