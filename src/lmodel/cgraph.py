@@ -4,6 +4,10 @@ An arc e -> f means some endpoint of e collides with f, i.e. e must stay
 clear of f's layer while that endpoint crosses it.  Node order is inherited
 from the canonical edge order and drives every tie-break below, so repeated
 runs produce identical output.
+
+The ordering core below runs on the int lists ``CollisionGraph.succ``.  An
+optional ``alive`` node mask restricts it to the subgraph the mask induces,
+with the witnesses and orders an :func:`induced` copy would give.
 """
 from __future__ import annotations
 
@@ -14,13 +18,14 @@ from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .collide import CollisionPair
-from .motion import MovingGraph, edge_label
+from .motion import MovingGraph, pair_edge
 
 __all__ = [
     "CollisionGraph",
     "MultiEdgedSubgraph",
     "BipartiteResult",
     "build_collision_graph",
+    "pair_constraints",
     "induced",
     "is_acyclic",
     "find_cycle",
@@ -66,19 +71,22 @@ class CollisionGraph:
         return tuple(tuple(self.index[v] for v in self.successors[n]) for n in self.nodes)
 
 
+def pair_constraints(
+    g: MovingGraph, pairs: Iterable[CollisionPair]
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Each pair (v, e), checked by :func:`lmodel.motion.pair_edge`, as
+    (index of e, indices of the edges at v), in canonical edge order."""
+    at: dict[str, list[int]] = {v: [] for v in g.vertices}
+    for i, (u, w) in enumerate(g.edges):
+        at[u].append(i)
+        at[w].append(i)
+    index = {e: i for i, e in enumerate(g.edges)}
+    return [(index[pair_edge(g, p.vertex, p.edge)], tuple(at[p.vertex])) for p in pairs]
+
+
 def build_collision_graph(g: MovingGraph, pairs: Iterable[CollisionPair]) -> CollisionGraph:
     labels = g.edge_labels
-    known = set(labels)
-    arcs: set[tuple[str, str]] = set()
-    for p in pairs:
-        if p.vertex not in g.incident:
-            raise ValueError(f"pair references unknown vertex {p.vertex!r}")
-        target = edge_label(p.edge)
-        if target not in known:
-            raise ValueError(f"pair references unknown edge {target!r}")
-        for src in g.incident[p.vertex]:
-            if src != target:
-                arcs.add((src, target))
+    arcs = {(labels[f], labels[e]) for e, at_v in pair_constraints(g, pairs) for f in at_v}
     return CollisionGraph(labels, frozenset(arcs))
 
 
@@ -102,10 +110,12 @@ def is_acyclic(c: CollisionGraph) -> tuple[bool, tuple[str, ...] | None]:
 # int-indexed ordering core: succ[i] lists the successors of node i
 
 
-def find_cycle(succ: Sequence[Sequence[int]]) -> list[int] | None:
-    """Closed node sequence of some cycle, or None; roots and successors are
-    visited in index order, so the witness is canonical."""
-    color = bytearray(len(succ))  # 0 unseen, 1 on the current path, 2 done
+def find_cycle(succ: Sequence[Sequence[int]], alive: bytearray | None = None) -> list[int] | None:
+    """Closed node sequence of some cycle through nodes marked in ``alive``
+    (all if None), or None; roots and successors are visited in index order,
+    so the witness is canonical."""
+    # 0 unseen, 1 on the current path, 2 done; dead nodes count as done
+    color = bytearray(len(succ)) if alive is None else bytearray(2 - 2 * a for a in alive)
     for root in range(len(succ)):
         if color[root]:
             continue
@@ -141,21 +151,23 @@ def on_cycle(succ: Sequence[Sequence[int]], x: int, alive: bytearray | None = No
     return False
 
 
-def topo_order(succ: Sequence[Sequence[int]]) -> list[int]:
-    """Kahn sort taking the lowest ready index first; shorter than succ
-    exactly when the graph has a cycle.  Repeated arcs are fine."""
+def topo_order(succ: Sequence[Sequence[int]], alive: bytearray | None = None) -> list[int]:
+    """Kahn sort of the nodes marked in ``alive`` (all if None), taking the
+    lowest ready index first; shorter than the marked set exactly when it
+    has a cycle.  Repeated arcs are fine."""
+    live = range(len(succ)) if alive is None else [x for x in range(len(succ)) if alive[x]]
     indeg = [0] * len(succ)
-    for ys in succ:
-        for y in ys:
+    for x in live:
+        for y in succ[x]:
             indeg[y] += 1
-    ready = [x for x, d in enumerate(indeg) if d == 0]  # sorted, hence a heap
+    ready = [x for x in live if indeg[x] == 0]  # sorted, hence a heap
     out = []
     while ready:
         x = heappop(ready)
         out.append(x)
         for y in succ[x]:
             indeg[y] -= 1
-            if indeg[y] == 0:
+            if indeg[y] == 0 and (alive is None or alive[y]):
                 heappush(ready, y)
     return out
 
@@ -182,13 +194,9 @@ class MultiEdgedSubgraph:
 
 def multi_edged_subgraph(c: CollisionGraph) -> MultiEdgedSubgraph:
     idx = c.index
-    und = set()
-    for u, v in c.arcs:
-        if (v, u) in c.arcs and idx[u] < idx[v]:
-            und.add((u, v))
+    und = frozenset((u, v) for u, v in c.arcs if (v, u) in c.arcs and idx[u] < idx[v])
     members = {n for uv in und for n in uv}
-    nodes = tuple(n for n in c.nodes if n in members)
-    return MultiEdgedSubgraph(nodes, frozenset(und))
+    return MultiEdgedSubgraph(tuple(n for n in c.nodes if n in members), und)
 
 
 @dataclass(frozen=True)
@@ -199,74 +207,55 @@ class BipartiteResult:
     odd_cycle: tuple[str, ...] | None
 
 
+def _bfs(u: MultiEdgedSubgraph, s: str) -> tuple[dict[str, int], dict[str, str | None]]:
+    """BFS distances and parents of the nodes reachable from s, in the order reached."""
+    dist: dict[str, int] = {s: 0}
+    parent: dict[str, str | None] = {s: None}
+    queue = deque([s])
+    while queue:
+        n = queue.popleft()
+        for nb in u.neighbors[n]:
+            if nb not in dist:
+                dist[nb] = dist[n] + 1
+                parent[nb] = n
+                queue.append(nb)
+    return dist, parent
+
+
 def bipartition(u: MultiEdgedSubgraph) -> BipartiteResult:
     """Two-color u per connected component; on failure find a shortest odd cycle.
 
-    The first node of each component (in canonical order) gets color 0, so
-    the coloring is canonical too.  The odd-cycle witness is a closed node
-    sequence of minimum length, which for a triangle-containing graph is
-    always a triangle.
+    A node's color is the parity of its BFS distance from the first node of
+    its component (in canonical order), so the coloring is canonical too.
+    The odd-cycle witness is a closed node sequence of minimum length, which
+    for a triangle-containing graph is always a triangle.
     """
     color: dict[str, int] = {}
     comps: list[tuple[str, ...]] = []
-    ok = True
     for start in u.nodes:
-        if start in color:
-            continue
-        color[start] = 0
-        comp = []
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            comp.append(node)
-            for nb in u.neighbors[node]:
-                if nb not in color:
-                    color[nb] = 1 - color[node]
-                    queue.append(nb)
-                elif color[nb] == color[node]:
-                    ok = False
-        comps.append(tuple(comp))
-    if ok:
+        if start not in color:
+            dist, _ = _bfs(u, start)
+            color.update((n, d % 2) for n, d in dist.items())
+            comps.append(tuple(dist))
+    if all(color[x] != color[y] for x, y in u.edges):
         return BipartiteResult(True, color, tuple(comps), None)
     return BipartiteResult(False, None, tuple(comps), _shortest_odd_cycle(u))
 
 
-def _path_to_root(n: str, parent: dict[str, str | None]) -> list[str]:
-    out = [n]
-    while parent[out[-1]] is not None:
-        out.append(parent[out[-1]])
-    return out
-
-
 def _shortest_odd_cycle(u: MultiEdgedSubgraph) -> tuple[str, ...]:
-    idx = u.index
-    edges = sorted(u.edges, key=lambda e: (idx[e[0]], idx[e[1]]))
-    best: tuple[int, tuple[int, ...], tuple[str, ...]] | None = None
+    """Close every edge between two nodes at one BFS distance through their
+    lowest common ancestor; the shortest such cycle, least in node order."""
+    cycles = []
     for s in u.nodes:
-        dist: dict[str, int] = {s: 0}
-        parent: dict[str, str | None] = {s: None}
-        queue = deque([s])
-        while queue:
-            n = queue.popleft()
-            for nb in u.neighbors[n]:
-                if nb not in dist:
-                    dist[nb] = dist[n] + 1
-                    parent[nb] = n
-                    queue.append(nb)
-        for x, y in edges:
-            if x in dist and y in dist and dist[x] == dist[y]:
-                px = _path_to_root(x, parent)
-                py = _path_to_root(y, parent)
-                in_py = set(py)
-                lca = next(n for n in px if n in in_py)
-                up = px[: px.index(lca) + 1]
-                down = py[: py.index(lca)]
-                cycle = tuple(up) + tuple(reversed(down)) + (x,)
-                key = (len(cycle), tuple(idx[n] for n in cycle))
-                if best is None or key < best[:2]:
-                    best = (key[0], key[1], cycle)
-    assert best is not None, "called on a bipartite graph"
-    return best[2]
+        dist, parent = _bfs(u, s)
+        for x, y in u.edges:
+            if x in dist and dist[x] == dist[y]:
+                px, py = [x], [y]
+                while px[-1] != py[-1]:
+                    px.append(parent[px[-1]])
+                    py.append(parent[py[-1]])
+                cycles.append(tuple(px + py[-2::-1] + [x]))
+    return min(cycles, key=lambda cyc: (len(cyc), [u.index[n] for n in cyc]))
 
 
 def to_dot(c: CollisionGraph) -> str:

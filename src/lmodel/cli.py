@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 import time
 
-from .cgraph import build_collision_graph, induced, is_acyclic, multi_edged_subgraph, to_dot
+from .cgraph import build_collision_graph, multi_edged_subgraph, to_dot
 from .collide import (
     DetectionConfig,
     DetectionError,
@@ -34,6 +35,7 @@ from .motion import (
 from .plan import (
     SearchCapError,
     assign_heights,
+    cyclic_side,
     decide_partition,
     exists_arrangement,
     heights_from_json,
@@ -204,18 +206,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.upper is not None:
         wanted = tuple(x.strip() for x in args.upper.split(",") if x.strip() != "")
         partition = make_partition(g.edge_labels, wanted)
-        for name, side in (("upper", partition.upper), ("lower", partition.lower)):
-            ok, cycle = is_acyclic(induced(c, side))
-            if not ok:
-                data = {
-                    "result": "NO",
-                    "reason": "partition-not-acyclic",
-                    "side": name,
-                    "cycle": list(cycle),
-                }
-                _emit(_json(data), args.out)
-                _say(f"plan: the given {name} class contains the cycle {' -> '.join(cycle)}")
-                return EXIT_NO
+        bad = cyclic_side(c, partition)
+        if bad is not None:
+            name, cycle = bad
+            data = dict(result="NO", reason="partition-not-acyclic", side=name, cycle=list(cycle))
+            _emit(_json(data), args.out)
+            _say(f"plan: the given {name} class contains the cycle {' -> '.join(cycle)}")
+            return EXIT_NO
     else:
         decision = decide_partition(c)
         if not decision.found:
@@ -273,8 +270,6 @@ def cmd_exists(args: argparse.Namespace) -> int:
 
 
 def _json(data) -> str:
-    import json
-
     return json.dumps(data, indent=2) + "\n"
 
 

@@ -33,11 +33,12 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .exprs import ExprDomainError, evaluate_on, split_constants
-from .motion import GraphFormatError, MovingGraph, edge_label, eval_position
+from .motion import GraphFormatError, MovingGraph, edge_label, eval_position, pair_edge
 from .sampling import bracket_gap, by_pair, grid_minima, slack
 
 __all__ = [
     "AMBIGUITY_FACTOR",
+    "REFINE_TOL",
     "DetectionConfig",
     "CollisionPair",
     "PairProbe",
@@ -54,18 +55,20 @@ __all__ = [
 # minima in [collide_eps, AMBIGUITY_FACTOR * collide_eps) are flagged, not classified
 AMBIGUITY_FACTOR = 10.0
 
+# golden-section refinement shrinks each bracket to this width
+REFINE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DetectionConfig:
     samples: int = 2048
-    refine_tol: float = 1e-12
     collide_eps: float = 1e-7
 
     def __post_init__(self):
         if self.samples < 16:
             raise ValueError("samples must be at least 16")
-        if not 0.0 < self.refine_tol < self.collide_eps:
-            raise ValueError("need 0 < refine_tol < collide_eps")
+        if not REFINE_TOL < self.collide_eps:
+            raise ValueError(f"collide_eps must exceed the refinement tolerance {REFINE_TOL:g}")
 
 
 @dataclass(frozen=True)
@@ -106,8 +109,7 @@ class DetectionError(RuntimeError):
 
 
 def gap(g: MovingGraph, v: str, e: tuple[str, str], t: float) -> float:
-    if v == e[0] or v == e[1]:
-        raise ValueError(f"vertex {v!r} is incident to edge {edge_label(e)!r}")
+    e = pair_edge(g, v, e)
     (xv, yv), (xi, yi), (xj, yj) = (eval_position(g, w, t) for w in (v, *e))
     return float(slack(xv, yv, xi, yi, xj, yj))
 
@@ -230,7 +232,7 @@ def _probe(
         f = bracket_gap(motion, shapes, roles[:, ks], ts[i], errors)
         lo = ts[np.maximum(i - 1, 0)]
         hi = ts[np.minimum(i + 1, len(ts) - 1)]
-        t_at, v_at = golden_minimize(f, lo, hi, cfg.refine_tol, seeds=(ts[i],))
+        t_at, v_at = golden_minimize(f, lo, hi, REFINE_TOL, seeds=(ts[i],))
         for k in sorted(errors):
             failures.setdefault(int(ks[k]), errors[k])
         # brackets come in pair order, each pair's in time order, so a scan
@@ -247,23 +249,11 @@ def _verdict(v: str, e: tuple[str, str], t: float, gv: float, cfg: DetectionConf
     return PairProbe(v, e, collides, gv, t, ambiguous)
 
 
-def _canonical_edge(g: MovingGraph, e: tuple[str, str]) -> tuple[str, str]:
-    u, w = e
-    for cand in ((u, w), (w, u)):
-        if edge_label(cand) in g.edge_by_label:
-            return cand
-    raise ValueError(f"({u!r}, {w!r}) is not an edge of the graph")
-
-
 def detect_pair(
     g: MovingGraph, v: str, e: tuple[str, str], cfg: DetectionConfig | None = None
 ) -> PairProbe:
     cfg = cfg or DetectionConfig()
-    e = _canonical_edge(g, e)
-    if v not in g.motion:
-        raise ValueError(f"unknown vertex {v!r}")
-    if v == e[0] or v == e[1]:
-        raise ValueError(f"vertex {v!r} is incident to edge {edge_label(e)!r}")
+    e = pair_edge(g, v, e)
     roles = np.array([[g.vertices.index(w)] for w in (v, *e)], dtype=np.intp)
     best_t, best_v, failures = _probe(g, roles, cfg)
     if failures:
@@ -349,18 +339,7 @@ def pairs_from_json(text: str, g: MovingGraph) -> tuple[CollisionPair, ...]:
     for entry in data["pairs"]:
         if not isinstance(entry, dict) or not {"vertex", "edge", "t", "gap"} <= entry.keys():
             raise GraphFormatError(f"pair entry {entry!r} needs 'vertex', 'edge', 't', 'gap'")
-        v = entry["vertex"]
-        e_raw = entry["edge"]
-        if v not in g.motion:
-            raise GraphFormatError(f"pair references unknown vertex {v!r}")
-        if not (isinstance(e_raw, list) and len(e_raw) == 2):
-            raise GraphFormatError(f"pair edge {e_raw!r} must be a pair of vertex ids")
-        try:
-            e = _canonical_edge(g, (e_raw[0], e_raw[1]))
-        except ValueError as err:
-            raise GraphFormatError(str(err)) from None
-        if v == e[0] or v == e[1]:
-            raise GraphFormatError(f"pair vertex {v!r} is incident to edge {edge_label(e)!r}")
+        e = pair_edge(g, entry["vertex"], entry["edge"])
         t = entry["t"]
         gap_val = entry["gap"]
         if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in (t, gap_val)):
@@ -369,5 +348,5 @@ def pairs_from_json(text: str, g: MovingGraph) -> tuple[CollisionPair, ...]:
             raise GraphFormatError(f"pair entry {entry!r} has a non-finite gap")
         if not t0 - 1e-9 <= t <= t1 + 1e-9:
             raise GraphFormatError(f"pair witness t={t!r} is outside the domain [{t0}, {t1}]")
-        out.append(CollisionPair(v, e, float(t), float(gap_val)))
+        out.append(CollisionPair(entry["vertex"], e, float(t), float(gap_val)))
     return tuple(out)

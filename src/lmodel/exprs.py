@@ -11,9 +11,11 @@ variable ``t``.  The concrete grammar (EBNF) is
              | "(" expr ")"
 
 ``pi`` is folded into a numeric constant at parse time; there is no separate
-node kind for it.  Evaluation either returns a finite value or raises
-:class:`ExprDomainError` (square root of a negative number, division by zero,
-overflow); it never silently produces NaN or infinity.
+node kind for it.  Trees taller, or nesting deeper, than ``MAX_EXPR_HEIGHT``
+are a syntax error, so no walk of a parsed tree can exhaust the stack.
+Evaluation either returns a finite value or raises :class:`ExprDomainError`
+(square root of a negative number, division by zero, overflow); it never
+silently produces NaN or infinity.
 
 :func:`evaluate` is the one evaluator.  It works on scalars and on numpy
 arrays, so detection samples a grid and refines many minima at once with it.
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MAX_EXPR_HEIGHT",
     "Expr",
     "ExprSyntaxError",
     "ExprDomainError",
@@ -195,7 +198,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# bounds the height of a parsed tree and the nesting the parser recurses
+# into, far below Python's recursion limit; evaluation walks the tree too
+MAX_EXPR_HEIGHT = 100
+
+_BIN_KIND = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+
+
 class _Parser:
+    """Recursive descent; each rule returns its tree and the tree's height,
+    and ``depth`` counts the parentheses, calls and minus signs around it."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
@@ -214,70 +227,72 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", pos)
         self.advance()
 
+    def level(self, n: int, pos: int) -> int:
+        if n > MAX_EXPR_HEIGHT:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_EXPR_HEIGHT} levels", pos)
+        return n
+
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr(0)
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected {text!r}", pos)
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = add(node, rhs) if text == "+" else sub(node, rhs)
-            else:
-                return node
+    def chain(self, ops: str, operand, depth: int) -> tuple[Expr, int]:
+        # a left-associative run of binary operators in ops, parsed by a loop
+        node, h = operand(depth)
+        kind, text, pos = self.peek()
+        while kind == "op" and text in ops:
+            self.advance()
+            rhs, rh = operand(depth)
+            node = Expr(_BIN_KIND[text], args=(node, rhs))
+            h = self.level(max(h, rh) + 1, pos)
+            kind, text, pos = self.peek()
+        return node, h
 
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = mul(node, rhs) if text == "*" else div(node, rhs)
-            else:
-                return node
+    def expr(self, depth: int) -> tuple[Expr, int]:
+        return self.chain("+-", self.term, depth)
 
-    def factor(self) -> Expr:
-        kind, text, _ = self.peek()
+    def term(self, depth: int) -> tuple[Expr, int]:
+        return self.chain("*/", self.factor, depth)
+
+    def factor(self, depth: int) -> tuple[Expr, int]:
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return neg(self.factor())
-        node = self.primary()
-        kind, text, _ = self.peek()
+            node, h = self.factor(self.level(depth + 1, pos))
+            return neg(node), self.level(h + 1, pos)
+        node, h = self.primary(depth)
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
             kind, text, pos = self.peek()
             if kind != "num" or not _INT_RE.fullmatch(text):
                 raise ExprSyntaxError("expected integer exponent", pos)
             self.advance()
-            node = powi(node, int(text))
-        return node
+            node, h = powi(node, int(text)), self.level(h + 1, pos)
+        return node, h
 
-    def primary(self) -> Expr:
+    def primary(self, depth: int) -> tuple[Expr, int]:
         kind, text, pos = self.advance()
         if kind == "num":
-            return const(float(text))
+            return const(float(text)), 1
         if kind == "name":
             if text == "t":
-                return tvar()
+                return tvar(), 1
             if text == "pi":
-                return const(math.pi)
+                return const(math.pi), 1
             if text in _FUNCS:
                 self.expect_op("(")
-                inner = self.expr()
+                inner, h = self.expr(self.level(depth + 1, pos))
                 self.expect_op(")")
-                return Expr(text, args=(inner,))
+                return Expr(text, args=(inner,)), self.level(h + 1, pos)
             raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
-            inner = self.expr()
+            inner, h = self.expr(self.level(depth + 1, pos))
             self.expect_op(")")
-            return inner
+            return inner, h
         raise ExprSyntaxError("expected expression", pos)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "GraphFormatError",
     "MovingGraph",
     "edge_label",
+    "pair_edge",
     "eval_position",
     "positions_on_grid",
     "EdgeLengthStats",
@@ -124,6 +125,21 @@ class MovingGraph:
     @cached_property
     def isolated_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if not self.incident[v])
+
+
+def pair_edge(g: MovingGraph, v, e) -> tuple[str, str]:
+    """The edge of the collision pair (v, e), as stored in g.  The one pair
+    rule: v is a vertex, e an edge in either orientation, v not on e."""
+    if not isinstance(v, str) or v not in g.motion:
+        raise GraphFormatError(f"pair references unknown vertex {v!r}")
+    u, w = e if isinstance(e, (tuple, list)) and len(e) == 2 else (None, None)
+    by = g.edge_by_label
+    edge = isinstance(u, str) and isinstance(w, str) and (by.get(f"{u}-{w}") or by.get(f"{w}-{u}"))
+    if not edge:
+        raise GraphFormatError(f"pair references unknown edge {e!r}: not an edge of the graph")
+    if v in edge:
+        raise GraphFormatError(f"pair vertex {v!r} is incident to edge {edge_label(edge)!r}")
+    return edge
 
 
 def eval_position(g: MovingGraph, v: str, t: float) -> tuple[float, float]:

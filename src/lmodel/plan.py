@@ -12,6 +12,9 @@ upward from 1, the lower class downward from 0), but its absence proves
 nothing; ``exists_arrangement`` decides the general question exactly by
 branching, per collision pair, on whether the colliding edge goes below or
 above every edge at the vertex.
+
+Each class of a split is a node mask on the one collision graph, never an
+induced copy.
 """
 from __future__ import annotations
 
@@ -24,14 +27,13 @@ from .cgraph import (
     bipartition,
     build_collision_graph,
     find_cycle,
-    induced,
-    is_acyclic,
     multi_edged_subgraph,
     on_cycle,
+    pair_constraints,
     topo_order,
 )
 from .collide import CollisionPair
-from .motion import GraphFormatError, MovingGraph, edge_label
+from .motion import GraphFormatError, MovingGraph
 
 __all__ = [
     "CyclicGraphError",
@@ -44,6 +46,7 @@ __all__ = [
     "heights_up",
     "heights_down",
     "partition_is_valid",
+    "cyclic_side",
     "decide_partition",
     "assign_heights",
     "verify_collision_free",
@@ -87,18 +90,29 @@ def make_partition(all_labels: Sequence[str], upper: Iterable[str]) -> Partition
     )
 
 
-def _sweep(c: CollisionGraph, start: int, step: int) -> dict[str, int]:
-    # a node's wave is its longest path from an in-degree-0 node; waves are
-    # numbered in turn, each in canonical node order
+def _mask(c: CollisionGraph, labels: Iterable[str]) -> bytearray:
+    alive = bytearray(len(c.nodes))
+    for lab in labels:
+        if lab not in c.index:
+            raise ValueError(f"unknown node {lab!r}")
+        alive[c.index[lab]] = 1
+    return alive
+
+
+def _sweep(
+    c: CollisionGraph, start: int, step: int, alive: bytearray | None = None
+) -> dict[str, int]:
+    # a node's wave is its longest path from an in-degree-0 node of the
+    # masked subgraph; waves are numbered in turn, each in canonical node order
     succ = c.succ
-    order = topo_order(succ)
-    if len(order) < len(succ):
-        raise CyclicGraphError([c.nodes[i] for i in find_cycle(succ)])
+    order = topo_order(succ, alive)
+    if len(order) < (len(succ) if alive is None else alive.count(1)):
+        raise CyclicGraphError([c.nodes[i] for i in find_cycle(succ, alive)])
     wave = [0] * len(succ)
     for x in order:
         for y in succ[x]:
             wave[y] = max(wave[y], wave[x] + 1)
-    ranked = sorted(range(len(succ)), key=lambda x: (wave[x], x))
+    ranked = sorted(order, key=lambda x: (wave[x], x))
     return {c.nodes[x]: start + step * k for k, x in enumerate(ranked)}
 
 
@@ -112,10 +126,18 @@ def heights_down(c: CollisionGraph) -> dict[str, int]:
     return _sweep(c, 0, -1)
 
 
+def cyclic_side(c: CollisionGraph, p: Partition) -> tuple[str, tuple[str, ...]] | None:
+    """The first class of p, "upper" then "lower", whose induced subgraph has
+    a cycle, with that cycle; None when both are acyclic."""
+    for name, side in (("upper", p.upper), ("lower", p.lower)):
+        cycle = find_cycle(c.succ, _mask(c, side))
+        if cycle is not None:
+            return name, tuple(c.nodes[i] for i in cycle)
+    return None
+
+
 def partition_is_valid(c: CollisionGraph, p: Partition) -> bool:
-    ok_u, _ = is_acyclic(induced(c, p.upper))
-    ok_l, _ = is_acyclic(induced(c, p.lower))
-    return ok_u and ok_l
+    return cyclic_side(c, p) is None
 
 
 @dataclass(frozen=True)
@@ -150,8 +172,7 @@ def decide_partition(c: CollisionGraph) -> PartitionDecision:
         tuple([idx[n] for n in comp if bip.coloring[n] == k] for k in (0, 1))
         for comp in bip.components
     ]
-    in_u = set(u.nodes)
-    items += [([idx[n]], []) for n in c.nodes if n not in in_u]
+    items += [([idx[n]], []) for n in c.nodes if n not in bip.coloring]
 
     succ = c.succ
     upper, lower = bytearray(len(succ)), bytearray(len(succ))
@@ -197,8 +218,8 @@ def assign_heights(
         raise ValueError("partition must split the edge set into two disjoint parts")
     pairs = tuple(pairs)
     c = build_collision_graph(g, pairs)
-    heights = heights_up(induced(c, partition.upper))
-    heights.update(heights_down(induced(c, partition.lower)))
+    heights = _sweep(c, 1, +1, _mask(c, partition.upper))
+    heights.update(_sweep(c, 0, -1, _mask(c, partition.lower)))
     report = verify_collision_free(g, pairs, heights)
     if not report.ok:
         raise RuntimeError("internal error: sweep heights failed verification")
@@ -233,21 +254,13 @@ def verify_collision_free(
     for lab in heights:
         if lab not in by_label:
             raise ValueError(f"height given for unknown edge {lab!r}")
+    pairs = tuple(pairs)
+    hs = [heights[lab] for lab in g.edge_labels]
     violations = []
-    for p in pairs:
-        inc = g.incident.get(p.vertex)
-        if inc is None:
-            raise ValueError(f"pair references unknown vertex {p.vertex!r}")
-        target = edge_label(p.edge)
-        if target not in by_label:
-            raise ValueError(f"pair references unknown edge {target!r}")
-        if not inc:
-            continue
-        vals = [heights[f] for f in inc]
-        lo, hi = min(vals), max(vals)
-        h = heights[target]
-        if lo <= h <= hi:
-            violations.append(Violation(p.vertex, p.edge, h, lo, hi))
+    for p, (e, at_v) in zip(pairs, pair_constraints(g, pairs)):
+        vals = [hs[f] for f in at_v]
+        if vals and min(vals) <= hs[e] <= max(vals):
+            violations.append(Violation(p.vertex, g.edges[e], hs[e], min(vals), max(vals)))
     return VerifyReport(not violations, tuple(violations))
 
 
@@ -287,18 +300,9 @@ def exists_arrangement(
     """
     pairs = tuple(pairs)
     labels = g.edge_labels
-    index = {lab: i for i, lab in enumerate(labels)}
-    constraints: list[tuple[int, list[int]]] = []
-    for p in pairs:
-        if p.vertex not in g.incident:
-            raise ValueError(f"pair references unknown vertex {p.vertex!r}")
-        target = edge_label(p.edge)
-        if target not in index:
-            raise ValueError(f"pair references unknown edge {target!r}")
-        inc = g.incident[p.vertex]
-        if inc:
-            constraints.append((index[target], [index[f] for f in inc]))
-    # most-constrained first; the sort is stable so ties keep input order
+    # most-constrained first; the sort is stable so ties keep input order;
+    # a vertex without edges constrains nothing
+    constraints = [con for con in pair_constraints(g, pairs) if con[1]]
     constraints.sort(key=lambda con: -len(con[1]))
 
     # the constraint digraph; a choice appends its arcs, backtracking pops them

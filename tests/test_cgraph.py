@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmodel import plan
 from lmodel.cgraph import (
     CollisionGraph,
     bipartition,
     build_collision_graph,
+    find_cycle,
     induced,
     is_acyclic,
     multi_edged_subgraph,
@@ -16,7 +18,7 @@ from lmodel.cgraph import (
     topo_order,
 )
 from lmodel.collide import CollisionPair
-from lmodel.plan import decide_partition, partition_is_valid
+from lmodel.plan import CyclicGraphError, decide_partition, partition_is_valid
 
 from expected import (
     DIXON1_REF_ARCS,
@@ -218,6 +220,27 @@ def test_ordering_core_matches_kahn(seed):
     if acyclic:
         pos = {c.nodes[x]: k for k, x in enumerate(order)}
         assert all(pos[u] < pos[v] for u, v in c.arcs)
+
+
+def _swept(c, start, step, alive=None):
+    try:
+        return list(plan._sweep(c, start, step, alive).items())
+    except CyclicGraphError as err:
+        return err.cycle
+
+
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=127))
+@settings(max_examples=200)
+def test_masks_match_induced_copies(seed, bits):
+    c = random_digraph(seed)
+    alive = bytearray(bits >> x & 1 for x in range(len(c.nodes)))
+    sub = induced(c, [n for n, a in zip(c.nodes, alive) if a])
+    back = [c.index[n] for n in sub.nodes]
+    cyc = find_cycle(sub.succ)
+    assert find_cycle(c.succ, alive) == (None if cyc is None else [back[x] for x in cyc])
+    assert topo_order(c.succ, alive) == [back[x] for x in topo_order(sub.succ)]
+    for start, step in ((1, +1), (0, -1)):
+        assert _swept(c, start, step, alive) == _swept(sub, start, step)
 
 
 @given(st.integers(min_value=0, max_value=10**9))

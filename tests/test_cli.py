@@ -279,6 +279,26 @@ def test_validate_mentions_isolated_vertices(tmp_path, capsys):
     assert json.loads(out.out)["isolated_vertices"] == ["c"]
 
 
+def test_malformed_pairs_file_is_usage_error(tmp_path, capsys):
+    gpath = gen_ref(tmp_path, capsys)
+    ppath = tmp_path / "pairs.json"
+    entry = {"vertex": ["p0"], "edge": ["q0", "p1"], "t": 0.0, "gap": 0.0}
+    ppath.write_text(json.dumps({"graph": str(gpath), "pairs": [entry]}))
+    assert main(["plan", str(gpath), str(ppath)]) == 2
+    assert "error: pair references unknown vertex ['p0']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "x", ["(" * 400 + "t" + ")" * 400, "+".join(["t"] * 3001)], ids=["parens", "sum"]
+)
+def test_too_deep_expression_is_usage_error(x, tmp_path, capsys):
+    gpath = tmp_path / "graph.json"
+    vertices = [{"id": "a", "x": x, "y": "0"}, {"id": "b", "x": "1", "y": "0"}]
+    gpath.write_text(json.dumps({"vertices": vertices, "edges": [["a", "b"]]}))
+    assert main(["validate", str(gpath)]) == 2
+    assert "nests deeper than 100 levels" in capsys.readouterr().err
+
+
 def test_cgraph_dot_file(tmp_path, capsys):
     gpath = gen_ref(tmp_path, capsys)
     ppath = detect_ref(tmp_path, capsys, gpath)

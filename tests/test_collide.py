@@ -358,10 +358,8 @@ def test_clean_miss_sets_margin():
 def test_detection_config_validation():
     with pytest.raises(ValueError):
         DetectionConfig(samples=8)
-    with pytest.raises(ValueError):
-        DetectionConfig(refine_tol=1e-6, collide_eps=1e-7)
-    with pytest.raises(ValueError):
-        DetectionConfig(refine_tol=0.0)
+    with pytest.raises(ValueError, match="refinement tolerance"):
+        DetectionConfig(collide_eps=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +516,8 @@ def test_pairs_json_canonicalizes_edges(ref_dixon1):
         ({"vertex": "p0", "edge": ["q0", "p1"], "t": 0.0, "gap": math.nan}, "non-finite"),
         ({"vertex": "p0", "edge": ["q0", "p1"], "t": 0.0, "gap": math.inf}, "non-finite"),
         ({"vertex": "p0", "edge": ["q0", "p1"], "t": 0.0, "gap": -math.inf}, "non-finite"),
+        ({"vertex": ["p0"], "edge": ["q0", "p1"], "t": 0.0, "gap": 0.0}, "unknown vertex"),
+        ({"vertex": "p0", "edge": [["q0"], "p1"], "t": 0.0, "gap": 0.0}, "not an edge"),
     ],
 )
 def test_pairs_json_rejects_bad_entries(ref_dixon1, entry, msg):

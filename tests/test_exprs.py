@@ -57,6 +57,29 @@ def test_parse_error_positions(text, pos):
     assert exc.value.position == pos
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * 400 + "t" + ")" * 400,
+        "+".join(["t"] * 3001),
+        "(" * 101 + "t" + ")" * 101,
+        "+".join(["t"] * 101),
+        "-" * 101 + "t",
+        "sin(" * 101 + "t" + ")" * 101,
+    ],
+    ids=["parens-400", "sum-3001", "parens-101", "sum-101", "neg-101", "sin-101"],
+)
+def test_parse_bounds_the_tree_height(text):
+    with pytest.raises(E.ExprSyntaxError, match="nests deeper than 100 levels"):
+        E.parse_expression(text)
+
+
+def test_parse_accepts_the_tallest_tree():
+    assert E.parse_expression("(" * 100 + "t" + ")" * 100) == E.tvar()
+    assert E.evaluate(E.parse_expression("+".join(["t"] * 100)), 1.0) == 100.0
+    assert E.evaluate(E.parse_expression("-" * 99 + "t"), 1.0) == -1.0
+
+
 def test_parse_rejects_unknown_identifier():
     with pytest.raises(E.ExprSyntaxError, match="unknown identifier"):
         E.parse_expression("2*x")

@@ -122,6 +122,16 @@ def test_load_rejects_bad_data(mutate, msg):
         load_graph(json.dumps(data))
 
 
+@pytest.mark.parametrize(
+    "x", ["(" * 400 + "t" + ")" * 400, "+".join(["t"] * 3001)], ids=["parens", "sum"]
+)
+def test_load_rejects_too_deep_expressions(x):
+    data = json.loads(GOOD)
+    data["vertices"][0]["x"] = x
+    with pytest.raises(GraphFormatError, match="nests deeper than 100 levels"):
+        load_graph(json.dumps(data))
+
+
 def test_load_rejects_bad_json():
     with pytest.raises(GraphFormatError, match="invalid JSON"):
         load_graph("{nope")

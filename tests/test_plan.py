@@ -254,6 +254,40 @@ def test_verify_validates_inputs(ref_dixon1, ref_dixon1_result):
         )
 
 
+_PATH = static_graph(3, [("n0", "n1"), ("n1", "n2")])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        build_collision_graph,
+        lambda g, pairs: verify_collision_free(g, pairs, {"n0-n1": 0, "n1-n2": 1}),
+        exists_arrangement,
+        lambda g, pairs: assign_heights(g, pairs, Partition(("n0-n1",), ("n1-n2",))),
+    ],
+    ids=["build_collision_graph", "verify_collision_free", "exists_arrangement", "assign_heights"],
+)
+def test_incident_pairs_are_rejected(call):
+    with pytest.raises(ValueError, match="incident"):
+        call(_PATH, fake_pairs([("n1", ("n1", "n2"))]))
+
+
+def test_flipped_pairs_plan_like_canonical_pairs(ref_dixon1, ref_dixon1_result, ref_partition):
+    pairs = ref_dixon1_result.pairs
+    flipped = fake_pairs((p.vertex, p.edge[::-1]) for p in pairs)
+    assert [p.edge for p in flipped] != [p.edge for p in pairs]
+    c = build_collision_graph(ref_dixon1, pairs)
+    assert build_collision_graph(ref_dixon1, flipped) == c
+    assert decide_partition(build_collision_graph(ref_dixon1, flipped)) == decide_partition(c)
+    heights = assign_heights(ref_dixon1, pairs, ref_partition)
+    assert assign_heights(ref_dixon1, flipped, ref_partition) == heights
+    broken = dict(DIXON1_REF_HEIGHTS, **{"q0-p3": 0})
+    for h in (heights, broken):
+        want = verify_collision_free(ref_dixon1, pairs, h)
+        assert verify_collision_free(ref_dixon1, flipped, h) == want
+    assert exists_arrangement(ref_dixon1, flipped) == exists_arrangement(ref_dixon1, pairs)
+
+
 def test_verify_isolated_vertex_constrains_nothing():
     g = static_graph(3, [("n0", "n1")])
     pairs = fake_pairs([("n2", ("n0", "n1"))])
