@@ -3,8 +3,8 @@
 Exit codes follow one rule everywhere: 0 means success (and "yes" for
 decision commands), 1 means a sound mathematical "no" (no valid partition,
 no arrangement, verification failed), 2 means the run itself went wrong
-(bad usage, unreadable file, invalid data).  Results go to stdout or --out
-as JSON; progress, timings and warnings go to stderr.
+(bad usage, unreadable file, invalid data, internal error).  Results go to
+stdout or --out as JSON; progress, timings, warnings, tracebacks to stderr.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .collide import (
 from .exprs import ExprDomainError
 from .families import Dixon1Params, Dixon2Params, S2Params, dixon1, dixon2, s2
 from .motion import (
-    GraphFormatError,
     MovingGraph,
     eval_position,
     load_graph,
@@ -347,8 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        GraphFormatError,
+    except (  # GraphFormatError is a ValueError
         ExprDomainError,
         DetectionError,
         SearchCapError,
@@ -356,6 +354,11 @@ def main(argv: list[str] | None = None) -> int:
         OSError,
     ) as err:
         _say(f"error: {err}")
+        return EXIT_ERROR
+    except Exception:  # a fault of the program, never a "no"
+        import traceback
+
+        traceback.print_exc()
         return EXIT_ERROR
 
 

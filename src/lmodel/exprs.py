@@ -11,8 +11,8 @@ variable ``t``.  The concrete grammar (EBNF) is
              | "(" expr ")"
 
 ``pi`` is folded into a numeric constant at parse time; there is no separate
-node kind for it.  Trees taller, or nesting deeper, than ``MAX_EXPR_HEIGHT``
-are a syntax error, so no walk of a parsed tree can exhaust the stack.
+node kind for it.  No :class:`Expr` is taller, and no parsed text nests deeper,
+than ``MAX_EXPR_HEIGHT``, so no walk of a tree can exhaust the stack.
 Evaluation either returns a finite value or raises :class:`ExprDomainError`
 (square root of a negative number, division by zero, overflow); it never
 silently produces NaN or infinity.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,6 +56,10 @@ __all__ = [
     "split_constants",
     "merge_shapes",
 ]
+
+# bounds the height of every tree and the nesting the parser recurses into,
+# far below Python's recursion limit, since every walk of a tree recurses
+MAX_EXPR_HEIGHT = 100
 
 _ARITY = {
     "const": 0,
@@ -107,6 +111,7 @@ class Expr:
     value: float = 0.0
     exponent: int = 0
     args: tuple["Expr", ...] = ()
+    height: int = field(init=False, repr=False, compare=False)  # nodes on the longest path
 
     def __post_init__(self):
         if self.kind not in _ARITY:
@@ -120,6 +125,10 @@ class Expr:
         if self.kind == "pow":
             if not isinstance(self.exponent, int) or self.exponent < 0:
                 raise ValueError("exponent must be a nonnegative integer")
+        height = 1 + max((a.height for a in self.args), default=0)
+        if height > MAX_EXPR_HEIGHT:
+            raise ValueError(f"expression nests deeper than {MAX_EXPR_HEIGHT} levels")
+        object.__setattr__(self, "height", height)
 
 
 def const(value: float) -> Expr:
@@ -198,16 +207,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# bounds the height of a parsed tree and the nesting the parser recurses
-# into, far below Python's recursion limit; evaluation walks the tree too
-MAX_EXPR_HEIGHT = 100
-
 _BIN_KIND = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
 class _Parser:
-    """Recursive descent; each rule returns its tree and the tree's height,
-    and ``depth`` counts the parentheses, calls and minus signs around it."""
+    """Recursive descent; :class:`Expr` bounds the trees' height, and ``depth``
+    counts the parentheses (no node), calls and minus signs around a rule."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -227,43 +232,46 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", pos)
         self.advance()
 
-    def level(self, n: int, pos: int) -> int:
-        if n > MAX_EXPR_HEIGHT:
+    def deeper(self, depth: int, pos: int) -> int:
+        if depth >= MAX_EXPR_HEIGHT:
             raise ExprSyntaxError(f"expression nests deeper than {MAX_EXPR_HEIGHT} levels", pos)
-        return n
+        return depth + 1
+
+    def node(self, pos: int, kind: str, **fields) -> Expr:
+        try:  # the one place Expr's refusals (too tall, not finite) become syntax errors
+            return Expr(kind, **fields)
+        except ValueError as err:
+            raise ExprSyntaxError(str(err), pos) from None
 
     def parse(self) -> Expr:
-        node, _ = self.expr(0)
+        node = self.expr(0)
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected {text!r}", pos)
         return node
 
-    def chain(self, ops: str, operand, depth: int) -> tuple[Expr, int]:
+    def chain(self, ops: str, operand, depth: int) -> Expr:
         # a left-associative run of binary operators in ops, parsed by a loop
-        node, h = operand(depth)
+        node = operand(depth)
         kind, text, pos = self.peek()
         while kind == "op" and text in ops:
             self.advance()
-            rhs, rh = operand(depth)
-            node = Expr(_BIN_KIND[text], args=(node, rhs))
-            h = self.level(max(h, rh) + 1, pos)
+            node = self.node(pos, _BIN_KIND[text], args=(node, operand(depth)))
             kind, text, pos = self.peek()
-        return node, h
+        return node
 
-    def expr(self, depth: int) -> tuple[Expr, int]:
+    def expr(self, depth: int) -> Expr:
         return self.chain("+-", self.term, depth)
 
-    def term(self, depth: int) -> tuple[Expr, int]:
+    def term(self, depth: int) -> Expr:
         return self.chain("*/", self.factor, depth)
 
-    def factor(self, depth: int) -> tuple[Expr, int]:
+    def factor(self, depth: int) -> Expr:
         kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            node, h = self.factor(self.level(depth + 1, pos))
-            return neg(node), self.level(h + 1, pos)
-        node, h = self.primary(depth)
+            return self.node(pos, "neg", args=(self.factor(self.deeper(depth, pos)),))
+        node = self.primary(depth)
         kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
@@ -271,28 +279,28 @@ class _Parser:
             if kind != "num" or not _INT_RE.fullmatch(text):
                 raise ExprSyntaxError("expected integer exponent", pos)
             self.advance()
-            node, h = powi(node, int(text)), self.level(h + 1, pos)
-        return node, h
+            node = self.node(pos, "pow", exponent=int(text), args=(node,))
+        return node
 
-    def primary(self, depth: int) -> tuple[Expr, int]:
+    def primary(self, depth: int) -> Expr:
         kind, text, pos = self.advance()
         if kind == "num":
-            return const(float(text)), 1
+            return self.node(pos, "const", value=float(text))
         if kind == "name":
             if text == "t":
-                return tvar(), 1
+                return tvar()
             if text == "pi":
-                return const(math.pi), 1
+                return const(math.pi)
             if text in _FUNCS:
                 self.expect_op("(")
-                inner, h = self.expr(self.level(depth + 1, pos))
+                inner = self.expr(self.deeper(depth, pos))
                 self.expect_op(")")
-                return Expr(text, args=(inner,)), self.level(h + 1, pos)
+                return self.node(pos, text, args=(inner,))
             raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
-            inner, h = self.expr(self.level(depth + 1, pos))
+            inner = self.expr(self.deeper(depth, pos))
             self.expect_op(")")
-            return inner, h
+            return inner
         raise ExprSyntaxError("expected expression", pos)
 
 
@@ -488,6 +496,7 @@ class _Slots:
     kind = "const"
     exponent = 0
     args = ()
+    height = 1
 
     def __init__(self, value: np.ndarray):
         self.value = value

@@ -140,6 +140,27 @@ def partition_is_valid(c: CollisionGraph, p: Partition) -> bool:
     return cyclic_side(c, p) is None
 
 
+def _search(n: int, step, undo) -> bool:
+    """Depth-first over one binary choice per item 0..n-1, 0 before 1:
+    ``step(i, b)`` applies choice b to item i and says whether it stands,
+    ``undo(i, b)`` takes it back.  On success every choice stays applied."""
+    chosen: list[int] = []  # the stack: the standing choice at each depth
+    b = 0
+    while len(chosen) < n:
+        if step(len(chosen), b):
+            chosen.append(b)
+            b = 0
+            continue
+        undo(len(chosen), b)
+        while b:  # both choices failed here: back up to the last 0
+            if not chosen:
+                return False
+            b = chosen.pop()
+            undo(len(chosen), b)
+        b = 1
+    return True
+
+
 @dataclass(frozen=True)
 class PartitionDecision:
     partition: Partition | None
@@ -184,22 +205,19 @@ def decide_partition(c: CollisionGraph) -> PartitionDecision:
             side[x] = 1
         return not any(on_cycle(succ, x, side) for x in nodes)
 
-    def dfs(i: int) -> bool:
+    def step(i: int, flip: int) -> bool:
         nonlocal budget
-        if i == len(items):
-            return True
-        budget -= 1
-        if budget < 0:
-            raise SearchCapError(f"split search ran past {SPLIT_SEARCH_BUDGET} expansions")
-        part0, part1 = items[i]
-        for up, lo in ((part0, part1), (part1, part0)):
-            if place(up, upper) and place(lo, lower) and dfs(i + 1):
-                return True
-            for x in up + lo:  # each node is in one item, so both sides held 0
-                upper[x] = lower[x] = 0
-        return False
+        if not flip:  # the first try at a depth expands a search node
+            budget -= 1
+            if budget < 0:
+                raise SearchCapError(f"split search ran past {SPLIT_SEARCH_BUDGET} expansions")
+        return place(items[i][flip], upper) and place(items[i][1 - flip], lower)
 
-    if dfs(0):
+    def undo(i: int, flip: int) -> None:
+        for x in items[i][0] + items[i][1]:  # each node is in one item, so both sides held 0
+            upper[x] = lower[x] = 0
+
+    if _search(len(items), step, undo):
         return PartitionDecision(make_partition(c.nodes, (n for n, b in zip(c.nodes, upper) if b)))
     return PartitionDecision(None, "exhausted")
 
@@ -308,22 +326,18 @@ def exists_arrangement(
     # the constraint digraph; a choice appends its arcs, backtracking pops them
     succ: list[list[int]] = [[] for _ in labels]
 
-    def solve(i: int) -> bool:
-        if i == len(constraints):
-            return True
+    def step(i: int, above: int) -> bool:
         e, inc = constraints[i]
-        for below in (True, False):
-            arcs = [(e, f) for f in inc] if below else [(f, e) for f in inc]
-            for x, y in arcs:
-                succ[x].append(y)
-            # every new arc touches e, so any new cycle passes through e
-            if not on_cycle(succ, e) and solve(i + 1):
-                return True  # keep the arcs; the caller reads the final digraph
-            for x, _ in arcs:
-                succ[x].pop()
-        return False
+        for f in inc:  # below: arcs e -> f; above: arcs f -> e
+            succ[f if above else e].append(e if above else f)
+        return not on_cycle(succ, e)  # every new arc touches e, so any new cycle does too
 
-    if not solve(0):
+    def undo(i: int, above: int) -> None:
+        e, inc = constraints[i]
+        for f in inc:
+            succ[f if above else e].pop()
+
+    if not _search(len(constraints), step, undo):
         return None
 
     out = topo_order(succ)

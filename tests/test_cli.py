@@ -4,10 +4,11 @@ import sys
 
 import pytest
 
+from lmodel import cli
 from lmodel import exprs as E
 from lmodel.cli import main
 from lmodel.collide import pairs_from_json, pairs_to_json
-from lmodel.families import Dixon1Params
+from lmodel.families import Dixon1Params, dixon1
 from lmodel.motion import MovingGraph, load_graph, save_graph
 from lmodel.plan import heights_from_json, verify_collision_free
 
@@ -111,6 +112,18 @@ def test_plan_splits_default_dixon1(k, tmp_path, capsys):
     assert main(["plan", str(gpath), str(ppath), "--out", str(hpath)]) == 0
     assert main(["verify", str(gpath), str(ppath), str(hpath)]) == 0
     assert "0 violation(s)" in capsys.readouterr().err
+
+
+def test_plan_and_exists_solve_default_dixon1_40x40(tmp_path, capsys):
+    # 1560 pairs: both searches once ended in a RecursionError and exit 1
+    gpath, ppath, hpath = (tmp_path / f for f in ("graph.json", "pairs.json", "heights.json"))
+    p = Dixon1Params(40, 40, range(1, 40), range(1, 40), [1] * 39, [1] * 39)
+    gpath.write_text(save_graph(dixon1(p)))
+    ppath.write_text(pairs_to_json(fake_pairs(sorted(dixon1_rule_pairs(p))), str(gpath)))
+    assert main(["plan", str(gpath), str(ppath), "--out", str(hpath)]) == 0
+    assert main(["exists", str(gpath), str(ppath), "--out", str(tmp_path / "w.json")]) == 0
+    assert main(["verify", str(gpath), str(ppath), str(hpath)]) == 0
+    capsys.readouterr()
 
 
 def test_plan_rejects_cyclic_partition(tmp_path, capsys):
@@ -297,6 +310,17 @@ def test_too_deep_expression_is_usage_error(x, tmp_path, capsys):
     gpath.write_text(json.dumps({"vertices": vertices, "edges": [["a", "b"]]}))
     assert main(["validate", str(gpath)]) == 2
     assert "nests deeper than 100 levels" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_no(tmp_path, capsys, monkeypatch):
+    def broken(g, pairs):
+        raise RuntimeError("internal error: witness failed verification")
+
+    monkeypatch.setattr(cli, "exists_arrangement", broken)
+    gpath = gen_ref(tmp_path, capsys)
+    ppath = detect_ref(tmp_path, capsys, gpath)
+    assert main(["exists", str(gpath), str(ppath)]) == 2
+    assert "RuntimeError: internal error: witness failed verification" in capsys.readouterr().err
 
 
 def test_cgraph_dot_file(tmp_path, capsys):

@@ -74,6 +74,15 @@ def test_parse_bounds_the_tree_height(text):
         E.parse_expression(text)
 
 
+def test_constructors_bound_the_tree_height():
+    e = E.tvar()
+    for _ in range(99):
+        e = E.add(e, E.tvar())
+    assert e.height == 100
+    with pytest.raises(ValueError, match="nests deeper than 100 levels"):
+        E.add(e, E.tvar())
+
+
 def test_parse_accepts_the_tallest_tree():
     assert E.parse_expression("(" * 100 + "t" + ")" * 100) == E.tvar()
     assert E.evaluate(E.parse_expression("+".join(["t"] * 100)), 1.0) == 100.0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lmodel import plan
 from lmodel.cgraph import CollisionGraph, build_collision_graph, induced, is_acyclic
 from lmodel.collide import CollisionPair
+from lmodel.families import Dixon1Params, dixon1
 from lmodel.motion import GraphFormatError
 from lmodel.plan import (
     CyclicGraphError,
@@ -34,7 +35,7 @@ from expected import (
     S2_HEIGHTS,
     S2_TRIANGLE,
 )
-from synth import brute_force_exists, fake_pairs, random_instance, static_graph
+from synth import brute_force_exists, dixon1_rule_pairs, fake_pairs, random_instance, static_graph
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +395,20 @@ def test_partition_route_is_sound(seed):
         assert verify_collision_free(g, pairs, heights).ok
         # a found split implies the exact decision is YES as well
         assert exists_arrangement(g, pairs) is not None
+
+
+def test_both_planners_solve_default_dixon1_40x40():
+    # 1560 pairs, so a search that recursed once per item or constraint
+    # would pass the default recursion limit
+    p = Dixon1Params(40, 40, range(1, 40), range(1, 40), [1] * 39, [1] * 39)
+    g = dixon1(p)
+    pairs = fake_pairs(sorted(dixon1_rule_pairs(p)))
+    dec = decide_partition(build_collision_graph(g, pairs))
+    assert dec.found
+    assert verify_collision_free(g, pairs, assign_heights(g, pairs, dec.partition)).ok
+    witness = exists_arrangement(g, pairs)
+    assert witness is not None
+    assert verify_collision_free(g, pairs, witness).ok
 
 
 # ---------------------------------------------------------------------------
