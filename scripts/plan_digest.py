@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 over planning's exact output on a fixed seeded corpus.
 
-usage: PYTHONPATH=src python scripts/plan_digest.py [--each]
+usage: PYTHONPATH=src python scripts/plan_digest.py [--each] [--expect HEX]
 
 Two checkouts that print the same digest plan byte for byte alike: the
 ``decide_partition`` decisions (partition, reason, odd cycle), the
@@ -11,6 +11,8 @@ forced split that ``assign_heights`` refuses with ``CyclicGraphError``, the
 Error messages are left out: a refused split records its cycle, a search
 that runs past its budget only that it did.
 ``--each`` also prints one digest per instance, to find the one that moved.
+``--expect HEX`` exits 1 unless the digest is HEX.  The output holds no
+floats, so the digest is the same on every platform.
 
 The corpus: the README K(4,3), s2, dixon2(1,2,3), dixon1 K(6,6) and
 K(10,10) with the CLI's default radii and signs (pairs from ``detect_all``),
@@ -19,6 +21,7 @@ and seeded static graphs of 10 to 30 edges with freely declared pairs.
 import argparse
 import hashlib
 import random
+import sys
 
 from lmodel.cgraph import build_collision_graph
 from lmodel.collide import CollisionPair, detect_all
@@ -114,6 +117,7 @@ def outcome(g, pairs, seed):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--each", action="store_true", help="also print one digest per instance")
+    ap.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
     args = ap.parse_args()
     total = hashlib.sha256()
     for k, (name, g, pairs) in enumerate(corpus()):
@@ -122,7 +126,11 @@ def main():
         if args.each:
             print(f"{hashlib.sha256(text).hexdigest()[:16]}  {name}")
     print(total.hexdigest())
+    if args.expect is not None and total.hexdigest() != args.expect:
+        print(f"plan_digest: expected {args.expect}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

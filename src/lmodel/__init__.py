@@ -5,70 +5,96 @@ constant length.  This package finds every moment a vertex crosses an edge,
 turns those events into a directed collision graph, and then either
 constructs a collision-free integer height per edge or proves that none
 exists.
-"""
 
-from .cgraph import (
-    BipartiteResult,
-    CollisionGraph,
-    MultiEdgedSubgraph,
-    bipartition,
-    build_collision_graph,
-    induced,
-    is_acyclic,
-    multi_edged_subgraph,
-    to_dot,
-)
-from .collide import (
-    CollisionPair,
-    DetectionConfig,
-    DetectionError,
-    DetectionResult,
-    PairProbe,
-    detect_all,
-    detect_pair,
-    gap,
-    golden_minimize,
-    pairs_from_json,
-    pairs_to_json,
-)
-from .exprs import (
-    Expr,
-    ExprDomainError,
-    ExprSyntaxError,
-    evaluate,
-    parse_expression,
-    to_text,
-)
-from .families import Dixon1Params, Dixon2Params, S2Params, dixon1, dixon2, s2
-from .motion import (
-    GraphFormatError,
-    LengthReport,
-    MovingGraph,
-    edge_label,
-    eval_position,
-    load_graph,
-    save_graph,
-    validate_edge_lengths,
-)
-from .plan import (
-    CyclicGraphError,
-    Partition,
-    PartitionDecision,
-    SearchCapError,
-    VerifyReport,
-    Violation,
-    assign_heights,
-    decide_partition,
-    dixon1_heights,
-    exists_arrangement,
-    heights_down,
-    heights_from_json,
-    heights_to_json,
-    heights_up,
-    make_partition,
-    partition_is_valid,
-    split_layers,
-    verify_collision_free,
-)
+Each name below is imported from its module on first use (PEP 562), so
+``import lmodel`` loads nothing, and numpy is loaded only by the modules
+that evaluate trajectories: :mod:`lmodel.numeric`, :mod:`lmodel.sampling`
+and :mod:`lmodel.collide`.
+"""
+from importlib import import_module
+
+_EXPORTS = {
+    "cgraph": (
+        "BipartiteResult",
+        "CollisionGraph",
+        "MultiEdgedSubgraph",
+        "bipartition",
+        "build_collision_graph",
+        "induced",
+        "is_acyclic",
+        "multi_edged_subgraph",
+        "to_dot",
+    ),
+    "collide": (
+        "DetectionConfig",
+        "DetectionResult",
+        "PairProbe",
+        "detect_all",
+        "detect_pair",
+        "gap",
+        "golden_minimize",
+    ),
+    "exprs": ("Expr", "ExprDomainError", "ExprSyntaxError", "parse_expression", "to_text"),
+    "families": ("Dixon1Params", "Dixon2Params", "S2Params", "dixon1", "dixon2", "s2"),
+    "motion": (
+        "CollisionPair",
+        "DetectionError",
+        "GraphFormatError",
+        "MovingGraph",
+        "edge_label",
+        "load_graph",
+        "pairs_from_json",
+        "pairs_to_json",
+        "save_graph",
+    ),
+    "numeric": ("LengthReport", "eval_position", "evaluate", "validate_edge_lengths"),
+    "plan": (
+        "CyclicGraphError",
+        "Partition",
+        "PartitionDecision",
+        "SearchCapError",
+        "VerifyReport",
+        "Violation",
+        "assign_heights",
+        "decide_partition",
+        "dixon1_heights",
+        "exists_arrangement",
+        "heights_down",
+        "heights_from_json",
+        "heights_to_json",
+        "heights_up",
+        "make_partition",
+        "partition_is_valid",
+        "split_layers",
+        "verify_collision_free",
+    ),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 __version__ = "0.1.0"
+
+
+def _bind_on_first_use(namespace: dict, where: dict[str, str]):
+    """A PEP 562 module ``__getattr__`` for the module whose globals are
+    ``namespace``: ``where`` maps each name it serves to the module of this
+    package that defines it.  That module is imported on the name's first
+    use, and the name is then bound in ``namespace``."""
+
+    def __getattr__(name: str):
+        if name not in where:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(import_module(f"{__name__}.{where[name]}"), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _bind_on_first_use(
+    globals(), {name: module for module, names in _EXPORTS.items() for name in names}
+)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -17,8 +17,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .collide import CollisionPair
-from .motion import MovingGraph, edge_label, pair_edge
+from .motion import CollisionPair, MovingGraph, edge_label, pair_edge
 
 __all__ = [
     "CollisionGraph",

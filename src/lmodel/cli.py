@@ -14,22 +14,16 @@ import json
 import sys
 import time
 
+from . import _bind_on_first_use
 from .cgraph import build_collision_graph, multi_edged_subgraph, to_dot
-from .collide import (
-    DetectionConfig,
+from .exprs import ExprDomainError
+from .motion import (
     DetectionError,
-    detect_all,
+    MovingGraph,
+    load_graph,
     pairs_from_json,
     pairs_to_json,
-)
-from .exprs import ExprDomainError
-from .families import Dixon1Params, Dixon2Params, S2Params, dixon1, dixon2, s2
-from .motion import (
-    MovingGraph,
-    eval_position,
-    load_graph,
     save_graph,
-    validate_edge_lengths,
 )
 from .plan import (
     SearchCapError,
@@ -42,6 +36,25 @@ from .plan import (
     make_partition,
     verify_collision_free,
 )
+
+# Only detect and validate evaluate trajectories, so only they import numpy:
+# their library functions are bound here on first use (PEP 562), and the two
+# commands look them up in this module at call time (``_bound``), so a
+# caller can still replace them here.
+__getattr__ = _bind_on_first_use(
+    globals(),
+    {
+        "DetectionConfig": "collide",
+        "detect_all": "collide",
+        "eval_position": "numeric",
+        "validate_edge_lengths": "numeric",
+    },
+)
+
+
+def _bound(name: str):
+    return getattr(sys.modules[__name__], name)
+
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -103,6 +116,8 @@ def _interval(raw: str) -> tuple[float, float]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from .families import Dixon1Params, Dixon2Params, S2Params, dixon1, dixon2, s2
+
     fam = args.family
     if fam == "dixon1":
         if args.m is None or args.n is None:
@@ -132,7 +147,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     t0 = time.perf_counter()
-    report = validate_edge_lengths(g, samples=args.samples, tol=args.tol)
+    report = _bound("validate_edge_lengths")(g, samples=args.samples, tol=args.tol)
     dt = time.perf_counter() - t0
     data = {
         "pass": report.passed,
@@ -156,10 +171,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     if args.interval is not None:
         g = dataclasses.replace(g, domain=_interval(args.interval))
-    cfg = DetectionConfig(samples=args.samples, collide_eps=args.eps)
+    cfg = _bound("DetectionConfig")(samples=args.samples, collide_eps=args.eps)
     _warn_if_not_periodic(g)
     t0 = time.perf_counter()
-    result = detect_all(g, cfg)
+    result = _bound("detect_all")(g, cfg)
     dt = time.perf_counter() - t0
     margin = result.clear_margin if args.report_margin else None
     _emit(pairs_to_json(result.pairs, args.graph, margin=margin), args.out)
@@ -176,6 +191,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def _warn_if_not_periodic(g: MovingGraph, tol: float = 1e-9) -> None:
     t0, t1 = g.domain
+    eval_position = _bound("eval_position")
     for v in g.vertices:
         x0, y0 = eval_position(g, v, t0)
         x1, y1 = eval_position(g, v, t1)

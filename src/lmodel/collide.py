@@ -24,16 +24,24 @@ sampling luck rather than on the input.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .exprs import ExprDomainError, evaluate_on, split_constants
-from .motion import GraphFormatError, MovingGraph, edge_label, eval_position, pair_edge
+from .exprs import ExprDomainError
+from .motion import (  # the records of detection; pairs_*_json are still importable from here
+    CollisionPair,
+    DetectionError,
+    MovingGraph,
+    edge_label,
+    pair_edge,
+    pairs_from_json,
+    pairs_to_json,
+)
+from .numeric import eval_position, evaluate_on, split_constants
 from .sampling import bracket_gap, by_pair, grid_minima, slack
 
 __all__ = [
@@ -67,16 +75,10 @@ class DetectionConfig:
     def __post_init__(self):
         if self.samples < 16:
             raise ValueError("samples must be at least 16")
-        if not REFINE_TOL < self.collide_eps:
-            raise ValueError(f"collide_eps must exceed the refinement tolerance {REFINE_TOL:g}")
-
-
-@dataclass(frozen=True)
-class CollisionPair:
-    vertex: str
-    edge: tuple[str, str]
-    witness_t: float
-    min_gap: float
+        if not REFINE_TOL < self.collide_eps < math.inf:  # NaN fails both comparisons
+            raise ValueError(
+                f"collide_eps must be finite and exceed the refinement tolerance {REFINE_TOL:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -97,15 +99,6 @@ class DetectionResult:
     ambiguous: tuple[PairProbe, ...]
     clear_margin: float | None
     probed: int
-
-
-class DetectionError(RuntimeError):
-    """One or more pairs could not be decided (evaluation failed)."""
-
-    def __init__(self, failures: Sequence[tuple[str, tuple[str, str], Exception]]):
-        self.failures = tuple(failures)
-        detail = "; ".join(f"({v}, {edge_label(e)}): {err}" for v, e, err in self.failures)
-        super().__init__(f"{len(self.failures)} pair(s) undecidable: {detail}")
 
 
 def gap(g: MovingGraph, v: str, e: tuple[str, str], t: float) -> float:
@@ -306,47 +299,3 @@ def detect_all(g: MovingGraph, cfg: DetectionConfig | None = None) -> DetectionR
     return DetectionResult(
         tuple(pairs), tuple(ambiguous), None if math.isinf(clear) else clear, roles.shape[1]
     )
-
-
-# ---------------------------------------------------------------------------
-# file format
-
-
-def pairs_to_json(
-    pairs: Iterable[CollisionPair], graph_ref: str, margin: float | None = None
-) -> str:
-    data: dict = {
-        "graph": graph_ref,
-        "pairs": [
-            {"vertex": p.vertex, "edge": [p.edge[0], p.edge[1]], "t": p.witness_t, "gap": p.min_gap}
-            for p in pairs
-        ],
-    }
-    if margin is not None:
-        data["margin"] = margin
-    return json.dumps(data, indent=2) + "\n"
-
-
-def pairs_from_json(text: str, g: MovingGraph) -> tuple[CollisionPair, ...]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise GraphFormatError(f"invalid JSON: {err}") from None
-    if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
-        raise GraphFormatError("pairs file must be an object with a 'pairs' array")
-    t0, t1 = g.domain
-    out = []
-    for entry in data["pairs"]:
-        if not isinstance(entry, dict) or not {"vertex", "edge", "t", "gap"} <= entry.keys():
-            raise GraphFormatError(f"pair entry {entry!r} needs 'vertex', 'edge', 't', 'gap'")
-        e = pair_edge(g, entry["vertex"], entry["edge"])
-        t = entry["t"]
-        gap_val = entry["gap"]
-        if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in (t, gap_val)):
-            raise GraphFormatError(f"pair entry {entry!r} has non-numeric t or gap")
-        if not math.isfinite(gap_val):
-            raise GraphFormatError(f"pair entry {entry!r} has a non-finite gap")
-        if not t0 - 1e-9 <= t <= t1 + 1e-9:
-            raise GraphFormatError(f"pair witness t={t!r} is outside the domain [{t0}, {t1}]")
-        out.append(CollisionPair(entry["vertex"], e, float(t), float(gap_val)))
-    return tuple(out)

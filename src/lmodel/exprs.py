@@ -1,4 +1,4 @@
-"""Expression trees for vertex trajectories: parsing, printing, evaluation.
+"""Expression trees for vertex trajectories: the syntax.
 
 Every vertex trajectory is a pair of closed-form expressions in one time
 variable ``t``.  The concrete grammar (EBNF) is
@@ -13,17 +13,11 @@ variable ``t``.  The concrete grammar (EBNF) is
 ``pi`` is folded into a numeric constant at parse time; there is no separate
 node kind for it.  No :class:`Expr` is taller, and no parsed text nests deeper,
 than ``MAX_EXPR_HEIGHT``, so no walk of a tree can exhaust the stack.
-Evaluation either returns a finite value or raises :class:`ExprDomainError`
-(square root of a negative number, division by zero, overflow); it never
-silently produces NaN or infinity.
 
-:func:`evaluate` is the one evaluator.  It works on scalars and on numpy
-arrays, so detection samples a grid and refines many minima at once with it.
-Trees that differ only in their constants share a *shape*:
-:func:`split_constants` folds a tree's constant parts, and
-:func:`merge_shapes` joins the trees of one shape into a single tree whose
-constant leaves hold one value per evaluation point, so one evaluation
-serves them all.
+This module parses and prints trees and needs no numpy.  The evaluator
+(:func:`evaluate`, :func:`evaluate_on`, :func:`split_constants`,
+:func:`merge_shapes`) lives in :mod:`lmodel.numeric`; those names are
+still importable from here, and the first use of one loads numpy.
 """
 from __future__ import annotations
 
@@ -31,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
+from . import _bind_on_first_use
 
 __all__ = [
     "MAX_EXPR_HEIGHT",
@@ -51,11 +45,13 @@ __all__ = [
     "powi",
     "parse_expression",
     "to_text",
-    "evaluate",
-    "evaluate_on",
-    "split_constants",
-    "merge_shapes",
 ]
+
+# the evaluator's names, bound from lmodel.numeric on first use (PEP 562)
+__getattr__ = _bind_on_first_use(
+    globals(),
+    dict.fromkeys(("evaluate", "evaluate_on", "split_constants", "merge_shapes"), "numeric"),
+)
 
 # bounds the height of every tree and the nesting the parser recurses into,
 # far below Python's recursion limit, since every walk of a tree recurses
@@ -338,8 +334,8 @@ def _fmt_const(v: float) -> str:
 def _render(e: Expr, min_level: int) -> str:
     lvl = _LEVEL[e.kind]
     if e.kind == "const":
-        # the constant leaves of a merged shape hold arrays
-        s = _fmt_const(e.value) if np.ndim(e.value) == 0 else "c"
+        # the constant leaves of a merged shape are not Exprs and hold arrays
+        s = _fmt_const(e.value) if isinstance(e, Expr) else "c"
     elif e.kind == "t":
         s = "t"
     elif e.kind in _FUNCS:
@@ -366,158 +362,3 @@ def to_text(e: Expr) -> str:
     :func:`parse_expression` round-trips.
     """
     return _render(e, 0)
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-
-def evaluate(e: Expr, t):
-    """Evaluate at a scalar ``t`` or an ndarray of times.
-
-    The result of a constant subtree stays scalar even for array input; use
-    :func:`evaluate_on` when a full-size array is required.  Overflow is
-    caught at the node that produces it, so a scalar and an array holding
-    the same time fail at the same place.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _ev(e, t)
-
-
-def evaluate_on(e: Expr, ts: np.ndarray) -> np.ndarray:
-    """Evaluate on a sample grid, broadcasting constants to full size."""
-    out = np.asarray(evaluate(e, ts), dtype=float)
-    if out.shape != np.shape(ts):
-        out = np.full(np.shape(ts), float(out))
-    return out
-
-
-def _offending_t(bad, t) -> float | None:
-    if np.ndim(t) == 0:
-        return float(t)
-    bad = np.asarray(bad)
-    if bad.ndim == 0:
-        # a constant subtree failed; every t is affected
-        return None
-    idx = int(np.argmax(bad))
-    return float(np.asarray(t).reshape(-1)[idx])
-
-
-def _ev(e: Expr, t):
-    # sin, cos and sqrt of finite input are finite, and neg preserves
-    # finiteness, so only the arithmetic nodes need an overflow check
-    k = e.kind
-    if k == "const":
-        return e.value
-    if k == "t":
-        return t
-    if k == "neg":
-        return -_ev(e.args[0], t)
-    if k == "sin":
-        return np.sin(_ev(e.args[0], t))
-    if k == "cos":
-        return np.cos(_ev(e.args[0], t))
-    if k == "sqrt":
-        v = _ev(e.args[0], t)
-        bad = np.asarray(v) < 0.0
-        if np.any(bad):
-            raise ExprDomainError("square root of a negative value", e, _offending_t(bad, t))
-        return np.sqrt(v)
-    if k == "add":
-        val = _ev(e.args[0], t) + _ev(e.args[1], t)
-    elif k == "sub":
-        val = _ev(e.args[0], t) - _ev(e.args[1], t)
-    elif k == "mul":
-        val = _ev(e.args[0], t) * _ev(e.args[1], t)
-    elif k == "div":
-        num = _ev(e.args[0], t)
-        den = _ev(e.args[1], t)
-        bad = np.asarray(den) == 0.0
-        if np.any(bad):
-            raise ExprDomainError("division by zero", e, _offending_t(bad, t))
-        val = num / den
-    elif k == "pow":
-        try:
-            # a constant base is a plain float, and float ** int raises
-            # instead of returning inf
-            val = _ev(e.args[0], t) ** e.exponent
-        except OverflowError:
-            raise ExprDomainError(
-                "non-finite result (overflow)", e, _offending_t(np.asarray(True), t)
-            ) from None
-    else:
-        raise AssertionError(k)
-    bad = ~np.isfinite(np.asarray(val))
-    if bad.any():
-        raise ExprDomainError("non-finite result (overflow)", e, _offending_t(bad, t))
-    return val
-
-
-# ---------------------------------------------------------------------------
-# shapes
-
-
-_HOLE = const(0.0)
-
-
-def _has_t(e: Expr) -> bool:
-    return e.kind == "t" or any(_has_t(a) for a in e.args)
-
-
-def _split(e: Expr, values: list) -> Expr:
-    if not _has_t(e):
-        values.append(evaluate(e, 0.0))
-        return _HOLE
-    if not e.args:
-        return e
-    return Expr(e.kind, exponent=e.exponent, args=tuple(_split(a, values) for a in e.args))
-
-
-def split_constants(e: Expr) -> tuple[Expr, tuple]:
-    """The shape of ``e`` and the values of its constant parts.
-
-    Every maximal subtree without ``t`` is evaluated, exactly as
-    :func:`evaluate` computes it inside the whole tree, and replaced by a
-    ``const(0)`` hole; the values come in depth-first order.  Trees with
-    equal shapes differ only in these values.  Raises
-    :class:`ExprDomainError` when a constant part fails.
-    """
-    values: list = []
-    return _split(e, values), tuple(values)
-
-
-class _Slots:
-    """A constant leaf of a merged shape: one value per evaluation point.
-
-    Only :func:`merge_shapes` builds it: :class:`Expr` accepts finite
-    scalars only, and ``_ev`` reads nothing but ``kind`` and ``value`` here.
-    """
-
-    kind = "const"
-    exponent = 0
-    args = ()
-    height = 1
-
-    def __init__(self, value: np.ndarray):
-        self.value = value
-
-
-def _merge(e: Expr, holes):
-    if e.kind == "const":
-        return _Slots(next(holes))
-    if not e.args:
-        return e
-    return Expr(e.kind, exponent=e.exponent, args=tuple(_merge(a, holes) for a in e.args))
-
-
-def merge_shapes(shape: Expr, values: list[tuple], sizes: list[int]):
-    """One tree for several trees of ``shape``, each over its own points.
-
-    Tree k has the constants ``values[k]`` (from :func:`split_constants`)
-    and owns the next ``sizes[k]`` points of the array the merged tree is
-    evaluated on; each hole holds one constant per point.  Each point then
-    gets the bits of its own tree: numpy's elementwise operations do not
-    depend on their neighbours, and a scalar operand gives the bits of the
-    same value repeated in an array.
-    """
-    return _merge(shape, (np.repeat(h, sizes) for h in zip(*values)))

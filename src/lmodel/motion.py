@@ -4,8 +4,15 @@ The data model is deliberately plain.  A graph knows its vertex order, its
 edge order (the file order, used everywhere as the canonical order), one
 (x, y) expression pair per vertex, and the closed time interval under
 analysis.  Edge lengths are *supposed* to stay constant over the interval;
-:func:`validate_edge_lengths` checks that numerically rather than trusting
-the input.
+:func:`lmodel.numeric.validate_edge_lengths` checks that numerically rather
+than trusting the input.
+
+The records of detection live here too: a :class:`CollisionPair`, the one
+pair rule :func:`pair_edge`, :class:`DetectionError` and the pairs file.
+Planning reads nothing else of detection, so it never loads numpy.  The
+names that evaluate trajectories (``eval_position``, ``positions_on_grid``,
+``EdgeLengthStats``, ``LengthReport``, ``validate_edge_lengths``) live in
+:mod:`lmodel.numeric` and are still importable from here.
 """
 from __future__ import annotations
 
@@ -14,19 +21,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .exprs import (
-    Expr,
-    ExprDomainError,
-    ExprSyntaxError,
-    evaluate,
-    evaluate_on,
-    parse_expression,
-    to_text,
-)
+from . import _bind_on_first_use
+from .exprs import Expr, ExprSyntaxError, parse_expression, to_text
 
 __all__ = [
     "TAU",
@@ -34,14 +32,28 @@ __all__ = [
     "MovingGraph",
     "edge_label",
     "pair_edge",
-    "eval_position",
-    "positions_on_grid",
-    "EdgeLengthStats",
-    "LengthReport",
-    "validate_edge_lengths",
+    "CollisionPair",
+    "DetectionError",
     "load_graph",
     "save_graph",
+    "pairs_to_json",
+    "pairs_from_json",
 ]
+
+# the names that evaluate, bound from lmodel.numeric on first use (PEP 562)
+__getattr__ = _bind_on_first_use(
+    globals(),
+    dict.fromkeys(
+        (
+            "eval_position",
+            "positions_on_grid",
+            "EdgeLengthStats",
+            "LengthReport",
+            "validate_edge_lengths",
+        ),
+        "numeric",
+    ),
+)
 
 TAU = 2.0 * math.pi
 
@@ -127,6 +139,14 @@ class MovingGraph:
         return tuple(v for v in self.vertices if not self.incident[v])
 
 
+@dataclass(frozen=True)
+class CollisionPair:
+    vertex: str
+    edge: tuple[str, str]
+    witness_t: float
+    min_gap: float
+
+
 def pair_edge(g: MovingGraph, v, e) -> tuple[str, str]:
     """The edge of the collision pair (v, e), as stored in g.  The one pair
     rule: v is a vertex, e an edge in either orientation, v not on e."""
@@ -142,62 +162,13 @@ def pair_edge(g: MovingGraph, v, e) -> tuple[str, str]:
     return edge
 
 
-def eval_position(g: MovingGraph, v: str, t: float) -> tuple[float, float]:
-    if v not in g.motion:
-        raise GraphFormatError(f"unknown vertex {v!r}")
-    xe, ye = g.motion[v]
-    try:
-        return float(evaluate(xe, t)), float(evaluate(ye, t))
-    except ExprDomainError as err:
-        raise ExprDomainError(f"vertex {v!r}: {err.reason}", err.expr, err.t) from None
+class DetectionError(RuntimeError):
+    """One or more pairs could not be decided (evaluation failed)."""
 
-
-def positions_on_grid(
-    g: MovingGraph, ts: np.ndarray, vertices: Iterable[str] | None = None
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for v in g.vertices if vertices is None else vertices:
-        xe, ye = g.motion[v]
-        try:
-            out[v] = (evaluate_on(xe, ts), evaluate_on(ye, ts))
-        except ExprDomainError as err:
-            raise ExprDomainError(f"vertex {v!r}: {err.reason}", err.expr, err.t) from None
-    return out
-
-
-@dataclass(frozen=True)
-class EdgeLengthStats:
-    edge: tuple[str, str]
-    mean: float
-    max_deviation: float
-
-
-@dataclass(frozen=True)
-class LengthReport:
-    edges: tuple[EdgeLengthStats, ...]
-    tol: float
-    passed: bool
-
-
-def validate_edge_lengths(g: MovingGraph, samples: int = 512, tol: float = 1e-9) -> LengthReport:
-    """Sample every edge length and report the worst deviation from its mean."""
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    ts = np.linspace(g.domain[0], g.domain[1], samples)
-    needed = {w for e in g.edges for w in e}
-    pos = positions_on_grid(g, ts, [v for v in g.vertices if v in needed])
-    stats = []
-    for u, v in g.edges:
-        xu, yu = pos[u]
-        xv, yv = pos[v]
-        lens = np.hypot(xu - xv, yu - yv)
-        mean = float(lens.mean())
-        dev = float(np.max(np.abs(lens - mean)))
-        stats.append(EdgeLengthStats((u, v), mean, dev))
-    passed = all(s.max_deviation <= tol for s in stats)
-    return LengthReport(tuple(stats), tol, passed)
+    def __init__(self, failures: Sequence[tuple[str, tuple[str, str], Exception]]):
+        self.failures = tuple(failures)
+        detail = "; ".join(f"({v}, {edge_label(e)}): {err}" for v, e, err in self.failures)
+        super().__init__(f"{len(self.failures)} pair(s) undecidable: {detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +236,43 @@ def save_graph(g: MovingGraph) -> str:
         "edges": [[u, v] for u, v in g.edges],
     }
     return json.dumps(data, indent=2) + "\n"
+
+
+def pairs_to_json(
+    pairs: Iterable[CollisionPair], graph_ref: str, margin: float | None = None
+) -> str:
+    data: dict = {
+        "graph": graph_ref,
+        "pairs": [
+            {"vertex": p.vertex, "edge": [p.edge[0], p.edge[1]], "t": p.witness_t, "gap": p.min_gap}
+            for p in pairs
+        ],
+    }
+    if margin is not None:
+        data["margin"] = margin
+    return json.dumps(data, indent=2) + "\n"
+
+
+def pairs_from_json(text: str, g: MovingGraph) -> tuple[CollisionPair, ...]:
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise GraphFormatError(f"invalid JSON: {err}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
+        raise GraphFormatError("pairs file must be an object with a 'pairs' array")
+    t0, t1 = g.domain
+    out = []
+    for entry in data["pairs"]:
+        if not isinstance(entry, dict) or not {"vertex", "edge", "t", "gap"} <= entry.keys():
+            raise GraphFormatError(f"pair entry {entry!r} needs 'vertex', 'edge', 't', 'gap'")
+        e = pair_edge(g, entry["vertex"], entry["edge"])
+        t = entry["t"]
+        gap_val = entry["gap"]
+        if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in (t, gap_val)):
+            raise GraphFormatError(f"pair entry {entry!r} has non-numeric t or gap")
+        if not math.isfinite(gap_val):
+            raise GraphFormatError(f"pair entry {entry!r} has a non-finite gap")
+        if not t0 - 1e-9 <= t <= t1 + 1e-9:
+            raise GraphFormatError(f"pair witness t={t!r} is outside the domain [{t0}, {t1}]")
+        out.append(CollisionPair(entry["vertex"], e, float(t), float(gap_val)))
+    return tuple(out)

@@ -32,8 +32,7 @@ from .cgraph import (
     pair_constraints,
     topo_order,
 )
-from .collide import CollisionPair
-from .motion import GraphFormatError, MovingGraph
+from .motion import CollisionPair, GraphFormatError, MovingGraph
 
 __all__ = [
     "CyclicGraphError",
@@ -65,12 +64,16 @@ class CyclicGraphError(ValueError):
 
 
 class SearchCapError(RuntimeError):
-    """The partition search ran past its expansion budget undecided."""
+    """A search ran past its expansion budget undecided."""
 
 
 # search nodes ``decide_partition`` may expand before giving up; the hardest
 # 40-edge instance of the perfbench plan-synth pool exhausts in about 11k
 SPLIT_SEARCH_BUDGET = 1 << 16
+
+# search nodes ``exists_arrangement`` may expand before giving up; the
+# hardest instance of that pool decides in about 76k
+EXACT_SEARCH_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -140,13 +143,20 @@ def partition_is_valid(c: CollisionGraph, p: Partition) -> bool:
     return cyclic_side(c, p) is None
 
 
-def _search(n: int, step, undo) -> bool:
+def _search(n: int, step, undo, budget: int, what: str) -> bool:
     """Depth-first over one binary choice per item 0..n-1, 0 before 1:
     ``step(i, b)`` applies choice b to item i and says whether it stands,
-    ``undo(i, b)`` takes it back.  On success every choice stays applied."""
+    ``undo(i, b)`` takes it back.  On success every choice stays applied.
+    The first try at a depth expands a search node; past ``budget`` of them
+    the search raises :class:`SearchCapError`, naming itself ``what``."""
     chosen: list[int] = []  # the stack: the standing choice at each depth
     b = 0
+    left = budget
     while len(chosen) < n:
+        if not b:
+            left -= 1
+            if left < 0:
+                raise SearchCapError(f"{what} ran past {budget} expansions")
         if step(len(chosen), b):
             chosen.append(b)
             b = 0
@@ -197,7 +207,6 @@ def decide_partition(c: CollisionGraph) -> PartitionDecision:
 
     succ = c.succ
     upper, lower = bytearray(len(succ)), bytearray(len(succ))
-    budget = SPLIT_SEARCH_BUDGET
 
     def place(nodes: list[int], side: bytearray) -> bool:
         # the side was acyclic before, so any new cycle runs through nodes
@@ -206,18 +215,13 @@ def decide_partition(c: CollisionGraph) -> PartitionDecision:
         return not any(on_cycle(succ, x, side) for x in nodes)
 
     def step(i: int, flip: int) -> bool:
-        nonlocal budget
-        if not flip:  # the first try at a depth expands a search node
-            budget -= 1
-            if budget < 0:
-                raise SearchCapError(f"split search ran past {SPLIT_SEARCH_BUDGET} expansions")
         return place(items[i][flip], upper) and place(items[i][1 - flip], lower)
 
     def undo(i: int, flip: int) -> None:
         for x in items[i][0] + items[i][1]:  # each node is in one item, so both sides held 0
             upper[x] = lower[x] = 0
 
-    if _search(len(items), step, undo):
+    if _search(len(items), step, undo, SPLIT_SEARCH_BUDGET, "split search"):
         return PartitionDecision(make_partition(c.nodes, (n for n, b in zip(c.nodes, upper) if b)))
     return PartitionDecision(None, "exhausted")
 
@@ -315,6 +319,8 @@ def exists_arrangement(
     nothing.  Each choice contributes strict order constraints; a choice set
     is feasible exactly when the constraint digraph is acyclic.  Returns a
     witness assignment (heights 0..len-1 along a topological order) or None.
+    A search that expands more than ``EXACT_SEARCH_BUDGET`` nodes undecided
+    raises :class:`SearchCapError` rather than running on.
     """
     pairs = tuple(pairs)
     labels = g.edge_labels
@@ -337,7 +343,7 @@ def exists_arrangement(
         for f in inc:
             succ[f if above else e].pop()
 
-    if not _search(len(constraints), step, undo):
+    if not _search(len(constraints), step, undo, EXACT_SEARCH_BUDGET, "exact search"):
         return None
 
     out = topo_order(succ)

@@ -6,7 +6,7 @@ of grid samples, the table of distances between the vertex pairs that the
 probed pairs use, and reads every pair's gap off three of its columns.
 :func:`bracket_gap` evaluates the gaps at the probe times of a batch of
 refinement brackets, with one evaluation per coordinate expression shape
-(see :func:`lmodel.exprs.merge_shapes`).  Both give, bit for bit, what
+(see :func:`lmodel.numeric.merge_shapes`).  Both give, bit for bit, what
 evaluating pair by pair and vertex by vertex gives.
 """
 from __future__ import annotations
@@ -16,7 +16,8 @@ from array import array
 
 import numpy as np
 
-from .exprs import ExprDomainError, evaluate, evaluate_on, merge_shapes
+from .exprs import ExprDomainError
+from .numeric import evaluate, evaluate_on, merge_shapes
 
 __all__ = ["GRID_BLOCK", "slack", "grid_minima", "by_pair", "bracket_gap"]
 
@@ -131,7 +132,7 @@ def bracket_gap(
     """``f`` for :func:`lmodel.collide.golden_minimize` over one batch of brackets.
 
     ``roles`` holds the vertex indices (v, i, j) of each bracket's pair, one
-    row per role; ``shapes[w]`` holds :func:`lmodel.exprs.split_constants`
+    row per role; ``shapes[w]`` holds :func:`lmodel.numeric.split_constants`
     of vertex w's two coordinates.  Every coordinate expression shape is
     evaluated once per call, merged over the brackets of every vertex that
     uses it.  A call that leaves the domain is redone vertex by vertex, and

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from lmodel import cli
+import lmodel
+from lmodel import cli, plan
 from lmodel import exprs as E
 from lmodel.cli import main
 from lmodel.collide import pairs_from_json, pairs_to_json
@@ -392,3 +394,117 @@ def test_module_entry_point_smoke():
     )
     assert proc.returncode == 0
     assert b"usage" in proc.stdout.lower()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate", "--tol", "nan"],
+        ["validate", "--tol", "inf"],
+        ["detect", "--eps", "inf"],
+        ["detect", "--eps", "nan"],
+    ],
+    ids=["tol-nan", "tol-inf", "eps-inf", "eps-nan"],
+)
+def test_non_finite_threshold_is_usage_error(args, tmp_path, capsys):
+    gpath = gen_ref(tmp_path, capsys)
+    assert main([args[0], str(gpath), *args[1:]]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "finite" in err
+
+
+def test_exists_past_its_budget_is_usage_error(tmp_path, capsys, monkeypatch):
+    gpath, ppath = tmp_path / "graph.json", tmp_path / "pairs.json"
+    p = Dixon1Params(6, 5, range(1, 6), range(1, 5), [1] * 5, [1] * 4)  # 30 edges
+    gpath.write_text(save_graph(dixon1(p)))
+    ppath.write_text(pairs_to_json(fake_pairs(sorted(dixon1_rule_pairs(p))), str(gpath)))
+    monkeypatch.setattr(plan, "EXACT_SEARCH_BUDGET", 10)
+    assert main(["exists", str(gpath), str(ppath)]) == 2
+    assert "error: exact search ran past 10 expansions" in capsys.readouterr().err
+
+
+# the library functions a tracer replaces on lmodel.cli (perfbench/cli_child.py)
+TRACED = (
+    "load_graph",
+    "validate_edge_lengths",
+    "detect_all",
+    "build_collision_graph",
+    "decide_partition",
+    "assign_heights",
+    "exists_arrangement",
+    "verify_collision_free",
+)
+
+
+def test_commands_call_the_names_bound_on_cli(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in TRACED:
+        monkeypatch.setattr(cli, name, traced(name, getattr(cli, name)))
+    gpath = gen_ref(tmp_path, capsys)
+    ppath = detect_ref(tmp_path, capsys, gpath)
+    hpath = tmp_path / "heights.json"
+    g, p = str(gpath), str(ppath)
+    assert main(["validate", g]) == 0
+    assert main(["plan", g, p, "--out", str(hpath)]) == 0
+    assert main(["verify", g, p, str(hpath)]) == 0
+    assert main(["exists", g, p]) == 0
+    capsys.readouterr()
+    assert set(calls) == set(TRACED)
+
+
+def test_planning_commands_never_import_numpy(tmp_path, capsys):
+    gpath = gen_ref(tmp_path, capsys)
+    ppath = detect_ref(tmp_path, capsys, gpath)
+    vpath = tmp_path / "validate.json"
+    assert main(["validate", str(gpath), "--out", str(vpath)]) == 0
+    capsys.readouterr()
+    g, p, out = str(gpath), str(ppath), tmp_path / "child"
+    out.mkdir()
+    runs = [
+        ["cgraph", g, p, "--dot", str(out / "c.dot")],
+        ["plan", g, p, "--out", str(out / "heights.json")],
+        ["verify", g, p, str(out / "heights.json"), "--out", str(out / "verify.json")],
+        ["exists", g, p, "--out", str(out / "exists.json")],
+        REF_ARGS + ["--out", str(out / "graph.json")],
+        ["validate", g, "--out", str(out / "validate.json")],
+        ["detect", g, "--out", str(out / "pairs.json")],
+    ]
+    child = (
+        "import json, sys\n"
+        "from lmodel.cli import main\n"
+        "seen = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = main(argv)\n"
+        "    seen.append([code, sorted(m for m in sys.modules if m.split('.')[0] in"
+        " ('numpy', 'lmodel'))])\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = os.path.dirname(os.path.dirname(lmodel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(runs)],
+        capture_output=True,
+        timeout=120,
+        env=env,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    seen = json.loads(proc.stdout)
+    assert [code for code, _ in seen] == [0] * len(runs)
+    numeric = {"numpy", "lmodel.collide", "lmodel.sampling", "lmodel.numeric"}
+    for k, (_, modules) in enumerate(seen[:5]):
+        assert not numeric & set(modules), runs[k][0]
+        assert ("lmodel.families" in modules) == (k == 4), runs[k][0]
+    assert numeric <= set(seen[-1][1])
+    # the same output as the commands run in this process, which loaded numpy first
+    assert (out / "graph.json").read_text() == gpath.read_text()
+    assert (out / "validate.json").read_text() == vpath.read_text()
+    assert (out / "pairs.json").read_text() == ppath.read_text()

@@ -360,6 +360,10 @@ def test_detection_config_validation():
         DetectionConfig(samples=8)
     with pytest.raises(ValueError, match="refinement tolerance"):
         DetectionConfig(collide_eps=1e-13)
+    with pytest.raises(ValueError, match="finite"):
+        DetectionConfig(collide_eps=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        DetectionConfig(collide_eps=math.nan)
 
 
 # ---------------------------------------------------------------------------

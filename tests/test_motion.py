@@ -193,6 +193,10 @@ def test_validate_edge_lengths_bad_args(ref_dixon1):
         validate_edge_lengths(ref_dixon1, samples=1)
     with pytest.raises(ValueError):
         validate_edge_lengths(ref_dixon1, tol=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        validate_edge_lengths(ref_dixon1, tol=math.nan)
+    with pytest.raises(ValueError, match="finite"):
+        validate_edge_lengths(ref_dixon1, tol=math.inf)
 
 
 def test_static_graph_helper_shape():

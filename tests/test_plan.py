@@ -194,6 +194,18 @@ def test_decide_partition_expansion_budget(monkeypatch):
         decide_partition(c)
 
 
+def test_exists_expansion_budget(monkeypatch):
+    # dixon1 K(6,5): 30 edges, so the exact search makes at least 30 first tries
+    p = Dixon1Params(6, 5, range(1, 6), range(1, 5), [1] * 5, [1] * 4)
+    g = dixon1(p)
+    pairs = fake_pairs(sorted(dixon1_rule_pairs(p)))
+    assert len(g.edges) == 30
+    assert exists_arrangement(g, pairs) is not None
+    monkeypatch.setattr(plan, "EXACT_SEARCH_BUDGET", 10)
+    with pytest.raises(SearchCapError, match="exact search ran past 10 expansions"):
+        exists_arrangement(g, pairs)
+
+
 # ---------------------------------------------------------------------------
 # assignment and verification
 
