@@ -1,12 +1,21 @@
 #!/usr/bin/env python3
 """Print one sha256 over detection's exact output on a fixed seeded corpus.
 
-usage: PYTHONPATH=src python scripts/detect_digest.py [--each]
+usage: PYTHONPATH=src python scripts/detect_digest.py [--each] [--expect HEX] [--bounds]
 
 Two checkouts that print the same digest give byte-identical detection
 results: pairs with their witness times and gaps, ambiguous probes, clear
 margins, probe counts, warnings and ``DetectionError`` failure lists.
 ``--each`` also prints one digest per instance, to find the one that moved.
+``--expect HEX`` exits 1 unless the digest is HEX.  Detection's floats come
+from numpy's ``sin`` and ``cos``, whose last bit may differ from one CPU to
+another, so the digest is only comparable on one machine.
+
+``--bounds`` first checks the bounds that let detection skip brackets: it
+refines every bracket of every instance, prints per instance how many
+brackets there are and how many detection refines, and exits 1 if any
+bracket's lower bound exceeds its refined minimum.  That is an inequality,
+so it holds on every CPU.
 
 The corpus: three seeded detect ladders (dixon1 K(10,10) and K(14,14) and a
 dixon2), s2, dixon2(1,2,3), the README K(4,3) at the default and at a dense
@@ -18,10 +27,12 @@ import argparse
 import hashlib
 import math
 import random
+import sys
 import warnings
 
 import numpy as np
 
+from lmodel import collide
 from lmodel import exprs as E
 from lmodel.collide import DetectionConfig, DetectionError, detect_all
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
@@ -109,10 +120,34 @@ def outcome(g, cfg):
     return out + "".join(f"\nwarning: {w.message}" for w in caught)
 
 
+def check_bounds(g, cfg):
+    """(brackets, brackets detection refines, bounds above their refined minimum)."""
+    roles = collide._pair_roles(g)
+    ts, shapes, failures, _, found, bound, cutoff = collide._grid_stage(
+        g, roles, cfg or DetectionConfig()
+    )
+    _, minima = collide._refine(g, roles, ts, shapes, found, failures)
+    # a bracket whose probe left the domain reads NaN, which no bound exceeds
+    refined = np.count_nonzero(~(bound >= cutoff))
+    return len(found), int(refined), int(np.count_nonzero(bound > minima))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--each", action="store_true", help="also print one digest per instance")
+    ap.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
+    ap.add_argument(
+        "--bounds", action="store_true", help="check the bracket bounds against refined minima"
+    )
     args = ap.parse_args()
+    above = 0
+    if args.bounds:
+        for name, g, cfg in corpus():
+            total, refined, bad = check_bounds(g, cfg)
+            above += bad
+            print(f"{refined:6d} of {total:6d} brackets refined  {name}")
+            if bad:
+                print(f"detect_digest: {bad} bound(s) above the refined minimum", file=sys.stderr)
     total = hashlib.sha256()
     for name, g, cfg in corpus():
         text = f"{name}\n{outcome(g, cfg)}\n".encode()
@@ -120,7 +155,13 @@ def main():
         if args.each:
             print(f"{hashlib.sha256(text).hexdigest()[:16]}  {name}")
     print(total.hexdigest())
+    if above:
+        return 1
+    if args.expect is not None and total.hexdigest() != args.expect:
+        print(f"detect_digest: expected {args.expect}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -7,8 +7,16 @@ when the triangle-inequality slack
 
 vanishes.  The slack is nonnegative everywhere, so its zeros are tangential
 minima, not sign changes; root bracketing would miss them entirely.  The
-detector therefore samples the gap on a dense grid, then drives the sampled
+detector therefore samples the gap on a dense grid, then drives sampled
 local minima of all pairs together into tiny brackets by golden-section search.
+
+Only the minima that can change the answer are refined.  Interval speed
+bounds on the vertices (:func:`lmodel.numeric.speed_bound`) make each gap
+Lipschitz, so every bracket gets a lower bound from its grid samples
+(Piyavskii-Shubert bounding; Shubert, SIAM J. Numer. Anal. 9, 1972).  A
+bracket whose bound clears both the ambiguity band and the clear margin is
+skipped: it could not refine below any gap the result reports, so the
+result is the one refining every bracket gives (see :func:`_grid_stage`).
 
 Both stages work on the whole graph at once (:mod:`lmodel.sampling`).  The
 grid stage reads every pair's gap off a table of vertex-to-vertex
@@ -41,7 +49,7 @@ from .motion import (  # the records of detection; pairs_*_json are still import
     pairs_from_json,
     pairs_to_json,
 )
-from .numeric import eval_position, evaluate_on, split_constants
+from .numeric import eval_position, evaluate_on, speed_bound, split_constants
 from .sampling import bracket_gap, by_pair, grid_minima, slack
 
 __all__ = [
@@ -73,8 +81,8 @@ class DetectionConfig:
     collide_eps: float = 1e-7
 
     def __post_init__(self):
-        if self.samples < 16:
-            raise ValueError("samples must be at least 16")
+        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 16:
+            raise ValueError(f"samples must be an int of at least 16, got {self.samples!r}")
         if not REFINE_TOL < self.collide_eps < math.inf:  # NaN fails both comparisons
             raise ValueError(
                 f"collide_eps must be finite and exceed the refinement tolerance {REFINE_TOL:g}"
@@ -178,17 +186,39 @@ def golden_minimize(
 # brackets refined together; bounds the memory that refinement holds at once
 _REFINE_CHUNK = 2048
 
+# The skip rule's rounding margin.  Speed bounds and gaps are computed in
+# floating point, rounded to nearest: the gap's Lipschitz constant is scaled
+# up by _SPEED_SLACK, and a bracket's bound lowered by a further _GAP_SLACK
+# times (1 + the largest coordinate on the grid), far more than the few ulps
+# of the distances that the rounding of a gap can move it by.
+_SPEED_SLACK = 1.0 + 2.0**-20
+_GAP_SLACK = 2.0**-30
 
-def _probe(
-    g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig
-) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
-    """Minimum gap of every pair, with the time it is attained.
+
+def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
+    """Sample every vertex on the grid, and bracket and bound every sampled minimum.
 
     ``roles`` is a 3 x n array of vertex indices: row 0 the vertex, rows 1
-    and 2 the edge's endpoints.  Samples each vertex once on the grid,
-    brackets every sampled local minimum of every pair and refines all
-    brackets together.  Returns (witness times, minimum gaps, {pair index:
-    domain error}).
+    and 2 the edge's endpoints.  Returns the grid ``ts``, the vertices'
+    coordinate shapes, {pair index: grid domain error}, the first sampled
+    argmin of every pair, the brackets (``pair * samples + sample``, in pair
+    order, none of a failed pair), a lower bound on each bracket's refined
+    minimum, and the cutoff: refinement skips the brackets whose bound is at
+    least the cutoff.
+
+    The gap of pair (v, {i, j}) changes by at most ``L = 2(S_v + S_i + S_j)``
+    per unit time, where ``S_w`` bounds vertex w's speed over the domain
+    (:func:`lmodel.numeric.speed_bound`).  So on a bracket of grid spacing h
+    it stays above ``floor - L*h/2`` (see :func:`lmodel.sampling.grid_minima`),
+    less the rounding margin; that is the bound.  The cutoff is
+    ``max(AMBIGUITY_FACTOR * eps, c_up)``, where ``c_up`` is the smallest
+    grid gap of a pair none of whose brackets can get below ``eps``: such a
+    pair refines to at least eps and at most c_up, so the clear margin is at
+    most c_up.  A skipped bracket therefore refines to no less than every
+    collision or ambiguous gap and the clear margin, and detection reports
+    what refining every bracket reports.  A vertex whose expressions can
+    fail to evaluate on the domain has no speed bound, so every bracket that
+    could raise a domain error is refined.
     """
     ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
     motion = [g.motion[w] for w in g.vertices]
@@ -209,30 +239,83 @@ def _probe(
         if bad:
             failures[k] = bad[0]
 
-    best_t, runs = grid_minima(xs, ys, roles, ts)
+    n_pairs = roles.shape[1]
+    best_t, grid_v, runs, floor_runs = grid_minima(xs, ys, roles, ts)
+    margin = _GAP_SLACK * (1.0 + max(xs.max(), ys.max(), -xs.min(), -ys.min()))
     del xs, ys  # refinement evaluates its own points
-    found = by_pair(runs, roles.shape[1], len(ts))
-    del runs
+    found, bound = by_pair(runs, floor_runs, n_pairs, len(ts))
+    del runs, floor_runs
+    pair = found // len(ts)
     if failures:
-        ok = np.ones(roles.shape[1], dtype=bool)
+        ok = np.ones(n_pairs, dtype=bool)
         ok[list(failures)] = False
-        found = found[ok[found // len(ts)]]
+        keep = ok[pair]
+        found, bound, pair = found[keep], bound[keep], pair[keep]
 
-    best_v = np.full(roles.shape[1], math.inf)
+    speed = np.zeros(len(motion))
+    for w in shapes:
+        speed[w] = math.hypot(*(speed_bound(e, *g.domain) for e in motion[w]))
+    lipschitz = 2.0 * _SPEED_SLACK * (speed[roles[0]] + speed[roles[1]] + speed[roles[2]])
+    h = float(np.diff(ts).max(initial=0.0))
+    bound -= lipschitz[pair] * (h / 2)
+    bound -= margin
+    # the pairs none of whose brackets can reach eps; a NaN bound can, and a
+    # NaN c_up makes a NaN cutoff, which refines every bracket
+    clear = np.zeros(n_pairs, dtype=bool)
+    clear[pair] = True
+    clear[pair[~(bound >= cfg.collide_eps)]] = False
+    cutoff = np.maximum(AMBIGUITY_FACTOR * cfg.collide_eps, grid_v[clear].min(initial=math.inf))
+    return ts, shapes, failures, best_t, found, bound, cutoff
+
+
+def _refine(
+    g: MovingGraph,
+    roles: np.ndarray,
+    ts: np.ndarray,
+    shapes: dict,
+    found: np.ndarray,
+    failures: dict,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refine the brackets ``found`` of :func:`_grid_stage` together, a chunk at a time.
+
+    Returns the best (t, gap) of every bracket; a bracket whose probe leaves
+    the domain charges its pair the first such error in ``failures``.
+    """
+    motion = [g.motion[w] for w in g.vertices]
+    t_at, v_at = np.empty((2, len(found)))
     for s in range(0, len(found), _REFINE_CHUNK):
         ks, i = np.divmod(found[s : s + _REFINE_CHUNK], len(ts))
         errors: dict[int, Exception] = {}
         f = bracket_gap(motion, shapes, roles[:, ks], ts[i], errors)
         lo = ts[np.maximum(i - 1, 0)]
         hi = ts[np.minimum(i + 1, len(ts) - 1)]
-        t_at, v_at = golden_minimize(f, lo, hi, REFINE_TOL, seeds=(ts[i],))
+        t_at[s : s + len(ks)], v_at[s : s + len(ks)] = golden_minimize(
+            f, lo, hi, REFINE_TOL, seeds=(ts[i],)
+        )
         for k in sorted(errors):
             failures.setdefault(int(ks[k]), errors[k])
-        # brackets come in pair order, each pair's in time order, so a scan
-        # with < keeps the first bracket reaching the pair's smallest value
-        for q in range(len(ks)):
-            if v_at[q] < best_v[ks[q]]:
-                best_t[ks[q]], best_v[ks[q]] = t_at[q], v_at[q]
+    return t_at, v_at
+
+
+def _probe(
+    g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig
+) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """Minimum gap of every pair, with the time it is attained.
+
+    Refines the brackets of :func:`_grid_stage` whose bound is under its
+    cutoff.  Returns (witness times, minimum gaps, {pair index: domain
+    error}); a pair none of whose brackets is refined reads inf.
+    """
+    ts, shapes, failures, best_t, found, bound, cutoff = _grid_stage(g, roles, cfg)
+    found = found[~(bound >= cutoff)]
+    del bound
+    t_at, v_at = _refine(g, roles, ts, shapes, found, failures)
+    best_v = np.full(roles.shape[1], math.inf)
+    # brackets come in pair order, each pair's in time order, so a scan
+    # with < keeps the first bracket reaching the pair's smallest value
+    for k, t, v in zip((found // len(ts)).tolist(), t_at.tolist(), v_at.tolist()):
+        if v < best_v[k]:
+            best_t[k], best_v[k] = t, v
     return best_t, best_v, failures
 
 

@@ -3,11 +3,14 @@
 The gap of vertex v against edge {i, j} needs only the three distances
 between v, i and j.  :func:`grid_minima` therefore builds, for each block
 of grid samples, the table of distances between the vertex pairs that the
-probed pairs use, and reads every pair's gap off three of its columns.
-:func:`bracket_gap` evaluates the gaps at the probe times of a batch of
-refinement brackets, with one evaluation per coordinate expression shape
-(see :func:`lmodel.numeric.merge_shapes`).  Both give, bit for bit, what
-evaluating pair by pair and vertex by vertex gives.
+probed pairs use, and reads every pair's gap off three of its columns.  It
+also gives every sampled local minimum its floor, from the gaps of the
+minimum and its neighbours, which detection turns into a lower bound on
+the minimum's refined value.  :func:`bracket_gap` evaluates the gaps at
+the probe times of a batch of refinement brackets, with one evaluation per
+coordinate expression shape (see :func:`lmodel.numeric.merge_shapes`).
+Both give, bit for bit, what evaluating pair by pair and vertex by vertex
+gives.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ def slack(xv, yv, xi, yi, xj, yj):
 
 
 def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarray):
-    """First sampled argmin of every pair's gap, and every sampled local minimum.
+    """Each pair's first sampled argmin and gap there, and every sampled local minimum's floor.
 
     ``xs``, ``ys`` hold the vertices' grid samples, one row per vertex.  The
     gap needs only vertex-to-vertex distances, so each block of samples
@@ -42,9 +45,16 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
     gaps are ``slack``'s bit for bit.  A sample is a local minimum when it is
     below its left neighbour and not above its right one, so a plateau
     counts at its left edge and the endpoints count; each block reaches one
-    sample past both of its edges for the neighbours.  Returns the argmin
-    times and the minima as ``pair index * samples + sample index``, one
-    array per block, each in pair order (see :func:`by_pair`).
+    sample past both of its edges for the neighbours.  The floor of the
+    minimum at sample k is ``(g[k] + min(g[k-1], g[k+1])) / 2``, a missing
+    neighbour at an end of the grid counting as +inf: a gap that changes
+    by at most L per unit time stays above ``floor - L*h/2`` on the bracket
+    ``[t[k-1], t[k+1]]`` of samples at most h apart.
+
+    Returns the first sampled argmin and its value (the first NaN, if any)
+    per pair, then the minima as ``pair index * samples + sample index`` and
+    their floors, one array per block each, in pair order (see
+    :func:`by_pair`).
     """
     n_samples, n_pairs = len(ts), roles.shape[1]
     v, i, j = roles
@@ -59,9 +69,9 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
 
     best_t = np.full(n_pairs, ts[0])
     best_v = np.full(n_pairs, math.inf)
-    runs = []  # each block's minima, in pair order
+    runs, floor_runs = [], []  # each block's minima and their floors, in pair order
     for lo in range(0, n_samples, width):
-        found = array("q")
+        found, floors = array("q"), array("d")
         hi = min(lo + width, n_samples)
         e0, e1 = max(lo - 1, 0), min(hi + 1, n_samples)
         span = slice(e0, e1)
@@ -87,43 +97,64 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
             # neighbours along the flattened rows; where one row meets the
             # next the comparison stands for the grid's missing neighbour
             w, flat = e1 - e0, gs.ravel()
-            left, right = flat[1:] < flat[:-1], flat[:-1] <= flat[1:]
+            falls, rises = flat[1:] < flat[:-1], flat[:-1] <= flat[1:]
             if lo == 0:
-                left[w - 1 :: w] = True
+                falls[w - 1 :: w] = True
             if hi == n_samples:
-                right[w - 1 :: w] = True
+                rises[w - 1 :: w] = True
             is_min = np.ones(len(flat), dtype=bool)
-            is_min[1:] = left
-            is_min[:-1] &= right
-            block = is_min.reshape(gs.shape)[:, lo - e0 : hi - e0]
-            r, c = np.divmod(np.flatnonzero(block), hi - lo)
-            found.frombytes((r * n_samples + c + (s * n_samples + lo)).astype(np.int64).tobytes())
+            is_min[1:] = falls
+            is_min[:-1] &= rises
+            rows = is_min.reshape(gs.shape)
+            if lo > 0:  # the samples the neighbouring blocks own
+                rows[:, 0] = False
+            if hi < n_samples:
+                rows[:, -1] = False
+            q = np.flatnonzero(is_min)
+            r, c = np.divmod(q, w)
+            found.frombytes((r * n_samples + c + (s * n_samples + e0)).astype(np.int64).tobytes())
+            # a minimum's neighbours sit beside it in its row; at an end of the
+            # grid +inf stands for the missing one
+            before, after = flat.take(q - 1, mode="clip"), flat.take(q + 1, mode="clip")
+            if lo == 0:
+                before[c == 0] = math.inf
+            if hi == n_samples:
+                after[c == w - 1] = math.inf
+            np.minimum(before, after, out=before)
+            before += flat.take(q)
+            before *= 0.5
+            floors.frombytes(before.tobytes())
             del gs
         del dist
         runs.append(np.frombuffer(found, dtype=np.int64))
-    return best_t, runs
+        floor_runs.append(np.frombuffer(floors, dtype=float))
+    return best_t, best_v, runs, floor_runs
 
 
-def by_pair(runs: list, n_pairs: int, n_samples: int) -> np.ndarray:
+def by_pair(runs: list, floor_runs: list, n_pairs: int, n_samples: int):
     """Merge runs of codes ``pair * n_samples + sample`` into pair order.
 
     Each run is in pair order; within a pair the runs keep their order.  A
-    counting sort by pair: every code goes to its pair's next free place.
-    (np.sort would do, but its kernels add ~0.3 MB of resident memory to a
-    process that has not loaded them yet.)
+    counting sort by pair: every code goes to its pair's next free place,
+    and its floor from ``floor_runs`` with it.  (np.sort would do, but its
+    kernels add ~0.3 MB of resident memory to a process that has not loaded
+    them yet.)  Returns the codes and the floors.
     """
     counts = np.zeros(n_pairs, dtype=np.int64)
     for run in runs:
         counts += np.bincount(run // n_samples, minlength=n_pairs)
     fill = np.cumsum(counts) - counts  # the next free place of each pair
     out = np.empty(int(counts.sum()), dtype=np.int64)
-    for run in runs:
+    floors = np.empty(len(out))
+    for run, floor in zip(runs, floor_runs):
         pair = run // n_samples
         first = np.flatnonzero(np.diff(pair, prepend=-1))  # each pair's first code in the run
         size = np.diff(first, append=len(run))
-        out[fill[pair] + np.arange(len(run)) - np.repeat(first, size)] = run
+        to = fill[pair] + np.arange(len(run)) - np.repeat(first, size)
+        out[to] = run
+        floors[to] = floor
         fill[pair[first]] += size
-    return out
+    return out, floors
 
 
 def bracket_gap(

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
 
+from lmodel import collide, sampling
 from lmodel import exprs as E
-from lmodel import sampling
 from lmodel.collide import (
     AMBIGUITY_FACTOR,
     CollisionPair,
@@ -18,11 +20,12 @@ from lmodel.collide import (
     pairs_from_json,
     pairs_to_json,
 )
+from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
 from lmodel.motion import GraphFormatError, MovingGraph
 from lmodel.sampling import by_pair, grid_minima, slack
 
 from expected import DIXON1_REF_PAIRS, DIXON1_REF_WITNESS, S2_PAIRS
-from synth import dixon2_partner_pairs
+from synth import dixon2_partner_pairs, random_dixon1_params
 
 HALF_PI = math.pi / 2
 
@@ -179,21 +182,28 @@ def local_min_indices(gs):
 
 def per_pair_grid(xs, ys, roles, ts):
     """The grid stage as a loop over pairs: the reference for the whole-graph one."""
-    best_t = np.empty(roles.shape[1])
-    found = []
+    best_t, best_v = np.empty((2, roles.shape[1]))
+    found, floors = [], []
     for k, (v, i, j) in enumerate(roles.T.tolist()):
         gs = slack(xs[v], ys[v], xs[i], ys[i], xs[j], ys[j])
-        best_t[k] = ts[np.argmin(gs)]
-        found += (k * len(ts) + local_min_indices(gs)).tolist()
-    return best_t, found
+        best_t[k], best_v[k] = ts[np.argmin(gs)], gs[np.argmin(gs)]
+        at = local_min_indices(gs)
+        found += (k * len(ts) + at).tolist()
+        # a missing neighbour at an end of the grid counts as +inf
+        padded = np.concatenate([[math.inf], gs, [math.inf]])
+        floors.append((gs[at] + np.minimum(padded[at], padded[at + 2])) / 2)
+    return best_t, best_v, found, np.concatenate([[], *floors])
 
 
 def assert_grid_matches_reference(xs, ys, roles, ts):
     with np.errstate(all="ignore"):
-        want_t, want_found = per_pair_grid(xs, ys, roles, ts)
-        got_t, runs = grid_minima(xs, ys, roles, ts)
+        want_t, want_v, want_found, want_floors = per_pair_grid(xs, ys, roles, ts)
+        got_t, got_v, runs, floor_runs = grid_minima(xs, ys, roles, ts)
+        found, floors = by_pair(runs, floor_runs, roles.shape[1], len(ts))
     assert got_t.tobytes() == want_t.tobytes()
-    assert by_pair(runs, roles.shape[1], len(ts)).tolist() == want_found
+    assert got_v.tobytes() == want_v.tobytes()
+    assert found.tolist() == want_found
+    assert floors.tobytes() == want_floors.tobytes()
 
 
 def random_roles(rng, n_vertices, n_pairs):
@@ -206,7 +216,7 @@ def random_roles(rng, n_vertices, n_pairs):
 
 
 # 1 makes every block one sample wide and every chunk one pair
-BLOCKS = [1, 9, 16, 40, 1 << 13]
+BLOCKS = [1, 9, 16, 40, 1 << 13, 100, 300]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -252,21 +262,32 @@ def test_grid_stage_local_minima(monkeypatch, block, gs, want):
     ys = np.zeros_like(xs)
     roles = np.array([[0], [1], [2]])
     ts = np.arange(len(gs), dtype=float)
-    _, runs = grid_minima(xs, ys, roles, ts)
-    assert by_pair(runs, 1, len(gs)).tolist() == want
+    _, _, runs, floor_runs = grid_minima(xs, ys, roles, ts)
+    assert by_pair(runs, floor_runs, 1, len(gs))[0].tolist() == want
     assert_grid_matches_reference(xs, ys, roles, ts)
 
 
-@pytest.mark.parametrize("block", [24, 100])
+def bracket_bounds(g):
+    """The brackets of every pair of ``g``, their bounds and the cutoff."""
+    _, _, _, _, found, bound, cutoff = collide._grid_stage(
+        g, collide._pair_roles(g), DetectionConfig()
+    )
+    return found.tobytes(), bound.tobytes(), float(cutoff)
+
+
+@pytest.mark.parametrize("block", [24, 100, 1000])
 def test_detection_does_not_depend_on_the_block_size(
     monkeypatch, ref_dixon1, ref_dixon1_result, block
 ):
     # on this graph 24 makes every block one sample wide, 100 two
     probes = (("p0", ("q0", "p1")), ("p2", ("q0", "p1")), ("q0", ("q2", "p0")))
     want = [detect_pair(ref_dixon1, v, e) for v, e in probes]
+    want_bounds = bracket_bounds(ref_dixon1)
     monkeypatch.setattr(sampling, "GRID_BLOCK", block)
     assert detect_all(ref_dixon1) == ref_dixon1_result
     assert [detect_pair(ref_dixon1, v, e) for v, e in probes] == want
+    # the floors, and with them the bounds, come out bit for bit alike
+    assert bracket_bounds(ref_dixon1) == want_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +385,9 @@ def test_detection_config_validation():
         DetectionConfig(collide_eps=math.inf)
     with pytest.raises(ValueError, match="finite"):
         DetectionConfig(collide_eps=math.nan)
+    for samples in (2048.0, "2048", True, None):
+        with pytest.raises(ValueError, match="samples must be an int"):
+            DetectionConfig(samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +452,14 @@ def test_detect_all_reports_undecidable_pairs():
     assert isinstance(err, E.ExprDomainError)
 
 
-def test_detect_all_charges_refinement_errors_to_their_pairs():
-    # v's height sqrt((t-c)^2 - 1e-10) is undefined only within 1e-5 of c,
-    # which lies midway between two grid samples: the grid evaluates, and
-    # only refinement of the minima near c leaves the domain
+def refine_error_graph():
+    """v's height sqrt((t-c)^2 - 1e-10) is undefined only within 1e-5 of c,
+    which lies midway between two grid samples: the grid evaluates, and
+    only refinement of the minima near c leaves the domain."""
     ts = np.linspace(0.0, 2 * math.pi, DetectionConfig().samples)
     c = E.const(float((ts[1000] + ts[1001]) / 2))
     dip = E.sqrt(E.sub(E.powi(E.sub(E.tvar(), c), 2), E.const(1e-10)))
-    g = MovingGraph(
+    return MovingGraph(
         ("s0", "s1", "v", "w"),
         (("s0", "s1"), ("v", "w")),
         {
@@ -445,8 +469,11 @@ def test_detect_all_charges_refinement_errors_to_their_pairs():
             "w": (E.const(0.0), E.const(5.0)),
         },
     )
+
+
+def test_detect_all_charges_refinement_errors_to_their_pairs():
     with pytest.raises(DetectionError) as exc:
-        detect_all(g)
+        detect_all(refine_error_graph())
     failures = exc.value.failures
     assert [(v, e) for v, e, _ in failures] == [
         ("s0", ("v", "w")),
@@ -488,6 +515,105 @@ def test_refinement_error_in_a_merged_shape():
     ]
     for _, _, err in exc.value.failures:
         assert str(err) == str(E.ExprDomainError("square root of a negative value", dip(c, 1e-10), err.t))
+
+
+# ---------------------------------------------------------------------------
+# refining only the brackets that can matter
+
+
+def refine_everything(g, roles, cfg):
+    """Detection's probe with every bracket refined: the reference for pruning.
+
+    Returns what ``collide._probe`` returns, then the brackets and the
+    refined minimum of each.
+    """
+    ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
+    motion = [g.motion[w] for w in g.vertices]
+    xs, ys = np.zeros((2, len(motion), len(ts)))
+    grid_err, shapes, failures = {}, {}, {}
+    for w in range(len(motion)):
+        try:
+            xs[w], ys[w] = (E.evaluate_on(e, ts) for e in motion[w])
+        except E.ExprDomainError as err:
+            grid_err[w] = err
+        else:
+            shapes[w] = [E.split_constants(e) for e in motion[w]]
+    for k, trio in enumerate(roles.T.tolist()):
+        bad = [grid_err[w] for w in trio if w in grid_err]
+        if bad:
+            failures[k] = bad[0]
+    best_t, _, runs, floor_runs = grid_minima(xs, ys, roles, ts)
+    found, _ = by_pair(runs, floor_runs, roles.shape[1], len(ts))
+    found = found[[k not in failures for k in (found // len(ts)).tolist()]]
+    best_v = np.full(roles.shape[1], math.inf)
+    minima = np.empty(len(found))
+    for s in range(0, len(found), 2048):
+        ks, i = np.divmod(found[s : s + 2048], len(ts))
+        errors = {}
+        f = sampling.bracket_gap(motion, shapes, roles[:, ks], ts[i], errors)
+        lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
+        t_at, v_at = golden_minimize(f, lo, hi, collide.REFINE_TOL, seeds=(ts[i],))
+        minima[s : s + len(ks)] = v_at
+        for k in sorted(errors):
+            failures.setdefault(int(ks[k]), errors[k])
+        for q in range(len(ks)):
+            if v_at[q] < best_v[ks[q]]:
+                best_t[ks[q]], best_v[ks[q]] = t_at[q], v_at[q]
+    return best_t, best_v, failures, found, minima
+
+
+def outcome(g):
+    """The exact text of what detect_all returns, warns and raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr(detect_all(g))
+        except DetectionError as err:
+            out = repr([(v, e, str(x), getattr(x, "t", None)) for v, e, x in err.failures])
+    return out + "".join(f"\nwarning: {w.message}" for w in caught)
+
+
+def _seeded_dixon1(seed):
+    return dixon1(random_dixon1_params(random.Random(seed)))
+
+
+PRUNING_GRAPHS = {
+    "dixon1-6x6": lambda: dixon1(
+        Dixon1Params(6, 6, (1.0, 2.0, 3.0, 4.0, 5.0), (1.0, 2.0, 3.0, 4.0, 5.0), (1,) * 5, (1,) * 5)
+    ),
+    "s2": s2,
+    "dixon2-1-2-3": lambda: dixon2(Dixon2Params(1.0, 2.0, 3.0)),
+    "ambiguity-band": lambda: hover_graph(7.1e-4),
+    "refine-error": refine_error_graph,
+    **{f"dixon1-seed{seed}": (lambda seed=seed: _seeded_dixon1(seed)) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", PRUNING_GRAPHS)
+def test_pruned_detection_matches_refining_everything(monkeypatch, name):
+    g = PRUNING_GRAPHS[name]()
+    got = outcome(g)
+    monkeypatch.setattr(collide, "_probe", lambda *a: refine_everything(*a)[:3])
+    assert got == outcome(g)
+
+
+@pytest.mark.parametrize("name", PRUNING_GRAPHS)
+def test_bracket_bounds_are_below_their_refined_minima(name):
+    g = PRUNING_GRAPHS[name]()
+    cfg, roles = DetectionConfig(), collide._pair_roles(g)
+    _, _, _, _, found, bound, _ = collide._grid_stage(g, roles, cfg)
+    *_, want_found, minima = refine_everything(g, roles, cfg)
+    assert found.tolist() == want_found.tolist()
+    assert not np.any(bound > minima)  # a bracket that fails reads NaN, never above
+
+
+def test_pruning_refines_few_brackets():
+    # 75 of 840
+    g = PRUNING_GRAPHS["dixon1-6x6"]()
+    _, _, _, _, found, bound, cutoff = collide._grid_stage(
+        g, collide._pair_roles(g), DetectionConfig()
+    )
+    assert np.count_nonzero(~(bound >= cutoff)) <= 0.1 * len(found)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmodel import exprs as E
+from lmodel.numeric import speed_bound
 
 
 def test_parse_simple_tree():
@@ -278,3 +279,140 @@ def test_split_constants_folds_constant_parts():
     assert E.to_text(shape) == "0*sin(t)+0-t^2"
     assert E.split_constants(E.parse_expression("3^3*sin(t)+sqrt(5)-t^2"))[0] == shape
     assert E.split_constants(E.parse_expression("1+2"))[0] == E.const(0.0)
+
+
+# ---------------------------------------------------------------------------
+# speed bounds
+
+
+def test_speed_bound_exact_cases():
+    assert speed_bound(E.parse_expression("sin(t)"), 0.0, 2 * math.pi) == 1.0
+    assert speed_bound(E.const(3.5), 0.0, 1.0) == 0.0
+    assert speed_bound(E.parse_expression("2^3*sin(1)"), -1.0, 1.0) == 0.0
+    assert speed_bound(E.tvar(), -5.0, 5.0) == 1.0
+    assert speed_bound(E.parse_expression("t*t"), 0.0, 2.0) == 4.0
+    assert speed_bound(E.parse_expression("3*cos(t)"), 0.0, 1.0) == 3.0 * math.sin(1.0)
+    # sqrt and division whose enclosures reach 0 give no bound
+    assert speed_bound(E.parse_expression("sqrt(t)"), 0.0, 1.0) == math.inf
+    assert speed_bound(E.parse_expression("sqrt(t)"), 0.25, 1.0) == 1.0
+    assert speed_bound(E.parse_expression("1/t"), -1.0, 1.0) == math.inf
+    assert speed_bound(E.parse_expression("1/t"), 1.0, 2.0) == 1.0
+    # and neither do enclosures that overflow
+    assert speed_bound(E.parse_expression("t^200"), 0.0, 100.0) == math.inf
+
+
+def _value_range(e, lo, hi, big):
+    """Value enclosure of ``e`` over [lo, hi], or None at a domain fault.
+
+    The reference for when speed_bound gives up: critical points of sin and
+    cos are found by walking the multiples of pi/2.  ``big`` collects the
+    largest magnitude seen, since a derivative enclosure can overflow where
+    the values do not.
+    """
+    k = e.kind
+    if k == "const":
+        r = (e.value, e.value)
+    elif k == "t":
+        r = (lo, hi)
+    elif k in ("add", "sub", "mul", "div"):
+        a, b = (_value_range(x, lo, hi, big) for x in e.args)
+        if a is None or b is None:
+            return None
+        if k == "add":
+            r = (a[0] + b[0], a[1] + b[1])
+        elif k == "sub":
+            r = (a[0] - b[1], a[1] - b[0])
+        else:
+            if k == "div":
+                if b[0] <= 0.0 <= b[1]:
+                    return None
+                b = (1.0 / b[1], 1.0 / b[0])
+            p = [x * y for x in a for y in b]
+            r = (min(p), max(p))
+    else:
+        a = _value_range(e.args[0], lo, hi, big)
+        if a is None:
+            return None
+        if k == "neg":
+            r = (-a[1], -a[0])
+        elif k == "sqrt":
+            if a[0] <= 0.0:
+                return None
+            r = (math.sqrt(a[0]), math.sqrt(a[1]))
+        elif k == "pow":
+            try:
+                p = [a[0] ** e.exponent, a[1] ** e.exponent]
+            except OverflowError:
+                return None
+            if a[0] < 0.0 < a[1] and e.exponent > 0:
+                p.append(0.0)
+            r = (min(p), max(p))
+        else:
+            f = math.sin if k == "sin" else math.cos
+            if a[1] - a[0] >= 2 * math.pi:
+                r = (-1.0, 1.0)
+            else:
+                # sin and cos turn at the multiples of pi/2
+                q = math.floor(a[0] / (math.pi / 2))
+                turns = [m * math.pi / 2 for m in range(q, q + 6)]
+                vals = [f(a[0]), f(a[1])] + [
+                    round(f(x)) for x in turns if a[0] <= x <= a[1] and abs(f(x)) > 0.5
+                ]
+                r = (min(vals), max(vals))
+    if not all(map(math.isfinite, r)):
+        return None
+    big[0] = max(big[0], abs(r[0]), abs(r[1]))
+    return r
+
+
+_speed_leaves = st.one_of(
+    st.just(E.tvar()),
+    st.builds(E.const, st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -1.0])),
+)
+
+# every node kind; a reciprocal power stands for a negative exponent, which
+# Expr refuses
+_speed_trees = st.recursive(
+    _speed_leaves,
+    lambda kids: st.one_of(
+        st.builds(E.neg, kids),
+        st.builds(E.sin, kids),
+        st.builds(E.cos, kids),
+        st.builds(E.sqrt, kids),
+        st.builds(E.powi, kids, st.integers(min_value=0, max_value=3)),
+        st.builds(lambda e, n: E.div(E.const(1.0), E.powi(e, n)), kids, st.integers(1, 3)),
+        st.builds(E.add, kids, kids),
+        st.builds(E.sub, kids, kids),
+        st.builds(E.mul, kids, kids),
+        st.builds(E.div, kids, kids),
+    ),
+    max_leaves=8,
+)
+
+
+@given(
+    _speed_trees,
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=1e-3, max_value=4.0),
+)
+@settings(max_examples=400)
+def test_speed_bound_exceeds_central_differences(tree, lo, width):
+    hi = lo + width
+    got = speed_bound(tree, lo, hi)
+    big = [0.0]
+    enclosure = _value_range(tree, lo, hi, big)
+    if enclosure is None:
+        assert got == math.inf
+        return
+    if big[0] < 1e100:
+        assert math.isfinite(got)
+    if not math.isfinite(got):
+        return
+    # central differences at the midpoints of 200 cells of [lo, hi]
+    ts = np.linspace(lo, hi, 201)
+    ys = E.evaluate_on(tree, ts)
+    span = np.diff(ts)
+    diffs = np.abs(np.diff(ys)) / span
+    # the rounding of the two evaluations, a few ulps of the values
+    noise = 8 * np.finfo(float).eps * np.maximum(np.abs(ys[1:]), np.abs(ys[:-1])) / span
+    assert np.all(diffs <= got * (1 + 1e-9) + noise)

@@ -197,6 +197,9 @@ def test_validate_edge_lengths_bad_args(ref_dixon1):
         validate_edge_lengths(ref_dixon1, tol=math.nan)
     with pytest.raises(ValueError, match="finite"):
         validate_edge_lengths(ref_dixon1, tol=math.inf)
+    for samples in (512.0, "512", True, None):
+        with pytest.raises(ValueError, match="samples must be an int"):
+            validate_edge_lengths(ref_dixon1, samples=samples)
 
 
 def test_static_graph_helper_shape():
