@@ -13,10 +13,12 @@ local minima of all pairs together into tiny brackets by golden-section search.
 Only the minima that can change the answer are refined.  Interval speed
 bounds on the vertices (:func:`lmodel.numeric.speed_bound`) make each gap
 Lipschitz, so every bracket gets a lower bound from its grid samples
-(Piyavskii-Shubert bounding; Shubert, SIAM J. Numer. Anal. 9, 1972).  A
-bracket whose bound clears both the ambiguity band and the clear margin is
-skipped: it could not refine below any gap the result reports, so the
-result is the one refining every bracket gives (see :func:`_grid_stage`).
+(Piyavskii-Shubert bounding; Shubert, SIAM J. Numer. Anal. 9, 1972), less
+a margin for rounding (:func:`lmodel.numeric.rounding_bound`).  A bracket
+whose bound clears the ambiguity band and either its pair's smallest grid
+gap or the clear margin is skipped: it could not refine below any gap the
+result reports, so the result is the one refining every bracket gives
+(see :func:`_grid_stage`).
 
 Both stages work on the whole graph at once (:mod:`lmodel.sampling`).  The
 grid stage reads every pair's gap off a table of vertex-to-vertex
@@ -49,7 +51,7 @@ from .motion import (  # the records of detection; pairs_*_json are still import
     pairs_from_json,
     pairs_to_json,
 )
-from .numeric import eval_position, evaluate_on, speed_bound, split_constants
+from .numeric import eval_position, evaluate_on, rounding_bound, speed_bound, split_constants
 from .sampling import bracket_gap, by_pair, grid_minima, slack
 
 __all__ = [
@@ -186,13 +188,18 @@ def golden_minimize(
 # brackets refined together; bounds the memory that refinement holds at once
 _REFINE_CHUNK = 2048
 
-# The skip rule's rounding margin.  Speed bounds and gaps are computed in
-# floating point, rounded to nearest: the gap's Lipschitz constant is scaled
-# up by _SPEED_SLACK, and a bracket's bound lowered by a further _GAP_SLACK
-# times (1 + the largest coordinate on the grid), far more than the few ulps
-# of the distances that the rounding of a gap can move it by.
+# The skip rule's rounding margins.  Speed bounds are computed in floating
+# point, rounded to nearest: the gap's Lipschitz constant is scaled up by
+# _SPEED_SLACK.  A coordinate evaluates to within its rounding bound E of its
+# exact value (:func:`lmodel.numeric.rounding_bound`), which moves its vertex
+# by at most sqrt(2)*E and a pair's gap, a sum of three distances, by at most
+# 2*sqrt(2)*(E_v + E_i + E_j); both the floor's samples and the refined value
+# stray, so the bound is lowered by twice that.  The slack's own arithmetic
+# rounds its distances by a few ulps; _GAP_SLACK times (1 + the largest
+# coordinate on the grid) is far more.
 _SPEED_SLACK = 1.0 + 2.0**-20
 _GAP_SLACK = 2.0**-30
+_STRAY = 4.0 * math.sqrt(2.0)
 
 
 def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
@@ -203,21 +210,28 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     coordinate shapes, {pair index: grid domain error}, the first sampled
     argmin of every pair, the brackets (``pair * samples + sample``, in pair
     order, none of a failed pair), a lower bound on each bracket's refined
-    minimum, and the cutoff: refinement skips the brackets whose bound is at
-    least the cutoff.
+    minimum, and each bracket's cutoff: refinement skips the brackets whose
+    bound is at least their cutoff.
 
     The gap of pair (v, {i, j}) changes by at most ``L = 2(S_v + S_i + S_j)``
     per unit time, where ``S_w`` bounds vertex w's speed over the domain
     (:func:`lmodel.numeric.speed_bound`).  So on a bracket of grid spacing h
     it stays above ``floor - L*h/2`` (see :func:`lmodel.sampling.grid_minima`),
-    less the rounding margin; that is the bound.  The cutoff is
-    ``max(AMBIGUITY_FACTOR * eps, c_up)``, where ``c_up`` is the smallest
-    grid gap of a pair none of whose brackets can get below ``eps``: such a
-    pair refines to at least eps and at most c_up, so the clear margin is at
-    most c_up.  A skipped bracket therefore refines to no less than every
-    collision or ambiguous gap and the clear margin, and detection reports
-    what refining every bracket reports.  A vertex whose expressions can
-    fail to evaluate on the domain has no speed bound, so every bracket that
+    less the rounding margins; that is the bound, and a bracket refines to
+    more than it.  The cutoff of a bracket of pair p is
+    ``max(AMBIGUITY_FACTOR * eps, min(c_up, grid[p]))``, where ``grid[p]``
+    is p's smallest grid gap and ``c_up`` the smallest grid gap of a pair
+    none of whose brackets can get below ``eps``.  A skipped bracket refines
+    above its cutoff, so above ``AMBIGUITY_FACTOR * eps``: it hides no
+    collision or ambiguous gap.  If the cutoff is ``grid[p]``, p's first
+    argmin is a bracket whose bound is below ``grid[p]`` and whose
+    refinement starts there, so p's minimum and witness are the ones
+    refining every bracket gives.  If it is ``c_up``, p's minimum stays
+    above c_up either way, and the clear margin is at most c_up either way,
+    since the pair c_up comes from refines to at least eps and at most c_up.
+    So detection reports what refining every bracket reports.  A
+    vertex whose expressions can fail to evaluate on the domain, or could
+    once rounded, has no speed or rounding bound, so every bracket that
     could raise a domain error is refined.
     """
     ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
@@ -241,7 +255,7 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
 
     n_pairs = roles.shape[1]
     best_t, grid_v, runs, floor_runs = grid_minima(xs, ys, roles, ts)
-    margin = _GAP_SLACK * (1.0 + max(xs.max(), ys.max(), -xs.min(), -ys.min()))
+    gap_slack = _GAP_SLACK * (1.0 + max(xs.max(), ys.max(), -xs.min(), -ys.min()))
     del xs, ys  # refinement evaluates its own points
     found, bound = by_pair(runs, floor_runs, n_pairs, len(ts))
     del runs, floor_runs
@@ -252,19 +266,22 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
         keep = ok[pair]
         found, bound, pair = found[keep], bound[keep], pair[keep]
 
-    speed = np.zeros(len(motion))
+    speed, stray = np.zeros((2, len(motion)))
     for w in shapes:
         speed[w] = math.hypot(*(speed_bound(e, *g.domain) for e in motion[w]))
+        stray[w] = max(rounding_bound(e, *g.domain) for e in motion[w])
     lipschitz = 2.0 * _SPEED_SLACK * (speed[roles[0]] + speed[roles[1]] + speed[roles[2]])
     h = float(np.diff(ts).max(initial=0.0))
     bound -= lipschitz[pair] * (h / 2)
-    bound -= margin
+    bound -= _STRAY * (stray[roles[0]] + stray[roles[1]] + stray[roles[2]])[pair]
+    bound -= gap_slack
     # the pairs none of whose brackets can reach eps; a NaN bound can, and a
     # NaN c_up makes a NaN cutoff, which refines every bracket
     clear = np.zeros(n_pairs, dtype=bool)
     clear[pair] = True
     clear[pair[~(bound >= cfg.collide_eps)]] = False
-    cutoff = np.maximum(AMBIGUITY_FACTOR * cfg.collide_eps, grid_v[clear].min(initial=math.inf))
+    c_up = grid_v[clear].min(initial=math.inf)
+    cutoff = np.maximum(AMBIGUITY_FACTOR * cfg.collide_eps, np.minimum(c_up, grid_v[pair]))
     return ts, shapes, failures, best_t, found, bound, cutoff
 
 

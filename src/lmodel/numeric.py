@@ -12,8 +12,9 @@ silently produces NaN or infinity.  Trees that differ only in their
 constants share a *shape*: :func:`split_constants` folds a tree's constant
 parts, and :func:`merge_shapes` joins the trees of one shape into a single
 tree whose constant leaves hold one value per evaluation point, so one
-evaluation serves them all.  :func:`speed_bound` bounds how fast a
-trajectory moves, by interval arithmetic.  :func:`eval_position`,
+evaluation serves them all.  :func:`speed_bound` and
+:func:`rounding_bound` (from :mod:`lmodel.interval`) bound how fast a
+trajectory moves and how far its evaluation strays from the exact value.  :func:`eval_position`,
 :func:`positions_on_grid` and :func:`validate_edge_lengths` evaluate a
 moving graph's vertices.
 """
@@ -26,6 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .exprs import Expr, ExprDomainError, const
+from .interval import rounding_bound, speed_bound
 from .motion import GraphFormatError, MovingGraph
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
     "split_constants",
     "merge_shapes",
     "speed_bound",
+    "rounding_bound",
     "eval_position",
     "positions_on_grid",
     "EdgeLengthStats",
@@ -125,118 +128,6 @@ def _ev(e: Expr, t):
     if bad.any():
         raise ExprDomainError("non-finite result (overflow)", e, _offending_t(bad, t))
     return val
-
-
-# ---------------------------------------------------------------------------
-# speed bounds
-
-
-class _Unbounded(Exception):
-    """An enclosure reached a domain fault or left the finite floats."""
-
-
-_TAU = 2.0 * math.pi
-
-
-def _wave(f, peak: float, a: float, b: float) -> tuple[float, float]:
-    """Range of ``f`` (sin or cos, with its maxima at ``peak + 2πk``) over [a, b]."""
-    if b - a >= _TAU:
-        return -1.0, 1.0
-    lo, hi = sorted((f(a), f(b)))
-    if math.ceil((a - peak) / _TAU) * _TAU + peak <= b:
-        hi = 1.0
-    if math.ceil((a - peak - math.pi) / _TAU) * _TAU + peak + math.pi <= b:
-        lo = -1.0
-    return lo, hi
-
-
-def _mul(a: tuple, b: tuple) -> tuple[float, float]:
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(p), max(p)
-
-
-def _add(a: tuple, b: tuple) -> tuple[float, float]:
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _neg(a: tuple) -> tuple[float, float]:
-    return -a[1], -a[0]
-
-
-def _pow(a: tuple, n: int) -> tuple[float, float]:
-    lo, hi = a[0] ** n, a[1] ** n
-    if n % 2 or a[0] >= 0.0:
-        return lo, hi
-    if a[1] <= 0.0:
-        return hi, lo
-    return 0.0, max(lo, hi)
-
-
-def _enclose(e: Expr, t: tuple) -> tuple[tuple, tuple]:
-    """(value, derivative) intervals of ``e`` over the time interval ``t``."""
-    k = e.kind
-    if k == "const":
-        out = (e.value, e.value), (0.0, 0.0)
-    elif k == "t":
-        out = t, (1.0, 1.0)
-    elif k == "neg":
-        u, du = _enclose(e.args[0], t)
-        out = _neg(u), _neg(du)
-    elif k == "sin" or k == "cos":
-        u, du = _enclose(e.args[0], t)
-        s, c = _wave(math.sin, math.pi / 2, *u), _wave(math.cos, 0.0, *u)
-        out = (s, _mul(c, du)) if k == "sin" else (c, _neg(_mul(s, du)))
-    elif k == "sqrt":
-        u, du = _enclose(e.args[0], t)
-        if not u[0] > 0.0:
-            raise _Unbounded
-        r = (math.sqrt(u[0]), math.sqrt(u[1]))
-        out = r, _mul(du, (0.5 / r[1], 0.5 / r[0]))
-    elif k == "pow":
-        u, du = _enclose(e.args[0], t)
-        n = e.exponent
-        if n == 0:
-            out = (1.0, 1.0), (0.0, 0.0)
-        else:
-            out = _pow(u, n), _mul(_mul((n, n), _pow(u, n - 1)), du)
-    else:
-        (a, da), (b, db) = (_enclose(x, t) for x in e.args)
-        if k == "add":
-            out = _add(a, b), _add(da, db)
-        elif k == "sub":
-            out = _add(a, _neg(b)), _add(da, _neg(db))
-        elif k == "mul":
-            out = _mul(a, b), _add(_mul(da, b), _mul(a, db))
-        elif k == "div":
-            if b[0] <= 0.0 <= b[1]:
-                raise _Unbounded
-            inv = (1.0 / b[1], 1.0 / b[0])
-            q = _mul(a, inv)
-            out = q, _mul(_add(da, _neg(_mul(q, db))), inv)
-        else:
-            raise AssertionError(k)
-    if not all(map(math.isfinite, out[0] + out[1])):
-        raise _Unbounded
-    return out
-
-
-def speed_bound(e: Expr, lo: float, hi: float) -> float:
-    """An upper bound on |de/dt| over [lo, hi], or ``inf`` when there is none.
-
-    Forward-mode interval arithmetic (Moore, Kearfott & Cloud, *Introduction
-    to Interval Analysis*, 2009): every node gets an enclosure of its value
-    and of its derivative over [lo, hi].  The bound is ``inf`` when an
-    enclosure reaches a domain fault (a square root argument that is not
-    positive, a divisor that contains 0) or a non-finite endpoint, so a tree
-    that can fail to evaluate anywhere on [lo, hi] never gets a finite bound.
-    The endpoints are rounded to nearest, not outward: callers widen the
-    bound by a relative margin.
-    """
-    try:
-        _, (dl, dh) = _enclose(e, (float(lo), float(hi)))
-    except (_Unbounded, OverflowError):
-        return math.inf
-    return max(abs(dl), abs(dh))
 
 
 # ---------------------------------------------------------------------------

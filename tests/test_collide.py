@@ -272,7 +272,7 @@ def bracket_bounds(g):
     _, _, _, _, found, bound, cutoff = collide._grid_stage(
         g, collide._pair_roles(g), DetectionConfig()
     )
-    return found.tobytes(), bound.tobytes(), float(cutoff)
+    return found.tobytes(), bound.tobytes(), cutoff.tobytes()
 
 
 @pytest.mark.parametrize("block", [24, 100, 1000])
@@ -577,6 +577,44 @@ def _seeded_dixon1(seed):
     return dixon1(random_dixon1_params(random.Random(seed)))
 
 
+def beyond_graph(x):
+    """A vertex at (x, 0), beyond the end (1, 0) of a static segment from
+    (-1, 0): the gap is exactly 2(x - 1)."""
+    return MovingGraph(
+        ("s0", "s1", "v"),
+        (("s0", "s1"),),
+        {
+            "s0": (E.const(-1.0), E.const(0.0)),
+            "s1": (E.const(1.0), E.const(0.0)),
+            "v": (x, E.const(0.0)),
+        },
+    )
+
+
+def two_dips_graph():
+    """Two dips of x = 1.006127 + 2(1 - cos(2(t - c))), less a tilt that
+    makes the second 2e-6 deeper in gap.  The first sits midway between two
+    samples and its bound is below eps, so the pair is not clear; the
+    second sits on a sample and its bound is above ten times eps, so a
+    cutoff of ten times eps would skip the deeper dip."""
+    c = 511.5 * 2 * math.pi / (DetectionConfig().samples - 1)
+    return beyond_graph(
+        E.parse_expression(f"1.006127 + 2*(1 - cos(2*(t - {c!r}))) - {1e-6 / math.pi!r}*t")
+    )
+
+
+def fast_dips_graph():
+    """Fifty dips, the first close to the segment, the rest tilted away: no
+    bracket of the one pair is clear of eps, yet all but one are skipped."""
+    return beyond_graph(E.parse_expression("1.00025 + 0.01*(1 - cos(50*(t - 0.1))) + 0.01*(t - 0.1)"))
+
+
+def cancelling_graph():
+    """A static vertex at (3, 0) whose x rounds like 1e9 does: in floating
+    point it jitters by ~1e-7, the rounding of (t + 1e9) - 1e9."""
+    return beyond_graph(E.parse_expression("3 + (((t + 1000000000) - 1000000000) - t)"))
+
+
 PRUNING_GRAPHS = {
     "dixon1-6x6": lambda: dixon1(
         Dixon1Params(6, 6, (1.0, 2.0, 3.0, 4.0, 5.0), (1.0, 2.0, 3.0, 4.0, 5.0), (1,) * 5, (1,) * 5)
@@ -586,6 +624,9 @@ PRUNING_GRAPHS = {
     "ambiguity-band": lambda: hover_graph(7.1e-4),
     "refine-error": refine_error_graph,
     **{f"dixon1-seed{seed}": (lambda seed=seed: _seeded_dixon1(seed)) for seed in range(6)},
+    "two-dips": two_dips_graph,
+    "fast-dips": fast_dips_graph,
+    "cancelling": cancelling_graph,
 }
 
 
@@ -605,6 +646,35 @@ def test_bracket_bounds_are_below_their_refined_minima(name):
     *_, want_found, minima = refine_everything(g, roles, cfg)
     assert found.tolist() == want_found.tolist()
     assert not np.any(bound > minima)  # a bracket that fails reads NaN, never above
+
+
+@pytest.mark.parametrize("name", ["dixon1-6x6", "two-dips", "fast-dips", "cancelling"])
+def test_pruned_detect_pair_matches_refining_everything(monkeypatch, name):
+    # every pair of the graph, one at a time
+    g = PRUNING_GRAPHS[name]()
+    probes = [
+        (g.vertices[v], (g.vertices[i], g.vertices[j]))
+        for v, i, j in collide._pair_roles(g).T.tolist()
+    ]
+    got = [detect_pair(g, v, e) for v, e in probes]
+    monkeypatch.setattr(collide, "_probe", lambda *a: refine_everything(*a)[:3])
+    assert got == [detect_pair(g, v, e) for v, e in probes]
+
+
+@pytest.mark.parametrize("name", ["two-dips", "fast-dips"])
+def test_pruning_needs_no_clear_pair(name):
+    # the one pair has a bracket that may reach eps, so no pair is clear
+    g = PRUNING_GRAPHS[name]()
+    cfg = DetectionConfig()
+    _, _, _, _, found, bound, cutoff = collide._grid_stage(g, collide._pair_roles(g), cfg)
+    assert np.any(bound < cfg.collide_eps)
+    skipped = np.count_nonzero(bound >= cutoff)
+    if name == "two-dips":
+        # the deeper dip is refined although its bound is above ten times eps
+        assert bound.tolist()[1] >= AMBIGUITY_FACTOR * cfg.collide_eps
+        assert skipped == 0
+    else:
+        assert skipped == len(found) - 1
 
 
 def test_pruning_refines_few_brackets():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmodel import exprs as E
-from lmodel.numeric import speed_bound
+from lmodel.numeric import rounding_bound, speed_bound
 
 
 def test_parse_simple_tree():
@@ -416,3 +416,69 @@ def test_speed_bound_exceeds_central_differences(tree, lo, width):
     # the rounding of the two evaluations, a few ulps of the values
     noise = 8 * np.finfo(float).eps * np.maximum(np.abs(ys[1:]), np.abs(ys[:-1])) / span
     assert np.all(diffs <= got * (1 + 1e-9) + noise)
+
+
+# ---------------------------------------------------------------------------
+# rounding bounds
+
+
+def test_rounding_bound_exact_cases():
+    assert rounding_bound(E.tvar(), -5.0, 5.0) == 0.0
+    assert rounding_bound(E.const(3.5), 0.0, 1.0) == 0.0
+    assert 0.0 < rounding_bound(E.parse_expression("sin(t)"), 0.0, 2 * math.pi) < 1e-15
+    # cancellation: the values are at most 1, the rounding is that of 1e8
+    ts = np.linspace(0.0, 1.0, 10001)
+    cancel = E.sub(E.add(E.tvar(), E.const(1e8)), E.const(1e8))
+    stray = np.abs(E.evaluate_on(cancel, ts) - ts).max()
+    assert stray > 1e-9
+    assert stray <= rounding_bound(cancel, 0.0, 1.0) < 1e-6
+    # no bound where speed_bound has none, nor where rounding could reach a fault
+    assert rounding_bound(E.parse_expression("sqrt(t)"), 0.0, 1.0) == math.inf
+    assert rounding_bound(E.parse_expression("1/t"), -1.0, 1.0) == math.inf
+    near_zero = E.sqrt(E.add(cancel, E.const(1e-9)))
+    assert math.isfinite(speed_bound(near_zero, 0.0, 1.0))
+    assert rounding_bound(near_zero, 0.0, 1.0) == math.inf
+
+
+def _exact(e, t, mpmath):
+    """The exact value of ``e`` at ``t``, to 200 bits."""
+    k = e.kind
+    if k == "const":
+        return mpmath.mpf(e.value)
+    if k == "t":
+        return mpmath.mpf(t)
+    a = [_exact(x, t, mpmath) for x in e.args]
+    if k == "neg":
+        return -a[0]
+    if k in ("sin", "cos", "sqrt"):
+        return getattr(mpmath, k)(a[0])
+    if k == "pow":
+        return a[0] ** e.exponent
+    if k == "add":
+        return a[0] + a[1]
+    if k == "sub":
+        return a[0] - a[1]
+    if k == "mul":
+        return a[0] * a[1]
+    assert k == "div"
+    return a[0] / a[1]
+
+
+@given(
+    _speed_trees,
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(min_value=1e-3, max_value=4.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_rounding_bound_covers_the_evaluation_error(tree, lo, width):
+    mpmath = pytest.importorskip("mpmath")
+    hi = lo + width
+    bound = rounding_bound(tree, lo, hi)
+    if not math.isfinite(bound):
+        return
+    # a finite bound also means the evaluation cannot fault on [lo, hi]
+    ts = np.linspace(lo, hi, 41)
+    got = E.evaluate_on(tree, ts)
+    with mpmath.workprec(200):
+        for t, y in zip(ts.tolist(), got.tolist()):
+            assert abs(mpmath.mpf(y) - _exact(tree, t, mpmath)) <= bound
