@@ -11,10 +11,10 @@ detector therefore samples the gap on a dense grid, then drives sampled
 local minima of all pairs together into tiny brackets by golden-section search.
 
 Only the minima that can change the answer are refined.  Interval speed
-bounds on the vertices (:func:`lmodel.numeric.speed_bound`) make each gap
+bounds on the vertices (:func:`lmodel.interval.speed_bound`) make each gap
 Lipschitz, so every bracket gets a lower bound from its grid samples
 (Piyavskii-Shubert bounding; Shubert, SIAM J. Numer. Anal. 9, 1972), less
-a margin for rounding (:func:`lmodel.numeric.rounding_bound`).  A bracket
+a margin for rounding (:func:`lmodel.interval.rounding_bound`).  A bracket
 whose bound clears the ambiguity band and either its pair's smallest grid
 gap or the clear margin is skipped: it could not refine below any gap the
 result reports, so the result is the one refining every bracket gives
@@ -22,7 +22,9 @@ result reports, so the result is the one refining every bracket gives
 
 Both stages work on the whole graph at once (:mod:`lmodel.sampling`).  The
 grid stage reads every pair's gap off a table of vertex-to-vertex
-distances, one block of samples at a time.  Each refinement step evaluates
+distances, one block of samples at a time, and keeps its brackets in the
+order it finds them; only the few that are refined are sorted, into pair
+order and time order within a pair.  Each refinement step evaluates
 every coordinate expression shape once, over the brackets of all vertices
 that share it.
 
@@ -51,8 +53,9 @@ from .motion import (  # the records of detection; pairs_*_json are still import
     pairs_from_json,
     pairs_to_json,
 )
-from .numeric import eval_position, evaluate_on, rounding_bound, speed_bound, split_constants
-from .sampling import bracket_gap, by_pair, grid_minima, slack
+from .interval import rounding_bound, speed_bound
+from .numeric import eval_position, evaluate_on, split_constants
+from .sampling import bracket_gap, grid_minima, slack
 
 __all__ = [
     "AMBIGUITY_FACTOR",
@@ -191,7 +194,7 @@ _REFINE_CHUNK = 2048
 # The skip rule's rounding margins.  Speed bounds are computed in floating
 # point, rounded to nearest: the gap's Lipschitz constant is scaled up by
 # _SPEED_SLACK.  A coordinate evaluates to within its rounding bound E of its
-# exact value (:func:`lmodel.numeric.rounding_bound`), which moves its vertex
+# exact value (:func:`lmodel.interval.rounding_bound`), which moves its vertex
 # by at most sqrt(2)*E and a pair's gap, a sum of three distances, by at most
 # 2*sqrt(2)*(E_v + E_i + E_j); both the floor's samples and the refined value
 # stray, so the bound is lowered by twice that.  The slack's own arithmetic
@@ -208,14 +211,15 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     ``roles`` is a 3 x n array of vertex indices: row 0 the vertex, rows 1
     and 2 the edge's endpoints.  Returns the grid ``ts``, the vertices'
     coordinate shapes, {pair index: grid domain error}, the first sampled
-    argmin of every pair, the brackets (``pair * samples + sample``, in pair
-    order, none of a failed pair), a lower bound on each bracket's refined
-    minimum, and each bracket's cutoff: refinement skips the brackets whose
-    bound is at least their cutoff.
+    argmin of every pair, the brackets (codes ``pair * samples + sample``,
+    in grid order, none of a failed pair), a lower bound on each bracket's
+    refined minimum, and each bracket's cutoff: refinement skips the
+    brackets whose bound is at least their cutoff.  Bounds and cutoffs are
+    elementwise, so they do not depend on the brackets' order.
 
     The gap of pair (v, {i, j}) changes by at most ``L = 2(S_v + S_i + S_j)``
     per unit time, where ``S_w`` bounds vertex w's speed over the domain
-    (:func:`lmodel.numeric.speed_bound`).  So on a bracket of grid spacing h
+    (:func:`lmodel.interval.speed_bound`).  So on a bracket of grid spacing h
     it stays above ``floor - L*h/2`` (see :func:`lmodel.sampling.grid_minima`),
     less the rounding margins; that is the bound, and a bracket refines to
     more than it.  The cutoff of a bracket of pair p is
@@ -254,11 +258,9 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
             failures[k] = bad[0]
 
     n_pairs = roles.shape[1]
-    best_t, grid_v, runs, floor_runs = grid_minima(xs, ys, roles, ts)
+    best_t, grid_v, found, bound = grid_minima(xs, ys, roles, ts)
     gap_slack = _GAP_SLACK * (1.0 + max(xs.max(), ys.max(), -xs.min(), -ys.min()))
     del xs, ys  # refinement evaluates its own points
-    found, bound = by_pair(runs, floor_runs, n_pairs, len(ts))
-    del runs, floor_runs
     pair = found // len(ts)
     if failures:
         ok = np.ones(n_pairs, dtype=bool)
@@ -320,11 +322,12 @@ def _probe(
     """Minimum gap of every pair, with the time it is attained.
 
     Refines the brackets of :func:`_grid_stage` whose bound is under its
-    cutoff.  Returns (witness times, minimum gaps, {pair index: domain
-    error}); a pair none of whose brackets is refined reads inf.
+    cutoff, in code order: by pair, and within a pair by time.  Returns
+    (witness times, minimum gaps, {pair index: domain error}); a pair none
+    of whose brackets is refined reads inf.
     """
     ts, shapes, failures, best_t, found, bound, cutoff = _grid_stage(g, roles, cfg)
-    found = found[~(bound >= cutoff)]
+    found = np.array(sorted(found[~(bound >= cutoff)].tolist()), dtype=np.int64)
     del bound
     t_at, v_at = _refine(g, roles, ts, shapes, found, failures)
     best_v = np.full(roles.shape[1], math.inf)

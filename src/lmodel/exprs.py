@@ -326,6 +326,8 @@ _BIN_OP = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
 def _fmt_const(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError(f"constants must be finite, got {v!r}")
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)

@@ -4,8 +4,9 @@ Only this module, :mod:`lmodel.sampling` and :mod:`lmodel.collide` import
 numpy.  Parsing, the collision graph and planning never evaluate an
 expression, so the commands that only plan never load it.
 
-:func:`evaluate` is the one evaluator.  It works on scalars and on numpy
-arrays, so detection samples a grid and refines many minima at once with it.
+:func:`evaluate` is the one evaluator.  It works on numpy arrays, and on a
+scalar as a one-element array, so detection samples a grid and refines
+many minima at once with it, and a scalar gets an array's bits.
 Evaluation either returns a finite value or raises :class:`ExprDomainError`
 (square root of a negative number, division by zero, overflow); it never
 silently produces NaN or infinity.  Trees that differ only in their
@@ -52,13 +53,17 @@ __all__ = [
 def evaluate(e: Expr, t):
     """Evaluate at a scalar ``t`` or an ndarray of times.
 
-    The result of a constant subtree stays scalar even for array input; use
-    :func:`evaluate_on` when a full-size array is required.  Overflow is
-    caught at the node that produces it, so a scalar and an array holding
-    the same time fail at the same place.
+    A scalar ``t`` is evaluated as a one-element array, so it gets the bits
+    the same time gets inside any array.  The result of a constant subtree
+    stays scalar even for array input; use :func:`evaluate_on` when a
+    full-size array is required.  Overflow is caught at the node that
+    produces it, so a scalar and an array holding the same time fail at the
+    same place.
     """
+    scalar = np.ndim(t) == 0
     with np.errstate(over="ignore", invalid="ignore"):
-        return _ev(e, t)
+        out = _ev(e, np.array([t], dtype=float) if scalar else t)
+    return out[0] if scalar and np.ndim(out) else out
 
 
 def evaluate_on(e: Expr, ts: np.ndarray) -> np.ndarray:
@@ -70,8 +75,6 @@ def evaluate_on(e: Expr, ts: np.ndarray) -> np.ndarray:
 
 
 def _offending_t(bad, t) -> float | None:
-    if np.ndim(t) == 0:
-        return float(t)
     bad = np.asarray(bad)
     if bad.ndim == 0:
         # a constant subtree failed; every t is affected

@@ -6,11 +6,11 @@ of grid samples, the table of distances between the vertex pairs that the
 probed pairs use, and reads every pair's gap off three of its columns.  It
 also gives every sampled local minimum its floor, from the gaps of the
 minimum and its neighbours, which detection turns into a lower bound on
-the minimum's refined value.  :func:`bracket_gap` evaluates the gaps at
-the probe times of a batch of refinement brackets, with one evaluation per
-coordinate expression shape (see :func:`lmodel.numeric.merge_shapes`).
-Both give, bit for bit, what evaluating pair by pair and vertex by vertex
-gives.
+the minimum's refined value; the minima come block by block, unsorted.
+:func:`bracket_gap` evaluates the gaps at the probe times of a batch of
+refinement brackets, with one evaluation per coordinate expression shape
+(see :func:`lmodel.numeric.merge_shapes`).  Both give, bit for bit, what
+evaluating pair by pair and vertex by vertex gives.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import numpy as np
 from .exprs import ExprDomainError
 from .numeric import evaluate, evaluate_on, merge_shapes
 
-__all__ = ["GRID_BLOCK", "slack", "grid_minima", "by_pair", "bracket_gap"]
+__all__ = ["GRID_BLOCK", "slack", "grid_minima", "bracket_gap"]
 
 # doubles in one distance-table block and in one gap chunk of the grid stage;
 # bounds the memory that sampling holds beyond the grid itself
@@ -52,9 +52,10 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
     ``[t[k-1], t[k+1]]`` of samples at most h apart.
 
     Returns the first sampled argmin and its value (the first NaN, if any)
-    per pair, then the minima as ``pair index * samples + sample index`` and
-    their floors, one array per block each, in pair order (see
-    :func:`by_pair`).
+    per pair, then the minima as codes ``pair index * samples + sample
+    index`` and their floors, in the order the blocks find them: block by
+    block, and within a block in code order.  Nothing here sorts them;
+    detection puts only the few it refines into code order.
     """
     n_samples, n_pairs = len(ts), roles.shape[1]
     v, i, j = roles
@@ -69,9 +70,8 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
 
     best_t = np.full(n_pairs, ts[0])
     best_v = np.full(n_pairs, math.inf)
-    runs, floor_runs = [], []  # each block's minima and their floors, in pair order
+    found, floors = array("q"), array("d")  # the minima and their floors, in grid order
     for lo in range(0, n_samples, width):
-        found, floors = array("q"), array("d")
         hi = min(lo + width, n_samples)
         e0, e1 = max(lo - 1, 0), min(hi + 1, n_samples)
         span = slice(e0, e1)
@@ -126,35 +126,7 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
             floors.frombytes(before.tobytes())
             del gs
         del dist
-        runs.append(np.frombuffer(found, dtype=np.int64))
-        floor_runs.append(np.frombuffer(floors, dtype=float))
-    return best_t, best_v, runs, floor_runs
-
-
-def by_pair(runs: list, floor_runs: list, n_pairs: int, n_samples: int):
-    """Merge runs of codes ``pair * n_samples + sample`` into pair order.
-
-    Each run is in pair order; within a pair the runs keep their order.  A
-    counting sort by pair: every code goes to its pair's next free place,
-    and its floor from ``floor_runs`` with it.  (np.sort would do, but its
-    kernels add ~0.3 MB of resident memory to a process that has not loaded
-    them yet.)  Returns the codes and the floors.
-    """
-    counts = np.zeros(n_pairs, dtype=np.int64)
-    for run in runs:
-        counts += np.bincount(run // n_samples, minlength=n_pairs)
-    fill = np.cumsum(counts) - counts  # the next free place of each pair
-    out = np.empty(int(counts.sum()), dtype=np.int64)
-    floors = np.empty(len(out))
-    for run, floor in zip(runs, floor_runs):
-        pair = run // n_samples
-        first = np.flatnonzero(np.diff(pair, prepend=-1))  # each pair's first code in the run
-        size = np.diff(first, append=len(run))
-        to = fill[pair] + np.arange(len(run)) - np.repeat(first, size)
-        out[to] = run
-        floors[to] = floor
-        fill[pair[first]] += size
-    return out, floors
+    return best_t, best_v, np.frombuffer(found, dtype=np.int64), np.frombuffer(floors, dtype=float)
 
 
 def bracket_gap(

@@ -413,6 +413,24 @@ def test_non_finite_threshold_is_usage_error(args, tmp_path, capsys):
     assert "error:" in err and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "dixon1", "--m", "3", "--n", "2", "--a", "1,inf"],
+        ["--family", "dixon2", "--a", "1", "--b", "inf", "--d", "2"],
+        # finite, but b*b overflows
+        ["--family", "dixon2", "--a", "1", "--b", "1e200", "--d", "2"],
+    ],
+    ids=["dixon1-a-inf", "dixon2-b-inf", "dixon2-b-squared-overflows"],
+)
+def test_non_finite_family_constant_is_usage_error(args, tmp_path, capsys):
+    assert main(["generate", *args, "--out", str(tmp_path / "graph.json")]) == 2
+    err = capsys.readouterr().err
+    assert "error: constants must be finite, got inf" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "graph.json").exists()
+
+
 def test_exists_past_its_budget_is_usage_error(tmp_path, capsys, monkeypatch):
     gpath, ppath = tmp_path / "graph.json", tmp_path / "pairs.json"
     p = Dixon1Params(6, 5, range(1, 6), range(1, 5), [1] * 5, [1] * 4)  # 30 edges

@@ -22,7 +22,7 @@ from lmodel.collide import (
 )
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
 from lmodel.motion import GraphFormatError, MovingGraph
-from lmodel.sampling import by_pair, grid_minima, slack
+from lmodel.sampling import grid_minima, slack
 
 from expected import DIXON1_REF_PAIRS, DIXON1_REF_WITNESS, S2_PAIRS
 from synth import dixon2_partner_pairs, random_dixon1_params
@@ -198,12 +198,13 @@ def per_pair_grid(xs, ys, roles, ts):
 def assert_grid_matches_reference(xs, ys, roles, ts):
     with np.errstate(all="ignore"):
         want_t, want_v, want_found, want_floors = per_pair_grid(xs, ys, roles, ts)
-        got_t, got_v, runs, floor_runs = grid_minima(xs, ys, roles, ts)
-        found, floors = by_pair(runs, floor_runs, roles.shape[1], len(ts))
+        got_t, got_v, found, floors = grid_minima(xs, ys, roles, ts)
     assert got_t.tobytes() == want_t.tobytes()
     assert got_v.tobytes() == want_v.tobytes()
-    assert found.tolist() == want_found
-    assert floors.tobytes() == want_floors.tobytes()
+    # the minima come in grid order; in code order they are the reference's
+    order = np.argsort(found)
+    assert found[order].tolist() == want_found
+    assert floors[order].tobytes() == want_floors.tobytes()
 
 
 def random_roles(rng, n_vertices, n_pairs):
@@ -262,17 +263,18 @@ def test_grid_stage_local_minima(monkeypatch, block, gs, want):
     ys = np.zeros_like(xs)
     roles = np.array([[0], [1], [2]])
     ts = np.arange(len(gs), dtype=float)
-    _, _, runs, floor_runs = grid_minima(xs, ys, roles, ts)
-    assert by_pair(runs, floor_runs, 1, len(gs))[0].tolist() == want
+    _, _, found, _ = grid_minima(xs, ys, roles, ts)
+    assert sorted(found.tolist()) == want
     assert_grid_matches_reference(xs, ys, roles, ts)
 
 
 def bracket_bounds(g):
-    """The brackets of every pair of ``g``, their bounds and the cutoff."""
+    """The brackets of every pair of ``g``, their bounds and cutoffs, in code order."""
     _, _, _, _, found, bound, cutoff = collide._grid_stage(
         g, collide._pair_roles(g), DetectionConfig()
     )
-    return found.tobytes(), bound.tobytes(), cutoff.tobytes()
+    order = np.argsort(found)
+    return found[order].tobytes(), bound[order].tobytes(), cutoff[order].tobytes()
 
 
 @pytest.mark.parametrize("block", [24, 100, 1000])
@@ -524,8 +526,8 @@ def test_refinement_error_in_a_merged_shape():
 def refine_everything(g, roles, cfg):
     """Detection's probe with every bracket refined: the reference for pruning.
 
-    Returns what ``collide._probe`` returns, then the brackets and the
-    refined minimum of each.
+    Returns what ``collide._probe`` returns, then the brackets, in code
+    order, and the refined minimum of each.
     """
     ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
     motion = [g.motion[w] for w in g.vertices]
@@ -542,8 +544,8 @@ def refine_everything(g, roles, cfg):
         bad = [grid_err[w] for w in trio if w in grid_err]
         if bad:
             failures[k] = bad[0]
-    best_t, _, runs, floor_runs = grid_minima(xs, ys, roles, ts)
-    found, _ = by_pair(runs, floor_runs, roles.shape[1], len(ts))
+    best_t, _, found, _ = grid_minima(xs, ys, roles, ts)
+    found = np.sort(found)
     found = found[[k not in failures for k in (found // len(ts)).tolist()]]
     best_v = np.full(roles.shape[1], math.inf)
     minima = np.empty(len(found))
@@ -644,8 +646,9 @@ def test_bracket_bounds_are_below_their_refined_minima(name):
     cfg, roles = DetectionConfig(), collide._pair_roles(g)
     _, _, _, _, found, bound, _ = collide._grid_stage(g, roles, cfg)
     *_, want_found, minima = refine_everything(g, roles, cfg)
-    assert found.tolist() == want_found.tolist()
-    assert not np.any(bound > minima)  # a bracket that fails reads NaN, never above
+    order = np.argsort(found)
+    assert found[order].tolist() == want_found.tolist()
+    assert not np.any(bound[order] > minima)  # a bracket that fails reads NaN, never above
 
 
 @pytest.mark.parametrize("name", ["dixon1-6x6", "two-dips", "fast-dips", "cancelling"])
@@ -661,12 +664,44 @@ def test_pruned_detect_pair_matches_refining_everything(monkeypatch, name):
     assert got == [detect_pair(g, v, e) for v, e in probes]
 
 
+def probe_outcome(g, v, e):
+    """What detect_pair returns, or the text and time of what it raises."""
+    try:
+        return detect_pair(g, v, e)
+    except E.ExprDomainError as err:
+        return str(err), err.t
+
+
+@pytest.mark.parametrize("name", PRUNING_GRAPHS)
+def test_detection_does_not_depend_on_the_order_of_the_minima(monkeypatch, name):
+    # detection sorts the brackets it refines, so any order of the grid's
+    # minima gives the same answers
+    g = PRUNING_GRAPHS[name]()
+    pairs = collide._pair_roles(g).T.tolist()
+    probes = [
+        (g.vertices[v], (g.vertices[i], g.vertices[j]))
+        for v, i, j in pairs[:: max(1, len(pairs) // 24)]
+    ]
+    want = outcome(g), [probe_outcome(g, v, e) for v, e in probes]
+    rng = np.random.default_rng(sorted(PRUNING_GRAPHS).index(name))
+
+    def shuffled(*args):
+        best_t, best_v, found, floors = grid_minima(*args)
+        order = rng.permutation(len(found))
+        return best_t, best_v, found[order], floors[order]
+
+    monkeypatch.setattr(collide, "grid_minima", shuffled)
+    assert (outcome(g), [probe_outcome(g, v, e) for v, e in probes]) == want
+
+
 @pytest.mark.parametrize("name", ["two-dips", "fast-dips"])
 def test_pruning_needs_no_clear_pair(name):
     # the one pair has a bracket that may reach eps, so no pair is clear
     g = PRUNING_GRAPHS[name]()
     cfg = DetectionConfig()
     _, _, _, _, found, bound, cutoff = collide._grid_stage(g, collide._pair_roles(g), cfg)
+    order = np.argsort(found)  # the one pair's brackets in time order
+    bound, cutoff = bound[order], cutoff[order]
     assert np.any(bound < cfg.collide_eps)
     skipped = np.count_nonzero(bound >= cutoff)
     if name == "two-dips":

@@ -272,6 +272,25 @@ def test_merged_shape_evaluation_matches_each_tree(tree, seed):
             assert piece.tobytes() == want[k].tobytes()
 
 
+@given(
+    st.one_of(_members, st.builds(E.powi, _trees, st.integers(min_value=2, max_value=7))),
+    st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=8),
+)
+@settings(max_examples=300)
+def test_scalar_evaluation_matches_the_array_bit_for_bit(tree, times):
+    ts = np.array(times)
+    try:
+        want = E.evaluate_on(tree, ts)
+    except E.ExprDomainError:
+        # some time fails, and alone it fails too
+        with pytest.raises(E.ExprDomainError):
+            for t in times:
+                E.evaluate(tree, t)
+        return
+    for t, w in zip(times, want):
+        assert np.float64(E.evaluate(tree, t)).tobytes() == w.tobytes()
+
+
 def test_split_constants_folds_constant_parts():
     e = E.parse_expression("2^3*sin(t)+sqrt(2)-t^2")
     shape, values = E.split_constants(e)
