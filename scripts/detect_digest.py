@@ -123,10 +123,10 @@ def outcome(g, cfg):
 def check_bounds(g, cfg):
     """(brackets, brackets detection refines, bounds above their refined minimum)."""
     roles = collide._pair_roles(g)
-    ts, shapes, failures, _, found, bound, cutoff = collide._grid_stage(
+    ts, failures, _, found, bound, cutoff = collide._grid_stage(
         g, roles, cfg or DetectionConfig()
     )
-    _, minima = collide._refine(g, roles, ts, shapes, found, failures)
+    _, minima = collide._refine(g, roles, ts, found, failures)
     # a bracket whose probe left the domain reads NaN, which no bound exceeds
     refined = np.count_nonzero(~(bound >= cutoff))
     return len(found), int(refined), int(np.count_nonzero(bound > minima))

@@ -24,10 +24,10 @@ import random
 import sys
 
 from lmodel.cgraph import build_collision_graph
-from lmodel.collide import CollisionPair, detect_all
+from lmodel.collide import detect_all
 from lmodel.exprs import const
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
-from lmodel.motion import MovingGraph
+from lmodel.motion import CollisionPair, MovingGraph
 from lmodel.plan import (
     CyclicGraphError,
     Partition,

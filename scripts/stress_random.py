@@ -15,9 +15,8 @@ import sys
 import time
 
 from lmodel.cgraph import build_collision_graph
-from lmodel.collide import CollisionPair
 from lmodel.exprs import const
-from lmodel.motion import MovingGraph, edge_label
+from lmodel.motion import CollisionPair, MovingGraph, edge_label
 from lmodel.plan import (
     assign_heights,
     decide_partition,

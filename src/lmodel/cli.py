@@ -133,12 +133,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise ValueError("dixon2 needs --a, --b and --d")
         g = dixon2(Dixon2Params(float(args.a), float(args.b), float(args.d)))
     else:
-        p = S2Params(
-            float(args.a) if args.a is not None else 1.0,
-            float(args.b) if args.b is not None else 11.0 / 5.0,
-            float(args.c) if args.c is not None else 1.5,
-        )
-        g = s2(p)
+        given = {k: float(getattr(args, k)) for k in "abc" if getattr(args, k) is not None}
+        g = s2(S2Params(**given))
     _emit(save_graph(g), args.out)
     _say(f"generate: {fam} with {len(g.vertices)} vertices, {len(g.edges)} edges")
     return EXIT_OK

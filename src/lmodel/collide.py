@@ -44,17 +44,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .exprs import ExprDomainError
-from .motion import (  # the records of detection; pairs_*_json are still importable from here
-    CollisionPair,
-    DetectionError,
-    MovingGraph,
-    edge_label,
-    pair_edge,
-    pairs_from_json,
-    pairs_to_json,
-)
 from .interval import rounding_bound, speed_bound
-from .numeric import eval_position, evaluate_on, split_constants
+from .motion import CollisionPair, DetectionError, MovingGraph, edge_label, pair_edge
+from .numeric import eval_position, evaluate_on
 from .sampling import bracket_gap, grid_minima, slack
 
 __all__ = [
@@ -69,8 +61,6 @@ __all__ = [
     "golden_minimize",
     "detect_pair",
     "detect_all",
-    "pairs_to_json",
-    "pairs_from_json",
 ]
 
 # minima in [collide_eps, AMBIGUITY_FACTOR * collide_eps) are flagged, not classified
@@ -209,13 +199,13 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     """Sample every vertex on the grid, and bracket and bound every sampled minimum.
 
     ``roles`` is a 3 x n array of vertex indices: row 0 the vertex, rows 1
-    and 2 the edge's endpoints.  Returns the grid ``ts``, the vertices'
-    coordinate shapes, {pair index: grid domain error}, the first sampled
-    argmin of every pair, the brackets (codes ``pair * samples + sample``,
-    in grid order, none of a failed pair), a lower bound on each bracket's
-    refined minimum, and each bracket's cutoff: refinement skips the
-    brackets whose bound is at least their cutoff.  Bounds and cutoffs are
-    elementwise, so they do not depend on the brackets' order.
+    and 2 the edge's endpoints.  Returns the grid ``ts``, {pair index: grid
+    domain error}, the first sampled argmin of every pair, the brackets
+    (codes ``pair * samples + sample``, in grid order, none of a failed
+    pair), a lower bound on each bracket's refined minimum, and each
+    bracket's cutoff: refinement skips the brackets whose bound is at least
+    their cutoff.  Bounds and cutoffs are elementwise, so they do not depend
+    on the brackets' order.
 
     The gap of pair (v, {i, j}) changes by at most ``L = 2(S_v + S_i + S_j)``
     per unit time, where ``S_w`` bounds vertex w's speed over the domain
@@ -242,7 +232,7 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     motion = [g.motion[w] for w in g.vertices]
     xs, ys = np.zeros((2, len(motion), len(ts)))
     grid_err: dict[int, ExprDomainError] = {}
-    shapes = {}
+    sampled = []  # the vertices that evaluate on the whole grid
     for w in np.flatnonzero(np.bincount(roles.ravel())).tolist():
         try:
             xs[w] = evaluate_on(motion[w][0], ts)
@@ -250,7 +240,7 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
         except ExprDomainError as err:
             grid_err[w] = err
         else:
-            shapes[w] = [split_constants(e) for e in motion[w]]
+            sampled.append(w)
     failures: dict[int, Exception] = {}
     for k, trio in enumerate(roles.T.tolist() if grid_err else ()):
         bad = [grid_err[w] for w in trio if w in grid_err]
@@ -269,7 +259,7 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
         found, bound, pair = found[keep], bound[keep], pair[keep]
 
     speed, stray = np.zeros((2, len(motion)))
-    for w in shapes:
+    for w in sampled:
         speed[w] = math.hypot(*(speed_bound(e, *g.domain) for e in motion[w]))
         stray[w] = max(rounding_bound(e, *g.domain) for e in motion[w])
     lipschitz = 2.0 * _SPEED_SLACK * (speed[roles[0]] + speed[roles[1]] + speed[roles[2]])
@@ -284,16 +274,11 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     clear[pair[~(bound >= cfg.collide_eps)]] = False
     c_up = grid_v[clear].min(initial=math.inf)
     cutoff = np.maximum(AMBIGUITY_FACTOR * cfg.collide_eps, np.minimum(c_up, grid_v[pair]))
-    return ts, shapes, failures, best_t, found, bound, cutoff
+    return ts, failures, best_t, found, bound, cutoff
 
 
 def _refine(
-    g: MovingGraph,
-    roles: np.ndarray,
-    ts: np.ndarray,
-    shapes: dict,
-    found: np.ndarray,
-    failures: dict,
+    g: MovingGraph, roles: np.ndarray, ts: np.ndarray, found: np.ndarray, failures: dict
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refine the brackets ``found`` of :func:`_grid_stage` together, a chunk at a time.
 
@@ -305,7 +290,7 @@ def _refine(
     for s in range(0, len(found), _REFINE_CHUNK):
         ks, i = np.divmod(found[s : s + _REFINE_CHUNK], len(ts))
         errors: dict[int, Exception] = {}
-        f = bracket_gap(motion, shapes, roles[:, ks], ts[i], errors)
+        f = bracket_gap(motion, roles[:, ks], ts[i], errors)
         lo = ts[np.maximum(i - 1, 0)]
         hi = ts[np.minimum(i + 1, len(ts) - 1)]
         t_at[s : s + len(ks)], v_at[s : s + len(ks)] = golden_minimize(
@@ -326,10 +311,10 @@ def _probe(
     (witness times, minimum gaps, {pair index: domain error}); a pair none
     of whose brackets is refined reads inf.
     """
-    ts, shapes, failures, best_t, found, bound, cutoff = _grid_stage(g, roles, cfg)
+    ts, failures, best_t, found, bound, cutoff = _grid_stage(g, roles, cfg)
     found = np.array(sorted(found[~(bound >= cutoff)].tolist()), dtype=np.int64)
     del bound
-    t_at, v_at = _refine(g, roles, ts, shapes, found, failures)
+    t_at, v_at = _refine(g, roles, ts, found, failures)
     best_v = np.full(roles.shape[1], math.inf)
     # brackets come in pair order, each pair's in time order, so a scan
     # with < keeps the first bracket reaching the pair's smallest value

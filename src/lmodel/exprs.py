@@ -15,17 +15,14 @@ node kind for it.  No :class:`Expr` is taller, and no parsed text nests deeper,
 than ``MAX_EXPR_HEIGHT``, so no walk of a tree can exhaust the stack.
 
 This module parses and prints trees and needs no numpy.  The evaluator
-(:func:`evaluate`, :func:`evaluate_on`, :func:`split_constants`,
-:func:`merge_shapes`) lives in :mod:`lmodel.numeric`; those names are
-still importable from here, and the first use of one loads numpy.
+(``evaluate``, ``evaluate_on``, ``split_constants``, ``merge_shapes``)
+lives in :mod:`lmodel.numeric`.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass, field
-
-from . import _bind_on_first_use
 
 __all__ = [
     "MAX_EXPR_HEIGHT",
@@ -46,12 +43,6 @@ __all__ = [
     "parse_expression",
     "to_text",
 ]
-
-# the evaluator's names, bound from lmodel.numeric on first use (PEP 562)
-__getattr__ = _bind_on_first_use(
-    globals(),
-    dict.fromkeys(("evaluate", "evaluate_on", "split_constants", "merge_shapes"), "numeric"),
-)
 
 # bounds the height of every tree and the nesting the parser recurses into,
 # far below Python's recursion limit, since every walk of a tree recurses

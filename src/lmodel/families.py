@@ -35,11 +35,19 @@ __all__ = [
 ]
 
 
+def _check_finite(name: str, value: float) -> None:
+    """Reject a parameter, or a constant a generator derives from one, that
+    is not finite: the generated text could not hold it."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _check_radii(name: str, vals: tuple[float, ...], count: int) -> None:
     if len(vals) != count - 1:
         raise ValueError(f"{name} must have {count - 1} entries, got {len(vals)}")
     prev = 0.0
     for v in vals:
+        _check_finite(f"{name} entries", v)
         if not v > prev:
             raise ValueError(f"{name} must be positive and strictly increasing")
         prev = v
@@ -106,15 +114,20 @@ class Dixon2Params:
     d: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "d", float(self.d))
+        for name in ("a", "b", "d"):
+            value = float(getattr(self, name))
+            _check_finite(name, value)
+            object.__setattr__(self, name, value)
         if not self.a > 0:
             raise ValueError("a must be positive")
         if not self.b > self.a:
             raise ValueError("b must exceed a")
         if not self.d > self.a:
             raise ValueError("d must exceed a")
+        # a < b and a < d, so a*a fits whenever these do
+        _check_finite(f"b*b (b = {self.b!r})", self.b * self.b)
+        _check_finite(f"d*d (d = {self.d!r})", self.d * self.d)
+        _check_finite(f"c (b = {self.b!r}, d = {self.d!r})", self.c)
 
     @property
     def c(self) -> float:
@@ -153,15 +166,19 @@ class S2Params:
     c: float = 1.5
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
+        for name in ("a", "b", "c"):
+            value = float(getattr(self, name))
+            _check_finite(name, value)
+            object.__setattr__(self, name, value)
         if not self.a > 0:
             raise ValueError("a must be positive")
         if not self.b > self.a:
             raise ValueError("b must exceed a")
         if not self.c > self.a:
             raise ValueError("c must exceed a")
+        # a < b, so a*a and 3*a fit whenever b*b does
+        _check_finite(f"b*b (b = {self.b!r})", self.b * self.b)
+        _check_finite(f"c*c (c = {self.c!r})", self.c * self.c)
 
 
 S2_EDGES = (

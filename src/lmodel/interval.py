@@ -7,12 +7,12 @@ analysis over those enclosures bounds how far floating-point evaluation
 strays from the exact value.  Detection turns both into lower bounds on its
 refinement brackets (see :mod:`lmodel.collide`).  Plain ``math``, no numpy.
 
-It is a module of its own, re-exported by :mod:`lmodel.numeric`, because
-without a bytecode cache Python compiles a module's source on every
-import, and the peak of that compile grows with the module's code: kept
-in ``numeric`` this code raised the resident peak of every process that
-imports detection by ~0.4 MB on CPython 3.11, the ones that never
-detect included.
+It is a module of its own, imported only by :mod:`lmodel.collide`,
+because without a bytecode cache Python compiles a module's source on
+every import, and the peak of that compile grows with the module's code:
+kept in ``numeric`` this code raised the resident peak of every process
+that imports detection by ~0.4 MB on CPython 3.11, and of ``validate``,
+which evaluates but never detects.
 """
 from __future__ import annotations
 

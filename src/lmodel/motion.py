@@ -10,9 +10,7 @@ than trusting the input.
 The records of detection live here too: a :class:`CollisionPair`, the one
 pair rule :func:`pair_edge`, :class:`DetectionError` and the pairs file.
 Planning reads nothing else of detection, so it never loads numpy.  The
-names that evaluate trajectories (``eval_position``, ``positions_on_grid``,
-``EdgeLengthStats``, ``LengthReport``, ``validate_edge_lengths``) live in
-:mod:`lmodel.numeric` and are still importable from here.
+names that evaluate trajectories live in :mod:`lmodel.numeric`.
 """
 from __future__ import annotations
 
@@ -23,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from . import _bind_on_first_use
 from .exprs import Expr, ExprSyntaxError, parse_expression, to_text
 
 __all__ = [
@@ -39,21 +36,6 @@ __all__ = [
     "pairs_to_json",
     "pairs_from_json",
 ]
-
-# the names that evaluate, bound from lmodel.numeric on first use (PEP 562)
-__getattr__ = _bind_on_first_use(
-    globals(),
-    dict.fromkeys(
-        (
-            "eval_position",
-            "positions_on_grid",
-            "EdgeLengthStats",
-            "LengthReport",
-            "validate_edge_lengths",
-        ),
-        "numeric",
-    ),
-)
 
 TAU = 2.0 * math.pi
 

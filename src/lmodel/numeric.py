@@ -13,9 +13,7 @@ silently produces NaN or infinity.  Trees that differ only in their
 constants share a *shape*: :func:`split_constants` folds a tree's constant
 parts, and :func:`merge_shapes` joins the trees of one shape into a single
 tree whose constant leaves hold one value per evaluation point, so one
-evaluation serves them all.  :func:`speed_bound` and
-:func:`rounding_bound` (from :mod:`lmodel.interval`) bound how fast a
-trajectory moves and how far its evaluation strays from the exact value.  :func:`eval_position`,
+evaluation serves them all.  :func:`eval_position`,
 :func:`positions_on_grid` and :func:`validate_edge_lengths` evaluate a
 moving graph's vertices.
 """
@@ -28,7 +26,6 @@ from typing import Iterable
 import numpy as np
 
 from .exprs import Expr, ExprDomainError, const
-from .interval import rounding_bound, speed_bound
 from .motion import GraphFormatError, MovingGraph
 
 __all__ = [
@@ -36,8 +33,6 @@ __all__ = [
     "evaluate_on",
     "split_constants",
     "merge_shapes",
-    "speed_bound",
-    "rounding_bound",
     "eval_position",
     "positions_on_grid",
     "EdgeLengthStats",

@@ -20,7 +20,7 @@ from array import array
 import numpy as np
 
 from .exprs import ExprDomainError
-from .numeric import evaluate, evaluate_on, merge_shapes
+from .numeric import evaluate, evaluate_on, merge_shapes, split_constants
 
 __all__ = ["GRID_BLOCK", "slack", "grid_minima", "bracket_gap"]
 
@@ -129,24 +129,24 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
     return best_t, best_v, np.frombuffer(found, dtype=np.int64), np.frombuffer(floors, dtype=float)
 
 
-def bracket_gap(
-    motion: list, shapes: dict, roles: np.ndarray, seed: np.ndarray, errors: dict
-):
+def bracket_gap(motion: list, roles: np.ndarray, seed: np.ndarray, errors: dict):
     """``f`` for :func:`lmodel.collide.golden_minimize` over one batch of brackets.
 
-    ``roles`` holds the vertex indices (v, i, j) of each bracket's pair, one
-    row per role; ``shapes[w]`` holds :func:`lmodel.numeric.split_constants`
-    of vertex w's two coordinates.  Every coordinate expression shape is
-    evaluated once per call, merged over the brackets of every vertex that
-    uses it.  A call that leaves the domain is redone vertex by vertex, and
-    then point by point for a vertex that fails, so a bracket whose probe
-    leaves the domain is charged its first error in ``errors`` and reads
-    NaN from then on.
+    ``motion[w]`` holds vertex w's two coordinate expressions, and ``roles``
+    the vertex indices (v, i, j) of each bracket's pair, one row per role.
+    The coordinates of the batch's vertices are split into shapes and
+    constants (:func:`lmodel.numeric.split_constants`) once, and every shape
+    is evaluated once per call, merged over the brackets of every vertex
+    that uses it.  A call that leaves the domain is redone vertex by
+    vertex, and then point by point for a vertex that fails, so a bracket
+    whose probe leaves the domain is charged its first error in ``errors``
+    and reads NaN from then on.
     """
     m = roles.shape[1]
     slots = roles.ravel()  # role-major: slot r*m + k is role r of bracket k
     used = np.flatnonzero(np.bincount(slots)).tolist()
     vertex_slots = {w: np.flatnonzero(slots == w) for w in used}
+    shapes = {w: [split_constants(e) for e in motion[w]] for w in used}
     members: dict = {}  # shape -> [(vertex, axis)]
     for w in used:
         for axis in (0, 1):

@@ -6,9 +6,8 @@ pair list and the incidence structure, never the geometry.
 """
 import itertools
 
-from lmodel.collide import CollisionPair
 from lmodel.exprs import const
-from lmodel.motion import MovingGraph, edge_label
+from lmodel.motion import CollisionPair, MovingGraph, edge_label
 
 
 def static_graph(n_vertices, edges, prefix="n"):

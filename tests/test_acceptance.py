@@ -16,7 +16,7 @@ from lmodel.cgraph import build_collision_graph
 from lmodel.cli import main
 from lmodel.collide import detect_all
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
-from lmodel.motion import positions_on_grid, validate_edge_lengths
+from lmodel.numeric import positions_on_grid, validate_edge_lengths
 from lmodel.plan import (
     assign_heights,
     decide_partition,

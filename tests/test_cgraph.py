@@ -17,7 +17,7 @@ from lmodel.cgraph import (
     to_dot,
     topo_order,
 )
-from lmodel.collide import CollisionPair
+from lmodel.motion import CollisionPair
 from lmodel.plan import CyclicGraphError, decide_partition, partition_is_valid
 
 from expected import (

@@ -9,9 +9,8 @@ import lmodel
 from lmodel import cli, plan
 from lmodel import exprs as E
 from lmodel.cli import main
-from lmodel.collide import pairs_from_json, pairs_to_json
 from lmodel.families import Dixon1Params, dixon1
-from lmodel.motion import MovingGraph, load_graph, save_graph
+from lmodel.motion import MovingGraph, load_graph, pairs_from_json, pairs_to_json, save_graph
 from lmodel.plan import heights_from_json, verify_collision_free
 
 from expected import (
@@ -414,19 +413,29 @@ def test_non_finite_threshold_is_usage_error(args, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,want",
     [
-        ["--family", "dixon1", "--m", "3", "--n", "2", "--a", "1,inf"],
-        ["--family", "dixon2", "--a", "1", "--b", "inf", "--d", "2"],
-        # finite, but b*b overflows
-        ["--family", "dixon2", "--a", "1", "--b", "1e200", "--d", "2"],
+        (["dixon1", "--m", "3", "--n", "2", "--a", "1,inf"], "a entries must be finite, got inf"),
+        (["dixon2", "--a", "1", "--b", "inf", "--d", "2"], "b must be finite, got inf"),
+        # finite, but a square or the derived length overflows
+        (["dixon2", "--a", "1", "--b", "1e200", "--d", "2"], "b*b (b = 1e+200) must be finite"),
+        (["dixon2", "--a", "1", "--b", "2", "--d", "1e200"], "d*d (d = 1e+200) must be finite"),
+        (["dixon2", "--a", "1", "--b", "1e154", "--d", "1e154"], "c (b = 1e+154, d = 1e+154)"),
+        (["s2", "--c", "1e200"], "c*c (c = 1e+200) must be finite"),
     ],
-    ids=["dixon1-a-inf", "dixon2-b-inf", "dixon2-b-squared-overflows"],
+    ids=[
+        "dixon1-a-inf",
+        "dixon2-b-inf",
+        "dixon2-b-squared-overflows",
+        "dixon2-d-squared-overflows",
+        "dixon2-c-overflows",
+        "s2-c-squared-overflows",
+    ],
 )
-def test_non_finite_family_constant_is_usage_error(args, tmp_path, capsys):
-    assert main(["generate", *args, "--out", str(tmp_path / "graph.json")]) == 2
+def test_non_finite_family_constant_is_usage_error(args, want, tmp_path, capsys):
+    assert main(["generate", "--family", *args, "--out", str(tmp_path / "graph.json")]) == 2
     err = capsys.readouterr().err
-    assert "error: constants must be finite, got inf" in err
+    assert f"error: {want}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "graph.json").exists()
 

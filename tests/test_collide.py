@@ -17,11 +17,10 @@ from lmodel.collide import (
     detect_pair,
     gap,
     golden_minimize,
-    pairs_from_json,
-    pairs_to_json,
 )
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
-from lmodel.motion import GraphFormatError, MovingGraph
+from lmodel.motion import GraphFormatError, MovingGraph, pairs_from_json, pairs_to_json
+from lmodel.numeric import evaluate_on
 from lmodel.sampling import grid_minima, slack
 
 from expected import DIXON1_REF_PAIRS, DIXON1_REF_WITNESS, S2_PAIRS
@@ -270,7 +269,7 @@ def test_grid_stage_local_minima(monkeypatch, block, gs, want):
 
 def bracket_bounds(g):
     """The brackets of every pair of ``g``, their bounds and cutoffs, in code order."""
-    _, _, _, _, found, bound, cutoff = collide._grid_stage(
+    _, _, _, found, bound, cutoff = collide._grid_stage(
         g, collide._pair_roles(g), DetectionConfig()
     )
     order = np.argsort(found)
@@ -532,14 +531,12 @@ def refine_everything(g, roles, cfg):
     ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
     motion = [g.motion[w] for w in g.vertices]
     xs, ys = np.zeros((2, len(motion), len(ts)))
-    grid_err, shapes, failures = {}, {}, {}
+    grid_err, failures = {}, {}
     for w in range(len(motion)):
         try:
-            xs[w], ys[w] = (E.evaluate_on(e, ts) for e in motion[w])
+            xs[w], ys[w] = (evaluate_on(e, ts) for e in motion[w])
         except E.ExprDomainError as err:
             grid_err[w] = err
-        else:
-            shapes[w] = [E.split_constants(e) for e in motion[w]]
     for k, trio in enumerate(roles.T.tolist()):
         bad = [grid_err[w] for w in trio if w in grid_err]
         if bad:
@@ -552,7 +549,7 @@ def refine_everything(g, roles, cfg):
     for s in range(0, len(found), 2048):
         ks, i = np.divmod(found[s : s + 2048], len(ts))
         errors = {}
-        f = sampling.bracket_gap(motion, shapes, roles[:, ks], ts[i], errors)
+        f = sampling.bracket_gap(motion, roles[:, ks], ts[i], errors)
         lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
         t_at, v_at = golden_minimize(f, lo, hi, collide.REFINE_TOL, seeds=(ts[i],))
         minima[s : s + len(ks)] = v_at
@@ -644,7 +641,7 @@ def test_pruned_detection_matches_refining_everything(monkeypatch, name):
 def test_bracket_bounds_are_below_their_refined_minima(name):
     g = PRUNING_GRAPHS[name]()
     cfg, roles = DetectionConfig(), collide._pair_roles(g)
-    _, _, _, _, found, bound, _ = collide._grid_stage(g, roles, cfg)
+    _, _, _, found, bound, _ = collide._grid_stage(g, roles, cfg)
     *_, want_found, minima = refine_everything(g, roles, cfg)
     order = np.argsort(found)
     assert found[order].tolist() == want_found.tolist()
@@ -699,7 +696,7 @@ def test_pruning_needs_no_clear_pair(name):
     # the one pair has a bracket that may reach eps, so no pair is clear
     g = PRUNING_GRAPHS[name]()
     cfg = DetectionConfig()
-    _, _, _, _, found, bound, cutoff = collide._grid_stage(g, collide._pair_roles(g), cfg)
+    _, _, _, found, bound, cutoff = collide._grid_stage(g, collide._pair_roles(g), cfg)
     order = np.argsort(found)  # the one pair's brackets in time order
     bound, cutoff = bound[order], cutoff[order]
     assert np.any(bound < cfg.collide_eps)
@@ -715,10 +712,44 @@ def test_pruning_needs_no_clear_pair(name):
 def test_pruning_refines_few_brackets():
     # 75 of 840
     g = PRUNING_GRAPHS["dixon1-6x6"]()
-    _, _, _, _, found, bound, cutoff = collide._grid_stage(
+    _, _, _, found, bound, cutoff = collide._grid_stage(
         g, collide._pair_roles(g), DetectionConfig()
     )
     assert np.count_nonzero(~(bound >= cutoff)) <= 0.1 * len(found)
+
+
+def narrow_dip_graph():
+    """A vertex over the static segment from (-1, 0) to (1, 0) that touches
+    it only at t = c, 0.3 of the way from grid sample 1000 to 1001, and
+    otherwise hovers 0.1 + 0.05t above it: the sampled gap rises steadily
+    past c, so no sampled minimum brackets the dip."""
+    ts = np.linspace(0.0, 2 * math.pi, DetectionConfig().samples)
+    c = float(ts[1000] + 0.3 * (ts[1001] - ts[1000]))
+    near = f"(t - {c!r})^2"
+    y = E.parse_expression(f"(0.1 + 0.05*t) * {near} / (1e-12 + {near})")
+    g = MovingGraph(
+        ("s0", "s1", "v"),
+        (("s0", "s1"),),
+        {
+            "s0": (E.const(-1.0), E.const(0.0)),
+            "s1": (E.const(1.0), E.const(0.0)),
+            "v": (E.const(0.5), y),
+        },
+    )
+    return g, c
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="only sampled local minima are bracketed; a per-cell Lipschitz certificate "
+    "(ROADMAP item 4) would flag this pair",
+)
+def test_narrow_dip_between_samples_is_a_collision():
+    g, c = narrow_dip_graph()
+    if gap(g, "v", ("s0", "s1"), c) != 0.0:  # not an AssertionError: the graph itself is wrong
+        raise ValueError("the vertex no longer touches the segment")
+    assert [(p.vertex, p.edge) for p in detect_all(g).pairs] == [("v", ("s0", "s1"))]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmodel import exprs as E
-from lmodel.numeric import rounding_bound, speed_bound
+from lmodel.interval import rounding_bound, speed_bound
+from lmodel.numeric import evaluate, evaluate_on, merge_shapes, split_constants
 
 
 def test_parse_simple_tree():
@@ -86,8 +87,8 @@ def test_constructors_bound_the_tree_height():
 
 def test_parse_accepts_the_tallest_tree():
     assert E.parse_expression("(" * 100 + "t" + ")" * 100) == E.tvar()
-    assert E.evaluate(E.parse_expression("+".join(["t"] * 100)), 1.0) == 100.0
-    assert E.evaluate(E.parse_expression("-" * 99 + "t"), 1.0) == -1.0
+    assert evaluate(E.parse_expression("+".join(["t"] * 100)), 1.0) == 100.0
+    assert evaluate(E.parse_expression("-" * 99 + "t"), 1.0) == -1.0
 
 
 def test_parse_rejects_unknown_identifier():
@@ -132,15 +133,15 @@ def test_to_text_integral_constants_stay_short():
 def test_evaluate_scalar_and_grid_agree():
     e = E.parse_expression("sqrt(2+sin(t)^2)-cos(t)/2")
     ts = np.linspace(0.0, 2 * math.pi, 64)
-    arr = E.evaluate_on(e, ts)
+    arr = evaluate_on(e, ts)
     assert arr.shape == ts.shape
     for i in (0, 17, 63):
-        assert math.isclose(float(arr[i]), float(E.evaluate(e, float(ts[i]))), rel_tol=1e-14)
+        assert math.isclose(float(arr[i]), float(evaluate(e, float(ts[i]))), rel_tol=1e-14)
 
 
 def test_evaluate_on_broadcasts_constants():
     ts = np.linspace(0.0, 1.0, 8)
-    arr = E.evaluate_on(E.const(3.0), ts)
+    arr = evaluate_on(E.const(3.0), ts)
     assert arr.shape == ts.shape
     assert (arr == 3.0).all()
 
@@ -148,23 +149,23 @@ def test_evaluate_on_broadcasts_constants():
 def test_sqrt_domain_error():
     e = E.parse_expression("sqrt(0-1)")
     with pytest.raises(E.ExprDomainError, match="square root"):
-        E.evaluate(e, 0.0)
+        evaluate(e, 0.0)
 
 
 def test_division_by_zero_reports_offending_t():
     e = E.parse_expression("1/sin(t)")
     with pytest.raises(E.ExprDomainError, match="division by zero") as exc:
-        E.evaluate(e, 0.0)
+        evaluate(e, 0.0)
     assert exc.value.t == 0.0
     with pytest.raises(E.ExprDomainError) as exc:
-        E.evaluate(e, np.array([1.0, 0.0, 2.0]))
+        evaluate(e, np.array([1.0, 0.0, 2.0]))
     assert exc.value.t == 0.0
 
 
 def test_overflow_is_a_domain_error():
     e = E.parse_expression("(((1000000^3)^3)^3)^3")
     with pytest.raises(E.ExprDomainError, match="overflow"):
-        E.evaluate(e, 0.0)
+        evaluate(e, 0.0)
 
 
 _leaves = st.one_of(
@@ -233,7 +234,7 @@ def _evaluate_each(trees, times):
     out = []
     for e, t in zip(trees, times):
         try:
-            out.append(E.evaluate_on(e, t))
+            out.append(evaluate_on(e, t))
         except E.ExprDomainError:
             out.append(None)
     return out
@@ -249,7 +250,7 @@ def test_merged_shape_evaluation_matches_each_tree(tree, seed):
     parts = []
     for e in trees:
         try:
-            parts.append(E.split_constants(e))
+            parts.append(split_constants(e))
         except E.ExprDomainError:
             parts.append(None)
     shapes = {}
@@ -261,9 +262,9 @@ def test_merged_shape_evaluation_matches_each_tree(tree, seed):
             shapes.setdefault(part[0], []).append(k)
     for shape, members in shapes.items():
         sizes = [len(times[k]) for k in members]
-        tree = E.merge_shapes(shape, [parts[k][1] for k in members], sizes)
+        tree = merge_shapes(shape, [parts[k][1] for k in members], sizes)
         try:
-            got = E.evaluate_on(tree, np.concatenate([times[k] for k in members]))
+            got = evaluate_on(tree, np.concatenate([times[k] for k in members]))
         except E.ExprDomainError:
             assert any(want[k] is None for k in members)
             continue
@@ -280,24 +281,24 @@ def test_merged_shape_evaluation_matches_each_tree(tree, seed):
 def test_scalar_evaluation_matches_the_array_bit_for_bit(tree, times):
     ts = np.array(times)
     try:
-        want = E.evaluate_on(tree, ts)
+        want = evaluate_on(tree, ts)
     except E.ExprDomainError:
         # some time fails, and alone it fails too
         with pytest.raises(E.ExprDomainError):
             for t in times:
-                E.evaluate(tree, t)
+                evaluate(tree, t)
         return
     for t, w in zip(times, want):
-        assert np.float64(E.evaluate(tree, t)).tobytes() == w.tobytes()
+        assert np.float64(evaluate(tree, t)).tobytes() == w.tobytes()
 
 
 def test_split_constants_folds_constant_parts():
     e = E.parse_expression("2^3*sin(t)+sqrt(2)-t^2")
-    shape, values = E.split_constants(e)
+    shape, values = split_constants(e)
     assert values == (8.0, math.sqrt(2.0))
     assert E.to_text(shape) == "0*sin(t)+0-t^2"
-    assert E.split_constants(E.parse_expression("3^3*sin(t)+sqrt(5)-t^2"))[0] == shape
-    assert E.split_constants(E.parse_expression("1+2"))[0] == E.const(0.0)
+    assert split_constants(E.parse_expression("3^3*sin(t)+sqrt(5)-t^2"))[0] == shape
+    assert split_constants(E.parse_expression("1+2"))[0] == E.const(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +430,7 @@ def test_speed_bound_exceeds_central_differences(tree, lo, width):
         return
     # central differences at the midpoints of 200 cells of [lo, hi]
     ts = np.linspace(lo, hi, 201)
-    ys = E.evaluate_on(tree, ts)
+    ys = evaluate_on(tree, ts)
     span = np.diff(ts)
     diffs = np.abs(np.diff(ys)) / span
     # the rounding of the two evaluations, a few ulps of the values
@@ -448,7 +449,7 @@ def test_rounding_bound_exact_cases():
     # cancellation: the values are at most 1, the rounding is that of 1e8
     ts = np.linspace(0.0, 1.0, 10001)
     cancel = E.sub(E.add(E.tvar(), E.const(1e8)), E.const(1e8))
-    stray = np.abs(E.evaluate_on(cancel, ts) - ts).max()
+    stray = np.abs(evaluate_on(cancel, ts) - ts).max()
     assert stray > 1e-9
     assert stray <= rounding_bound(cancel, 0.0, 1.0) < 1e-6
     # no bound where speed_bound has none, nor where rounding could reach a fault
@@ -497,7 +498,7 @@ def test_rounding_bound_covers_the_evaluation_error(tree, lo, width):
         return
     # a finite bound also means the evaluation cannot fault on [lo, hi]
     ts = np.linspace(lo, hi, 41)
-    got = E.evaluate_on(tree, ts)
+    got = evaluate_on(tree, ts)
     with mpmath.workprec(200):
         for t, y in zip(ts.tolist(), got.tolist()):
             assert abs(mpmath.mpf(y) - _exact(tree, t, mpmath)) <= bound

@@ -12,7 +12,8 @@ from lmodel.families import (
     dixon2,
     s2,
 )
-from lmodel.motion import TAU, positions_on_grid, save_graph, validate_edge_lengths
+from lmodel.motion import TAU, save_graph
+from lmodel.numeric import positions_on_grid, validate_edge_lengths
 
 from expected import DIXON1_REF_EDGE_LABELS, DIXON1_REF_KW
 from synth import dixon2_expected_length
@@ -69,6 +70,8 @@ def test_dixon1_minimal_instance():
         dict(m=3, n=1, a=(2.0, 1.0), b=(), sx=(1, 1), sy=()),
         dict(m=3, n=1, a=(-1.0, 1.0), b=(), sx=(1, 1), sy=()),
         dict(m=2, n=1, a=(1.0,), b=(), sx=(2,), sy=()),
+        dict(m=3, n=1, a=(1.0, math.inf), b=(), sx=(1, 1), sy=()),
+        dict(m=1, n=2, a=(), b=(math.inf,), sx=(), sy=(1,)),
     ],
 )
 def test_dixon1_rejects_bad_params(kw):
@@ -124,7 +127,18 @@ def test_dixon2_all_sixteen_lengths(ref_dixon2):
             assert math.isclose(means[(str(i), str(j))], want, rel_tol=1e-12), (i, j)
 
 
-@pytest.mark.parametrize("kw", [dict(a=0.0, b=2.0, d=3.0), dict(a=1.0, b=1.0, d=3.0), dict(a=1.0, b=2.0, d=0.5)])
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(a=0.0, b=2.0, d=3.0),
+        dict(a=1.0, b=1.0, d=3.0),
+        dict(a=1.0, b=2.0, d=0.5),
+        dict(a=1.0, b=math.inf, d=2.0),
+        dict(a=1.0, b=1e200, d=2.0),  # b*b overflows
+        dict(a=1.0, b=2.0, d=1e200),  # d*d overflows
+        dict(a=1.0, b=1e154, d=1e154),  # b*b and d*d fit, c does not
+    ],
+)
 def test_dixon2_rejects_bad_params(kw):
     with pytest.raises(ValueError):
         Dixon2Params(**kw)
@@ -174,3 +188,7 @@ def test_s2_rejects_bad_params():
         S2Params(a=2.0, b=2.0, c=3.0)
     with pytest.raises(ValueError):
         S2Params(a=1.0, b=2.0, c=1.0)
+    with pytest.raises(ValueError, match="c must be finite"):
+        S2Params(c=math.inf)
+    with pytest.raises(ValueError, match=r"c\*c \(c = 1e\+200\)"):
+        S2Params(c=1e200)

@@ -5,17 +5,8 @@ import numpy as np
 import pytest
 
 from lmodel import exprs as E
-from lmodel.motion import (
-    TAU,
-    GraphFormatError,
-    MovingGraph,
-    edge_label,
-    eval_position,
-    load_graph,
-    positions_on_grid,
-    save_graph,
-    validate_edge_lengths,
-)
+from lmodel.motion import TAU, GraphFormatError, MovingGraph, edge_label, load_graph, save_graph
+from lmodel.numeric import eval_position, positions_on_grid, validate_edge_lengths
 
 from synth import static_graph
 

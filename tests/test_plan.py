@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 
 from lmodel import plan
 from lmodel.cgraph import CollisionGraph, build_collision_graph, induced, is_acyclic
-from lmodel.collide import CollisionPair
 from lmodel.families import Dixon1Params, dixon1
-from lmodel.motion import GraphFormatError
+from lmodel.motion import CollisionPair, GraphFormatError
 from lmodel.plan import (
     CyclicGraphError,
     Partition,
