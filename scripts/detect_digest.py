@@ -11,11 +11,13 @@ margins, probe counts, warnings and ``DetectionError`` failure lists.
 from numpy's ``sin`` and ``cos``, whose last bit may differ from one CPU to
 another, so the digest is only comparable on one machine.
 
-``--bounds`` first checks the bounds that let detection skip brackets: it
-refines every bracket of every instance, prints per instance how many
-brackets there are and how many detection refines, and exits 1 if any
-bracket's lower bound exceeds its refined minimum.  That is an inequality,
-so it holds on every CPU.
+``--bounds`` first checks the bounds that let detection skip pairs and
+brackets: it refines every bracket of every pair of every instance, prints
+per instance how many pairs the coarse pass keeps, how many brackets there
+are and how many detection refines, and exits 1 if detection's brackets
+are not exactly those of the kept pairs, or if any pair's coarse bound or
+any kept bracket's lower bound exceeds a refined minimum it bounds.  That
+is an inequality, so it holds on every CPU.
 
 The corpus: three seeded detect ladders (dixon1 K(10,10) and K(14,14) and a
 dixon2), s2, dixon2(1,2,3), the README K(4,3) at the default and at a dense
@@ -37,6 +39,8 @@ from lmodel import exprs as E
 from lmodel.collide import DetectionConfig, DetectionError, detect_all
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
 from lmodel.motion import MovingGraph
+from lmodel.numeric import evaluate_on
+from lmodel.sampling import grid_minima
 
 
 def _radii(rng, count):
@@ -120,16 +124,40 @@ def outcome(g, cfg):
     return out + "".join(f"\nwarning: {w.message}" for w in caught)
 
 
+def every_bracket(g, roles, ts, failures):
+    """The codes of every sampled minimum of every pair that evaluates on the grid, sorted."""
+    xs, ys = np.zeros((2, len(g.vertices), len(ts)))
+    for w, v in enumerate(g.vertices):
+        try:
+            xs[w], ys[w] = (evaluate_on(e, ts) for e in g.motion[v])
+        except E.ExprDomainError:
+            pass  # its pairs are in failures
+    found = np.sort(grid_minima(xs, ys, roles, ts)[2])
+    return found[[k not in failures for k in (found // len(ts)).tolist()]]
+
+
 def check_bounds(g, cfg):
-    """(brackets, brackets detection refines, bounds above their refined minimum)."""
+    """(pairs, kept pairs, brackets, brackets detection refines, faults).
+
+    A fault is a kept pair's bracket that detection does not return or one
+    it returns of a dropped pair, or a bound above the refined minimum it
+    bounds: a bracket's own, or any of its pair's for the coarse bound.
+    """
     roles = collide._pair_roles(g)
-    ts, failures, _, found, bound, cutoff = collide._grid_stage(
+    ts, failures, _, found, bound, cutoff, kept, coarse = collide._grid_stage(
         g, roles, cfg or DetectionConfig()
     )
-    _, minima = collide._refine(g, roles, ts, found, failures)
+    every = every_bracket(g, roles, ts, failures)
+    _, minima = collide._refine(g, roles, ts, every, dict(failures))
+    pair = every // len(ts)
+    is_kept = np.isin(pair, kept)
+    order = np.argsort(found)
+    if found[order].tolist() != every[is_kept].tolist():
+        return roles.shape[1], len(kept), len(every), 0, 1
     # a bracket whose probe left the domain reads NaN, which no bound exceeds
+    bad = np.count_nonzero(bound[order] > minima[is_kept]) + np.count_nonzero(coarse[pair] > minima)
     refined = np.count_nonzero(~(bound >= cutoff))
-    return len(found), int(refined), int(np.count_nonzero(bound > minima))
+    return roles.shape[1], len(kept), len(every), int(refined), int(bad)
 
 
 def main():
@@ -137,17 +165,22 @@ def main():
     ap.add_argument("--each", action="store_true", help="also print one digest per instance")
     ap.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
     ap.add_argument(
-        "--bounds", action="store_true", help="check the bracket bounds against refined minima"
+        "--bounds",
+        action="store_true",
+        help="check the pair and bracket bounds against refined minima",
     )
     args = ap.parse_args()
     above = 0
     if args.bounds:
         for name, g, cfg in corpus():
-            total, refined, bad = check_bounds(g, cfg)
+            pairs, kept, total, refined, bad = check_bounds(g, cfg)
             above += bad
-            print(f"{refined:6d} of {total:6d} brackets refined  {name}")
+            print(
+                f"kept {kept:5d} of {pairs:5d} pairs, "
+                f"{refined:5d} of {total:6d} brackets refined  {name}"
+            )
             if bad:
-                print(f"detect_digest: {bad} bound(s) above the refined minimum", file=sys.stderr)
+                print(f"detect_digest: {bad} fault(s) in the bounds of {name}", file=sys.stderr)
     total = hashlib.sha256()
     for name, g, cfg in corpus():
         text = f"{name}\n{outcome(g, cfg)}\n".encode()

@@ -82,6 +82,13 @@ def _load_graph_file(path: str) -> MovingGraph:
     return load_graph(_read(path))
 
 
+def _float(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}") from None
+
+
 def _csv_floats(raw: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in raw.split(",") if x.strip() != "")
@@ -118,22 +125,29 @@ def _interval(raw: str) -> tuple[float, float]:
 def cmd_generate(args: argparse.Namespace) -> int:
     from .families import Dixon1Params, Dixon2Params, S2Params, dixon1, dixon2, s2
 
+    def option(name: str, parse):
+        """Option --name parsed by ``parse``; a parse error names the option."""
+        try:
+            return parse(getattr(args, name))
+        except ValueError as err:
+            raise ValueError(f"--{name}: {err}") from None
+
     fam = args.family
     if fam == "dixon1":
         if args.m is None or args.n is None:
             raise ValueError("dixon1 needs --m and --n")
         m, n = args.m, args.n
-        a = _csv_floats(args.a) if args.a else tuple(float(k) for k in range(1, m))
-        b = _csv_floats(args.b) if args.b else tuple(float(k) for k in range(1, n))
-        sx = _csv_signs(args.sx) if args.sx else (1,) * (m - 1)
-        sy = _csv_signs(args.sy) if args.sy else (1,) * (n - 1)
+        a = option("a", _csv_floats) if args.a else tuple(float(k) for k in range(1, m))
+        b = option("b", _csv_floats) if args.b else tuple(float(k) for k in range(1, n))
+        sx = option("sx", _csv_signs) if args.sx else (1,) * (m - 1)
+        sy = option("sy", _csv_signs) if args.sy else (1,) * (n - 1)
         g = dixon1(Dixon1Params(m, n, a, b, sx, sy))
     elif fam == "dixon2":
         if args.a is None or args.b is None or args.d is None:
             raise ValueError("dixon2 needs --a, --b and --d")
-        g = dixon2(Dixon2Params(float(args.a), float(args.b), float(args.d)))
+        g = dixon2(Dixon2Params(*(option(k, _float) for k in "abd")))
     else:
-        given = {k: float(getattr(args, k)) for k in "abc" if getattr(args, k) is not None}
+        given = {k: option(k, _float) for k in "abc" if getattr(args, k) is not None}
         g = s2(S2Params(**given))
     _emit(save_graph(g), args.out)
     _say(f"generate: {fam} with {len(g.vertices)} vertices, {len(g.edges)} edges")
@@ -312,7 +326,13 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="check that every edge length stays constant")
     v.add_argument("graph")
     v.add_argument("--samples", type=int, default=512)
-    v.add_argument("--tol", type=float, default=1e-9)
+    v.add_argument(
+        "--tol",
+        type=float,
+        default=1e-9,
+        help="largest deviation of an edge's length from its mean, times max(1, mean length) "
+        "(default %(default)g)",
+    )
     v.add_argument("--out")
     v.set_defaults(func=cmd_validate)
 

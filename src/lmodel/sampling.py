@@ -7,6 +7,10 @@ probed pairs use, and reads every pair's gap off three of its columns.  It
 also gives every sampled local minimum its floor, from the gaps of the
 minimum and its neighbours, which detection turns into a lower bound on
 the minimum's refined value; the minima come block by block, unsorted.
+The smallest floor of a pair is the smallest average of two neighbouring
+samples, so on a coarse grid, a subset of the samples, it bounds the pair
+over the whole domain; detection runs it there first, to drop the pairs
+that stay far apart before it builds the fine table.
 :func:`bracket_gap` evaluates the gaps at the probe times of a batch of
 refinement brackets, with one evaluation per coordinate expression shape
 (see :func:`lmodel.numeric.merge_shapes`).  Both give, bit for bit, what
@@ -49,7 +53,13 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
     minimum at sample k is ``(g[k] + min(g[k-1], g[k+1])) / 2``, a missing
     neighbour at an end of the grid counting as +inf: a gap that changes
     by at most L per unit time stays above ``floor - L*h/2`` on the bracket
-    ``[t[k-1], t[k+1]]`` of samples at most h apart.
+    ``[t[k-1], t[k+1]]`` of samples at most h apart.  The smallest floor
+    of a pair is also its smallest average ``(g[a] + g[a+1]) / 2`` of two
+    neighbouring samples, so the gap stays above it less ``L*h/2`` on the
+    whole grid.  In the cell of the smallest average, the smaller sample is
+    no larger than its other neighbour, else that neighbour's cell would
+    average less; so it is a sampled minimum, or sits on a plateau whose
+    left edge is one, and that minimum's floor is at most the average.
 
     Returns the first sampled argmin and its value (the first NaN, if any)
     per pair, then the minima as codes ``pair index * samples + sample

@@ -243,6 +243,7 @@ def test_criterion_7_numeric_soundness():
         assert report.passed, name
         worst_dev = max(worst_dev, max(s.max_deviation for s in report.edges))
     assert worst_gap >= GAP_FLOOR
+    assert worst_dev <= LENGTH_TOL  # absolute, although validation scales tol by long edges
 
     # the derived length closes the fourth side: all four relations hold
     p = Dixon2Params(1.0, 2.0, 3.0)

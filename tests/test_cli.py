@@ -360,6 +360,51 @@ def test_generate_rejects_bad_params(args, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args,want",
+    [
+        (["dixon2", "--a", "x", "--b", "2", "--d", "3"], "--a: expected a number, got 'x'"),
+        (["dixon2", "--a", "1", "--b", "2", "--d", ""], "--d: expected a number, got ''"),
+        (["s2", "--c", "1e"], "--c: expected a number, got '1e'"),
+        (
+            ["dixon1", "--m", "3", "--n", "2", "--b", "1,x"],
+            "--b: expected comma-separated numbers, got '1,x'",
+        ),
+        (
+            ["dixon1", "--m", "3", "--n", "2", "--a", "1;2"],
+            "--a: expected comma-separated numbers, got '1;2'",
+        ),
+        (
+            ["dixon1", "--m", "3", "--n", "2", "--sy", "x"],
+            "--sy: signs must be '+' or '-', got 'x'",
+        ),
+    ],
+    ids=["dixon2-a", "dixon2-d-empty", "s2-c", "dixon1-b", "dixon1-a", "dixon1-sy"],
+)
+def test_unparsable_family_option_is_named(args, want, tmp_path, capsys):
+    assert main(["generate", "--family", *args, "--out", str(tmp_path / "graph.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {want}\n" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "graph.json").exists()
+
+
+def test_validate_scales_its_tolerance_by_long_edges(tmp_path, capsys):
+    # lengths near 1e7 round by ~2e-9, above the default tol of 1e-9 but
+    # well within 1e-9 of their length
+    gpath = tmp_path / "graph.json"
+    args = ["--family", "dixon1", "--m", "2", "--n", "2", "--a", "1e14", "--b", "1"]
+    assert main(["generate", *args, "--out", str(gpath)]) == 0
+    vpath = tmp_path / "validate.json"
+    assert main(["validate", str(gpath), "--out", str(vpath)]) == 0
+    data = json.loads(vpath.read_text())
+    assert data["pass"] and data["tol"] == 1e-9
+    assert max(e["max_deviation"] for e in data["edges"]) > 1e-9
+    # a tolerance below the rounding still fails
+    assert main(["validate", str(gpath), "--tol", "1e-17"]) == 1
+    capsys.readouterr()
+
+
 def test_missing_file_is_usage_error(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.json")]) == 2
     assert "error:" in capsys.readouterr().err

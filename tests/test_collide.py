@@ -1,6 +1,10 @@
 import dataclasses
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -268,12 +272,19 @@ def test_grid_stage_local_minima(monkeypatch, block, gs, want):
 
 
 def bracket_bounds(g):
-    """The brackets of every pair of ``g``, their bounds and cutoffs, in code order."""
-    _, _, _, found, bound, cutoff = collide._grid_stage(
+    """The brackets of every kept pair of ``g``, their bounds and cutoffs, in
+    code order, then the kept pairs and every pair's coarse bound."""
+    _, _, _, found, bound, cutoff, kept, coarse = collide._grid_stage(
         g, collide._pair_roles(g), DetectionConfig()
     )
     order = np.argsort(found)
-    return found[order].tobytes(), bound[order].tobytes(), cutoff[order].tobytes()
+    return (
+        found[order].tobytes(),
+        bound[order].tobytes(),
+        cutoff[order].tobytes(),
+        kept.tobytes(),
+        coarse.tobytes(),
+    )
 
 
 @pytest.mark.parametrize("block", [24, 100, 1000])
@@ -287,7 +298,8 @@ def test_detection_does_not_depend_on_the_block_size(
     monkeypatch.setattr(sampling, "GRID_BLOCK", block)
     assert detect_all(ref_dixon1) == ref_dixon1_result
     assert [detect_pair(ref_dixon1, v, e) for v, e in probes] == want
-    # the floors, and with them the bounds, come out bit for bit alike
+    # the floors, and with them the bounds and the kept pairs, come out bit
+    # for bit alike
     assert bracket_bounds(ref_dixon1) == want_bounds
 
 
@@ -561,12 +573,12 @@ def refine_everything(g, roles, cfg):
     return best_t, best_v, failures, found, minima
 
 
-def outcome(g):
+def outcome(g, cfg=None):
     """The exact text of what detect_all returns, warns and raises."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = repr(detect_all(g))
+            out = repr(detect_all(g, cfg))
         except DetectionError as err:
             out = repr([(v, e, str(x), getattr(x, "t", None)) for v, e, x in err.failures])
     return out + "".join(f"\nwarning: {w.message}" for w in caught)
@@ -574,6 +586,19 @@ def outcome(g):
 
 def _seeded_dixon1(seed):
     return dixon1(random_dixon1_params(random.Random(seed)))
+
+
+def seeded_dixon1_10x10():
+    """A dixon1 K(10,10) with seeded radii and signs."""
+    rng = random.Random(10)
+
+    def radii():
+        return tuple(itertools.accumulate(round(rng.uniform(0.5, 2.0), 3) for _ in range(9)))
+
+    def signs():
+        return tuple(rng.choice((1, -1)) for _ in range(9))
+
+    return dixon1(Dixon1Params(10, 10, radii(), radii(), signs(), signs()))
 
 
 def beyond_graph(x):
@@ -623,6 +648,7 @@ PRUNING_GRAPHS = {
     "ambiguity-band": lambda: hover_graph(7.1e-4),
     "refine-error": refine_error_graph,
     **{f"dixon1-seed{seed}": (lambda seed=seed: _seeded_dixon1(seed)) for seed in range(6)},
+    "dixon1-10x10": seeded_dixon1_10x10,
     "two-dips": two_dips_graph,
     "fast-dips": fast_dips_graph,
     "cancelling": cancelling_graph,
@@ -641,11 +667,18 @@ def test_pruned_detection_matches_refining_everything(monkeypatch, name):
 def test_bracket_bounds_are_below_their_refined_minima(name):
     g = PRUNING_GRAPHS[name]()
     cfg, roles = DetectionConfig(), collide._pair_roles(g)
-    _, _, _, found, bound, _ = collide._grid_stage(g, roles, cfg)
+    _, _, _, found, bound, _, kept, coarse = collide._grid_stage(g, roles, cfg)
     *_, want_found, minima = refine_everything(g, roles, cfg)
+    pair = want_found // cfg.samples
+    is_kept = np.isin(pair, kept)
+    # the brackets are exactly those of the kept pairs
     order = np.argsort(found)
-    assert found[order].tolist() == want_found.tolist()
-    assert not np.any(bound[order] > minima)  # a bracket that fails reads NaN, never above
+    assert found[order].tolist() == want_found[is_kept].tolist()
+    # a bracket that fails reads NaN, never above a bound
+    assert not np.any(bound[order] > minima[is_kept])
+    # every pair's coarse bound, a dropped pair's included, is at or below
+    # each of its minima
+    assert not np.any(coarse[pair] > minima)
 
 
 @pytest.mark.parametrize("name", ["dixon1-6x6", "two-dips", "fast-dips", "cancelling"])
@@ -696,7 +729,7 @@ def test_pruning_needs_no_clear_pair(name):
     # the one pair has a bracket that may reach eps, so no pair is clear
     g = PRUNING_GRAPHS[name]()
     cfg = DetectionConfig()
-    _, _, _, found, bound, cutoff = collide._grid_stage(g, collide._pair_roles(g), cfg)
+    _, _, _, found, bound, cutoff, *_ = collide._grid_stage(g, collide._pair_roles(g), cfg)
     order = np.argsort(found)  # the one pair's brackets in time order
     bound, cutoff = bound[order], cutoff[order]
     assert np.any(bound < cfg.collide_eps)
@@ -710,12 +743,91 @@ def test_pruning_needs_no_clear_pair(name):
 
 
 def test_pruning_refines_few_brackets():
-    # 75 of 840
+    # 75 of the 840 brackets of all pairs
     g = PRUNING_GRAPHS["dixon1-6x6"]()
-    _, _, _, found, bound, cutoff = collide._grid_stage(
-        g, collide._pair_roles(g), DetectionConfig()
+    cfg, roles = DetectionConfig(), collide._pair_roles(g)
+    _, _, _, found, bound, cutoff, *_ = collide._grid_stage(g, roles, cfg)
+    *_, every, _ = refine_everything(g, roles, cfg)
+    assert np.count_nonzero(~(bound >= cutoff)) <= 0.1 * len(every)
+
+
+@pytest.mark.parametrize("name,most", [("dixon1-6x6", 0.4), ("dixon1-10x10", 0.1)])
+def test_coarse_pass_drops_far_pairs(name, most):
+    # 122 of 360 and 156 of 1800 pairs are kept
+    g = PRUNING_GRAPHS[name]()
+    cfg, roles = DetectionConfig(), collide._pair_roles(g)
+    *_, kept, coarse = collide._grid_stage(g, roles, cfg)
+    assert len(kept) <= most * roles.shape[1]
+    dropped = np.ones(roles.shape[1], dtype=bool)
+    dropped[kept] = False
+    # a dropped pair is proved clear, and refines above some proved pair
+    proved = coarse >= AMBIGUITY_FACTOR * cfg.collide_eps
+    assert np.all(proved[dropped])
+    best_v = refine_everything(g, roles, cfg)[1]
+    assert best_v[dropped].min() > best_v[proved].min()
+
+
+@pytest.mark.parametrize("samples", [16, 17, 33, 2049])
+def test_coarse_grid_ends_on_the_last_sample(monkeypatch, samples):
+    # with 16 samples the last is appended to the coarse grid; with the
+    # others every 16th sample already ends on it
+    g = PRUNING_GRAPHS["dixon1-6x6"]()
+    cfg, roles = DetectionConfig(samples=samples), collide._pair_roles(g)
+    *_, coarse = collide._grid_stage(g, roles, cfg)
+    *_, every, minima = refine_everything(g, roles, cfg)
+    assert not np.any(coarse[every // samples] > minima)
+    got = outcome(g, cfg)
+    monkeypatch.setattr(collide, "_probe", lambda *a: refine_everything(*a)[:3])
+    assert got == outcome(g, cfg)
+
+
+def test_coarse_pass_keeps_the_pairs_that_fail_on_the_grid():
+    # a's pair fails on the grid, and on its zero-filled samples reads a
+    # coarse bound far above w's: it is kept all the same; z's pair is dropped
+    g = MovingGraph(
+        ("s0", "s1", "a", "w", "z"),
+        (("s0", "s1"),),
+        {
+            "s0": (E.const(9.0), E.const(0.0)),
+            "s1": (E.const(11.0), E.const(0.0)),
+            "a": (E.parse_expression("sqrt(sin(t))"), E.const(0.0)),
+            "w": (E.const(10.0), E.const(5.0)),
+            "z": (E.const(10.0), E.const(50.0)),
+        },
     )
-    assert np.count_nonzero(~(bound >= cutoff)) <= 0.1 * len(found)
+    roles = collide._pair_roles(g)
+    _, failures, *_, kept, coarse = collide._grid_stage(g, roles, DetectionConfig())
+    named = [g.vertices[v] for v in roles[0].tolist()]
+    assert [named[k] for k in failures] == ["a"]
+    assert [named[k] for k in kept.tolist()] == ["a", "w"]
+    assert math.isnan(coarse[named.index("a")])
+    with pytest.raises(DetectionError) as exc:
+        detect_all(g)
+    assert [(v, e) for v, e, _ in exc.value.failures] == [("a", ("s0", "s1"))]
+
+
+def test_detection_loads_no_numpy_module():
+    # each numpy submodule a call loads stays resident, so it would cost
+    # every detecting process memory
+    code = (
+        "import sys\n"
+        "from lmodel.collide import detect_all\n"
+        "from lmodel.families import Dixon1Params, dixon1\n"
+        "g = dixon1(Dixon1Params(6, 6, (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), (1,) * 5, (1,) * 5))\n"
+        "before = set(sys.modules)\n"
+        "detect_all(g)\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def narrow_dip_graph():

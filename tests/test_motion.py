@@ -165,6 +165,28 @@ def test_edge_lengths_flag_drift():
     assert report.edges[0].max_deviation > 0.5
 
 
+def test_edge_length_tolerance_is_relative_beyond_unit_length():
+    # a drift of 5e-10 per unit length: 5e-10 on an edge of length 1 and
+    # 5e-8 on one of length 100
+    def edge(length):
+        return MovingGraph(
+            ("a", "b"),
+            (("a", "b"),),
+            {
+                "a": (E.const(0.0), E.const(0.0)),
+                "b": (E.parse_expression(f"{length} * (1 + 0.0000000005*sin(t))"), E.const(0.0)),
+            },
+        )
+
+    for length in (0.5, 1.0, 100.0):
+        report = validate_edge_lengths(edge(length), tol=1e-9)
+        assert report.passed, length
+        dev = report.edges[0].max_deviation
+        assert dev > 0.4e-9 * length
+        # the tolerance is absolute up to length 1, relative beyond
+        assert not validate_edge_lengths(edge(length), tol=0.9 * dev / max(1.0, length)).passed
+
+
 def test_edge_lengths_ignores_isolated_vertices():
     # the isolated vertex has a domain hole at t=0; must not be evaluated
     g = MovingGraph(
