@@ -11,13 +11,14 @@ margins, probe counts, warnings and ``DetectionError`` failure lists.
 from numpy's ``sin`` and ``cos``, whose last bit may differ from one CPU to
 another, so the digest is only comparable on one machine.
 
-``--bounds`` first checks the bounds that let detection skip pairs and
-brackets: it refines every bracket of every pair of every instance, prints
-per instance how many pairs the coarse pass keeps, how many brackets there
-are and how many detection refines, and exits 1 if detection's brackets
-are not exactly those of the kept pairs, or if any pair's coarse bound or
-any kept bracket's lower bound exceeds a refined minimum it bounds.  That
-is an inequality, so it holds on every CPU.
+``--bounds`` first checks the rule that lets detection drop pairs: it
+refines every bracket of every pair of every instance, prints per
+instance how many pairs the coarse and then the fine grid keep, and how
+many of all brackets detection refines, and exits 1 if detection's
+brackets are not exactly all brackets of the pairs the fine grid keeps,
+if a pair's bound on either grid exceeds one of its refined minima, or if
+a dropped pair refines below ten times eps or below the clear margin of
+the kept pairs.  Those are inequalities, so they hold on every CPU.
 
 The corpus: three seeded detect ladders (dixon1 K(10,10) and K(14,14) and a
 dixon2), s2, dixon2(1,2,3), the README K(4,3) at the default and at a dense
@@ -137,27 +138,36 @@ def every_bracket(g, roles, ts, failures):
 
 
 def check_bounds(g, cfg):
-    """(pairs, kept pairs, brackets, brackets detection refines, faults).
+    """(pairs, pairs each grid keeps, brackets, brackets detection refines, faults).
 
-    A fault is a kept pair's bracket that detection does not return or one
-    it returns of a dropped pair, or a bound above the refined minimum it
-    bounds: a bracket's own, or any of its pair's for the coarse bound.
+    A fault is a bracket detection returns that is not one of a kept pair,
+    or one of a kept pair that it does not return; a pair's bound on either
+    grid above one of its refined minima; or a dropped pair that refines
+    below ten times eps or below the clear margin of the kept pairs, or
+    whose refinement leaves the domain.
     """
+    cfg = cfg or DetectionConfig()
     roles = collide._pair_roles(g)
-    ts, failures, _, found, bound, cutoff, kept, coarse = collide._grid_stage(
-        g, roles, cfg or DetectionConfig()
-    )
+    ts, failures, _, found, kept, bounds = collide._grid_stage(g, roles, cfg)
     every = every_bracket(g, roles, ts, failures)
-    _, minima = collide._refine(g, roles, ts, every, dict(failures))
+    errors = dict(failures)
+    _, minima = collide._refine(g, roles, ts, every, errors)
     pair = every // len(ts)
-    is_kept = np.isin(pair, kept)
-    order = np.argsort(found)
-    if found[order].tolist() != every[is_kept].tolist():
-        return roles.shape[1], len(kept), len(every), 0, 1
-    # a bracket whose probe left the domain reads NaN, which no bound exceeds
-    bad = np.count_nonzero(bound[order] > minima[is_kept]) + np.count_nonzero(coarse[pair] > minima)
-    refined = np.count_nonzero(~(bound >= cutoff))
-    return roles.shape[1], len(kept), len(every), int(refined), int(bad)
+    refined = every[np.isin(pair, kept[-1])]
+    counts = roles.shape[1], [len(k) for k in kept], len(every), len(refined)
+    if np.sort(found).tolist() != refined.tolist():
+        return (*counts, 1)
+    # a bracket whose probe left the domain reads NaN, which no bound
+    # exceeds, and so does the NaN bound of a pair a grid does not read
+    bad = sum(np.count_nonzero(b[pair] > minima) for b in bounds)
+    best = np.full(roles.shape[1], math.inf)
+    np.fmin.at(best, pair, minima)
+    dropped = np.ones(roles.shape[1], dtype=bool)
+    dropped[kept[-1]] = False
+    clear = best[~dropped][best[~dropped] >= cfg.collide_eps].min(initial=math.inf)
+    bad += np.count_nonzero(best[dropped] < max(collide.AMBIGUITY_FACTOR * cfg.collide_eps, clear))
+    bad += sum(bool(dropped[k]) for k in errors)
+    return (*counts, int(bad))
 
 
 def main():
@@ -167,20 +177,20 @@ def main():
     ap.add_argument(
         "--bounds",
         action="store_true",
-        help="check the pair and bracket bounds against refined minima",
+        help="check the pair bounds and the dropped pairs against refined minima",
     )
     args = ap.parse_args()
     above = 0
     if args.bounds:
         for name, g, cfg in corpus():
-            pairs, kept, total, refined, bad = check_bounds(g, cfg)
+            pairs, (coarse, fine), total, refined, bad = check_bounds(g, cfg)
             above += bad
             print(
-                f"kept {kept:5d} of {pairs:5d} pairs, "
+                f"kept {coarse:5d} then {fine:5d} of {pairs:5d} pairs, "
                 f"{refined:5d} of {total:6d} brackets refined  {name}"
             )
             if bad:
-                print(f"detect_digest: {bad} fault(s) in the bounds of {name}", file=sys.stderr)
+                print(f"detect_digest: {bad} fault(s) in the pruning of {name}", file=sys.stderr)
     total = hashlib.sha256()
     for name, g, cfg in corpus():
         text = f"{name}\n{outcome(g, cfg)}\n".encode()

@@ -112,10 +112,14 @@ def _csv_signs(raw: str) -> tuple[int, ...]:
 
 
 def _interval(raw: str) -> tuple[float, float]:
+    """The ``--interval`` option 'a:b'; a parse error names the option."""
     parts = raw.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"expected an interval 'a:b', got {raw!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        if len(parts) != 2:
+            raise ValueError(f"expected an interval 'a:b', got {raw!r}")
+        return _float(parts[0]), _float(parts[1])
+    except ValueError as err:
+        raise ValueError(f"--interval: {err}") from None
 
 
 # ---------------------------------------------------------------------------

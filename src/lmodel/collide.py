@@ -10,27 +10,25 @@ minima, not sign changes; root bracketing would miss them entirely.  The
 detector therefore samples the gap on a dense grid, then drives sampled
 local minima of all pairs together into tiny brackets by golden-section search.
 
-Only the pairs and minima that can change the answer are looked at
-closely.  Interval speed bounds on the vertices
+Only the pairs that can change the answer are looked at closely.
+Interval speed bounds on the vertices
 (:func:`lmodel.interval.speed_bound`) make each gap Lipschitz, so grid
-samples give lower bounds on the gap between them (Piyavskii-Shubert
+samples bound the gap between them from below (Piyavskii-Shubert
 bounding; Shubert, SIAM J. Numer. Anal. 9, 1972), less a margin for
-rounding (:func:`lmodel.interval.rounding_bound`).  A coarse pass over
-every ``COARSE_STRIDE``-th grid sample first bounds each pair over the
-whole domain, and drops the pairs proved to stay farther apart than a
-pair that is proved clear of the ambiguity band comes: they can be neither
-collisions nor the clear margin.  The fine grid then brackets the sampled
-minima of the pairs that are left, and bounds each bracket.  A bracket
-whose bound clears the ambiguity band and either its pair's smallest grid
-gap or the clear margin is skipped: it could not refine below any gap the
-result reports.  So the result is the one refining every bracket of every
-pair gives (see :func:`_grid_stage`).
+rounding (:func:`lmodel.interval.rounding_bound`).  One rule runs on a
+coarse grid of every ``COARSE_STRIDE``-th sample, then on the whole grid
+for the pairs that are left: bound each pair over the whole domain, and
+drop the pairs proved to stay farther apart than a pair that is proved
+clear of the ambiguity band comes.  They can be neither collisions nor
+the clear margin.  Every sampled minimum of every kept pair is then
+refined, so the result is the one refining every bracket of every pair
+gives (see :func:`_grid_stage`).
 
 Both stages work on the whole graph at once (:mod:`lmodel.sampling`).  The
 grid stage reads every pair's gap off a table of vertex-to-vertex
 distances, one block of samples at a time, on the coarse grid for all
 pairs and on the fine grid for the kept ones, and keeps its brackets in
-the order it finds them; only the few that are refined are sorted, into
+the order it finds them; refinement sorts the kept pairs' brackets into
 pair order and time order within a pair.  Each refinement step evaluates
 every coordinate expression shape once, over the brackets of all vertices
 that share it.
@@ -188,7 +186,7 @@ def golden_minimize(
 # brackets refined together; bounds the memory that refinement holds at once
 _REFINE_CHUNK = 2048
 
-# The skip rule's rounding margins.  Speed bounds are computed in floating
+# The pruning rule's rounding margins.  Speed bounds are computed in floating
 # point, rounded to nearest: the gap's Lipschitz constant is scaled up by
 # _SPEED_SLACK.  A coordinate evaluates to within its rounding bound E of its
 # exact value (:func:`lmodel.interval.rounding_bound`), which moves its vertex
@@ -202,22 +200,21 @@ _GAP_SLACK = 2.0**-30
 _STRAY = 4.0 * math.sqrt(2.0)
 
 # every COARSE_STRIDE-th grid sample, and the last, make the coarse grid that
-# proves far pairs clear before the fine gap table is built
+# proves far pairs clear before the fine gap table is read
 COARSE_STRIDE = 16
 
 
 def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
-    """Sample every vertex on the grid, and bracket and bound the sampled minima that can matter.
+    """Sample every vertex on the grid, and bracket the sampled minima of the pairs that can matter.
 
     ``roles`` is a 3 x n array of vertex indices: row 0 the vertex, rows 1
     and 2 the edge's endpoints.  Returns the grid ``ts``, {pair index: grid
-    domain error}, the first sampled argmin of every kept pair, the brackets
-    (codes ``pair * samples + sample``, in grid order, none of a failed or
-    dropped pair), a lower bound on each bracket's refined minimum, each
-    bracket's cutoff (refinement skips the brackets whose bound is at least
-    their cutoff), the indices of the kept pairs, and every pair's coarse
-    bound.  Bounds and cutoffs are elementwise, so they do not depend on the
-    brackets' order.
+    domain error}, the first sampled argmin of every pair the fine grid
+    reads, the brackets (codes ``pair * samples + sample``, in grid order:
+    every sampled minimum of a pair the fine grid keeps that evaluates on
+    the grid), then for the coarse and the fine grid the indices of the
+    pairs it keeps and every pair's bound there (NaN for a pair the grid
+    does not read).
 
     The gap of pair (v, {i, j}) changes by at most ``L = 2(S_v + S_i + S_j)``
     per unit time, where ``S_w`` bounds vertex w's speed over the domain
@@ -226,40 +223,26 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     margins.  The smallest such cell average is the floor of a sampled local
     minimum (see :func:`lmodel.sampling.grid_minima`), so over the whole
     domain the gap stays above the smallest floor less ``L*h/2`` and the
-    margins.
+    margins: the pair's bound on that grid.
 
-    A coarse pass first reads every pair's gap off every
-    ``COARSE_STRIDE``-th grid sample and the last one, all of them grid
-    samples, and bounds the pair's gap over the domain that way, with h the
-    largest coarse spacing: the pair's coarse bound.  A pair whose coarse
+    Two passes run this rule, one on every ``COARSE_STRIDE``-th grid
+    sample and the last, then one on the whole grid, each over the pairs
+    the one before kept.  h is the grid's largest spacing.  A pair whose
     bound is at least ``AMBIGUITY_FACTOR * eps`` is proved clear.  Let U be
-    the smallest coarse sample of a proved pair.  Every pair whose coarse
-    bound is above U is dropped; a NaN bound, and a pair whose grid samples
-    fail, are kept.  A dropped pair refines above U, and U is at least
+    the smallest sample of a proved pair.  Every pair whose bound is above
+    U is dropped; a NaN bound, and a pair whose grid samples fail, are
+    kept.  A dropped pair refines above U, and U is at least
     ``AMBIGUITY_FACTOR * eps``: it is no collision and not ambiguous.  The
     pair U comes from refines to at most U, since its first argmin is a
-    bracket that starts at a grid sample no larger than U, and its coarse
-    bound, a lower bound, is at most that: it is kept, and the clear margin
-    is at most U, below every dropped pair.  So dropping a pair changes
-    nothing detection reports.
-
-    The fine grid brackets each sampled minimum of the kept pairs; its
-    floor less ``L*h/2`` for the grid spacing h, and the margins, is the
-    bracket's bound, and the bracket refines to more than it.  The cutoff of
-    a bracket of pair p is ``max(AMBIGUITY_FACTOR * eps, min(c_up,
-    grid[p]))``, where ``grid[p]`` is p's smallest grid gap and ``c_up`` the
-    smallest grid gap of a kept pair none of whose brackets can get below
-    ``eps``.  A skipped bracket refines above its cutoff, so above
-    ``AMBIGUITY_FACTOR * eps``: it hides no collision or ambiguous gap.  If
-    the cutoff is ``grid[p]``, p's first argmin is a bracket whose bound is
-    below ``grid[p]`` and whose refinement starts there, so p's minimum and
-    witness are the ones refining every bracket gives.  If it is ``c_up``,
-    p's minimum stays above c_up either way, and the clear margin is at most
-    c_up either way, since the pair c_up comes from refines to at least eps
-    and at most c_up.  So detection reports what refining every bracket
-    reports.  A vertex whose expressions can fail to evaluate on the domain,
-    or could once rounded, has no speed or rounding bound, so no pair of it
-    is dropped and every bracket that could raise a domain error is refined.
+    bracket that starts at a grid sample no larger than U, and its bound,
+    a lower bound, is at most that: it is kept.  If the fine pass drops it
+    after all, the fine U is below its minimum, and the pair that U comes
+    from stays.  So the clear margin is at most U, below every dropped
+    pair, and detection reports what refining every bracket of every pair
+    reports.  A vertex whose expressions can fail to evaluate on the
+    domain, or could once rounded, has no speed or rounding bound, so no
+    pair of it is dropped and every bracket that could raise a domain
+    error is refined.
     """
     ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
     motion = [g.motion[w] for w in g.vertices]
@@ -281,6 +264,8 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
             failures[k] = bad[0]
 
     n_pairs = roles.shape[1]
+    failed = np.zeros(n_pairs, dtype=bool)
+    failed[list(failures)] = True
     speed, stray = np.zeros((2, len(motion)))
     for w in sampled:
         speed[w] = math.hypot(*(speed_bound(e, *g.domain) for e in motion[w]))
@@ -289,48 +274,32 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     margin = _STRAY * (stray[roles[0]] + stray[roles[1]] + stray[roles[2]])
     gap_slack = _GAP_SLACK * (1.0 + max(xs.max(), ys.max(), -xs.min(), -ys.min()))
 
-    def lower(floors: np.ndarray, pair: np.ndarray, h: float) -> np.ndarray:
-        """Turn the floors of minima of ``pair`` on a grid of spacing h into bounds, in place."""
-        floors -= lipschitz[pair] * (h / 2)
-        floors -= margin[pair]
-        floors -= gap_slack
-        return floors
-
-    # the coarse pass: every pair's lower bound over the whole domain
     cidx = np.arange(0, len(ts), COARSE_STRIDE)
     if cidx[-1] != len(ts) - 1:
         cidx = np.append(cidx, len(ts) - 1)
-    _, c_low, c_found, c_floor = grid_minima(xs[:, cidx], ys[:, cidx], roles, ts[cidx])
-    c_pair = c_found // len(cidx)
-    coarse = np.full(n_pairs, math.inf)
-    # a pair's samples without NaN hold a sampled minimum; a NaN sample
-    # leaves the pair unbounded, and np.minimum keeps a NaN floor
-    np.minimum.at(coarse, c_pair, lower(c_floor, c_pair, float(np.diff(ts[cidx]).max())))
-    coarse[np.isnan(c_low)] = math.nan
-    coarse[list(failures)] = math.nan
-    u = c_low[coarse >= AMBIGUITY_FACTOR * cfg.collide_eps].min(initial=math.inf)
-    kept = np.flatnonzero(~(coarse > u))
-
+    kept, bounds = [np.arange(n_pairs)], []
+    # a slice keeps the fine grid a view of xs and ys
+    for idx in (cidx, slice(None)):
+        read, grid = kept[-1], ts[idx]
+        first, low, found, floor = grid_minima(xs[:, idx], ys[:, idx], roles[:, read], grid)
+        pair = read[found // len(grid)]
+        floor -= lipschitz[pair] * (float(np.diff(grid).max(initial=0.0)) / 2)
+        floor -= margin[pair]
+        floor -= gap_slack
+        bound = np.full(n_pairs, math.nan)
+        bound[read] = math.inf
+        # a pair's samples without NaN hold a sampled minimum; a NaN sample
+        # leaves the pair unbounded, and np.minimum keeps a NaN floor
+        np.minimum.at(bound, pair, floor)
+        bound[read[np.isnan(low)]] = math.nan
+        bound[failed] = math.nan
+        bounds.append(bound)
+        u = low[bound[read] >= AMBIGUITY_FACTOR * cfg.collide_eps].min(initial=math.inf)
+        kept.append(read[~(bound[read] > u)])
     best_t = np.full(n_pairs, ts[0])
-    grid_v = np.full(n_pairs, math.inf)
-    best_t[kept], grid_v[kept], found, bound = grid_minima(xs, ys, roles[:, kept], ts)
-    del xs, ys  # refinement evaluates its own points
-    pair = kept[found // len(ts)]
-    found = pair * len(ts) + found % len(ts)
-    if failures:
-        ok = np.ones(n_pairs, dtype=bool)
-        ok[list(failures)] = False
-        keep = ok[pair]
-        found, bound, pair = found[keep], bound[keep], pair[keep]
-    bound = lower(bound, pair, float(np.diff(ts).max(initial=0.0)))
-    # the kept pairs none of whose brackets can reach eps; a NaN bound can,
-    # and a NaN c_up makes a NaN cutoff, which refines every bracket
-    clear = np.zeros(n_pairs, dtype=bool)
-    clear[pair] = True
-    clear[pair[~(bound >= cfg.collide_eps)]] = False
-    c_up = grid_v[clear].min(initial=math.inf)
-    cutoff = np.maximum(AMBIGUITY_FACTOR * cfg.collide_eps, np.minimum(c_up, grid_v[pair]))
-    return ts, failures, best_t, found, bound, cutoff, kept, coarse
+    best_t[read] = first
+    found = (pair * len(ts) + found % len(ts))[np.isin(pair, kept[-1]) & ~failed[pair]]
+    return ts, failures, best_t, found, kept[1:], bounds
 
 
 def _refine(
@@ -362,14 +331,13 @@ def _probe(
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Minimum gap of every pair, with the time it is attained.
 
-    Refines the brackets of :func:`_grid_stage` whose bound is under its
-    cutoff, in code order: by pair, and within a pair by time.  Returns
-    (witness times, minimum gaps, {pair index: domain error}); a pair none
-    of whose brackets is refined reads inf.
+    Refines the brackets of :func:`_grid_stage` in code order: by pair, and
+    within a pair by time.  Returns (witness times, minimum gaps, {pair
+    index: domain error}); a pair none of whose brackets is refined reads
+    inf.
     """
-    ts, failures, best_t, found, bound, cutoff, *_ = _grid_stage(g, roles, cfg)
-    found = np.array(sorted(found[~(bound >= cutoff)].tolist()), dtype=np.int64)
-    del bound
+    ts, failures, best_t, found, *_ = _grid_stage(g, roles, cfg)
+    found = np.sort(found)
     t_at, v_at = _refine(g, roles, ts, found, failures)
     best_v = np.full(roles.shape[1], math.inf)
     # brackets come in pair order, each pair's in time order, so a scan

@@ -5,12 +5,12 @@ between v, i and j.  :func:`grid_minima` therefore builds, for each block
 of grid samples, the table of distances between the vertex pairs that the
 probed pairs use, and reads every pair's gap off three of its columns.  It
 also gives every sampled local minimum its floor, from the gaps of the
-minimum and its neighbours, which detection turns into a lower bound on
-the minimum's refined value; the minima come block by block, unsorted.
+minimum and its neighbours; the minima come block by block, unsorted.
 The smallest floor of a pair is the smallest average of two neighbouring
-samples, so on a coarse grid, a subset of the samples, it bounds the pair
-over the whole domain; detection runs it there first, to drop the pairs
-that stay far apart before it builds the fine table.
+samples, which detection turns into a lower bound on the pair's gap over
+the whole domain.  It runs this on a coarse grid, a subset of the
+samples, then on the whole grid for the pairs the coarse grid keeps, and
+drops the pairs that stay far apart.
 :func:`bracket_gap` evaluates the gaps at the probe times of a batch of
 refinement brackets, with one evaluation per coordinate expression shape
 (see :func:`lmodel.numeric.merge_shapes`).  Both give, bit for bit, what
@@ -65,7 +65,7 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
     per pair, then the minima as codes ``pair index * samples + sample
     index`` and their floors, in the order the blocks find them: block by
     block, and within a block in code order.  Nothing here sorts them;
-    detection puts only the few it refines into code order.
+    detection puts only the ones it refines into code order.
     """
     n_samples, n_pairs = len(ts), roles.shape[1]
     v, i, j = roles

@@ -423,6 +423,22 @@ def test_bad_interval_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw,want",
+    [
+        ("0:x", "--interval: expected a number, got 'x'"),
+        ("0:1:2", "--interval: expected an interval 'a:b', got '0:1:2'"),
+    ],
+    ids=["endpoint", "shape"],
+)
+def test_unparsable_interval_is_named(raw, want, tmp_path, capsys):
+    gpath = gen_ref(tmp_path, capsys)
+    assert main(["detect", str(gpath), "--interval", raw]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {want}\n" in err
+    assert "Traceback" not in err
+
+
 def test_no_arguments_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -272,19 +272,10 @@ def test_grid_stage_local_minima(monkeypatch, block, gs, want):
 
 
 def bracket_bounds(g):
-    """The brackets of every kept pair of ``g``, their bounds and cutoffs, in
-    code order, then the kept pairs and every pair's coarse bound."""
-    _, _, _, found, bound, cutoff, kept, coarse = collide._grid_stage(
-        g, collide._pair_roles(g), DetectionConfig()
-    )
-    order = np.argsort(found)
-    return (
-        found[order].tobytes(),
-        bound[order].tobytes(),
-        cutoff[order].tobytes(),
-        kept.tobytes(),
-        coarse.tobytes(),
-    )
+    """The brackets of the kept pairs of ``g``, in code order, then the pairs
+    each grid keeps and every pair's bound on each grid."""
+    _, _, _, found, kept, bounds = collide._grid_stage(g, collide._pair_roles(g), DetectionConfig())
+    return (np.sort(found).tobytes(), *(k.tobytes() for k in kept), *(b.tobytes() for b in bounds))
 
 
 @pytest.mark.parametrize("block", [24, 100, 1000])
@@ -618,9 +609,9 @@ def beyond_graph(x):
 def two_dips_graph():
     """Two dips of x = 1.006127 + 2(1 - cos(2(t - c))), less a tilt that
     makes the second 2e-6 deeper in gap.  The first sits midway between two
-    samples and its bound is below eps, so the pair is not clear; the
-    second sits on a sample and its bound is above ten times eps, so a
-    cutoff of ten times eps would skip the deeper dip."""
+    samples, where its floor is below eps; the second sits on a sample,
+    where its floor is above ten times eps, so skipping minima by that
+    floor would skip the deeper dip."""
     c = 511.5 * 2 * math.pi / (DetectionConfig().samples - 1)
     return beyond_graph(
         E.parse_expression(f"1.006127 + 2*(1 - cos(2*(t - {c!r}))) - {1e-6 / math.pi!r}*t")
@@ -628,8 +619,8 @@ def two_dips_graph():
 
 
 def fast_dips_graph():
-    """Fifty dips, the first close to the segment, the rest tilted away: no
-    bracket of the one pair is clear of eps, yet all but one are skipped."""
+    """Fifty dips, the first close to the segment, the rest tilted away: one
+    pair whose minimum and witness come from one of fifty brackets."""
     return beyond_graph(E.parse_expression("1.00025 + 0.01*(1 - cos(50*(t - 0.1))) + 0.01*(t - 0.1)"))
 
 
@@ -665,20 +656,18 @@ def test_pruned_detection_matches_refining_everything(monkeypatch, name):
 
 @pytest.mark.parametrize("name", PRUNING_GRAPHS)
 def test_bracket_bounds_are_below_their_refined_minima(name):
+    # each pair's bound on either grid is at or below every refined minimum
+    # of the pair's brackets, and the brackets are exactly the kept pairs'
     g = PRUNING_GRAPHS[name]()
     cfg, roles = DetectionConfig(), collide._pair_roles(g)
-    _, _, _, found, bound, _, kept, coarse = collide._grid_stage(g, roles, cfg)
+    _, _, _, found, kept, bounds = collide._grid_stage(g, roles, cfg)
     *_, want_found, minima = refine_everything(g, roles, cfg)
     pair = want_found // cfg.samples
-    is_kept = np.isin(pair, kept)
-    # the brackets are exactly those of the kept pairs
-    order = np.argsort(found)
-    assert found[order].tolist() == want_found[is_kept].tolist()
-    # a bracket that fails reads NaN, never above a bound
-    assert not np.any(bound[order] > minima[is_kept])
-    # every pair's coarse bound, a dropped pair's included, is at or below
-    # each of its minima
-    assert not np.any(coarse[pair] > minima)
+    assert np.sort(found).tolist() == want_found[np.isin(pair, kept[-1])].tolist()
+    # a bracket that fails reads NaN, never above a bound, and so does the
+    # NaN bound of a pair the fine grid does not read
+    for bound in bounds:
+        assert not np.any(bound[pair] > minima)
 
 
 @pytest.mark.parametrize("name", ["dixon1-6x6", "two-dips", "fast-dips", "cancelling"])
@@ -724,31 +713,13 @@ def test_detection_does_not_depend_on_the_order_of_the_minima(monkeypatch, name)
     assert (outcome(g), [probe_outcome(g, v, e) for v, e in probes]) == want
 
 
-@pytest.mark.parametrize("name", ["two-dips", "fast-dips"])
-def test_pruning_needs_no_clear_pair(name):
-    # the one pair has a bracket that may reach eps, so no pair is clear
-    g = PRUNING_GRAPHS[name]()
-    cfg = DetectionConfig()
-    _, _, _, found, bound, cutoff, *_ = collide._grid_stage(g, collide._pair_roles(g), cfg)
-    order = np.argsort(found)  # the one pair's brackets in time order
-    bound, cutoff = bound[order], cutoff[order]
-    assert np.any(bound < cfg.collide_eps)
-    skipped = np.count_nonzero(bound >= cutoff)
-    if name == "two-dips":
-        # the deeper dip is refined although its bound is above ten times eps
-        assert bound.tolist()[1] >= AMBIGUITY_FACTOR * cfg.collide_eps
-        assert skipped == 0
-    else:
-        assert skipped == len(found) - 1
-
-
 def test_pruning_refines_few_brackets():
-    # 75 of the 840 brackets of all pairs
+    # 80 of the 840 brackets of all pairs
     g = PRUNING_GRAPHS["dixon1-6x6"]()
     cfg, roles = DetectionConfig(), collide._pair_roles(g)
-    _, _, _, found, bound, cutoff, *_ = collide._grid_stage(g, roles, cfg)
+    found = collide._grid_stage(g, roles, cfg)[3]
     *_, every, _ = refine_everything(g, roles, cfg)
-    assert np.count_nonzero(~(bound >= cutoff)) <= 0.1 * len(every)
+    assert len(found) <= 0.1 * len(every)
 
 
 @pytest.mark.parametrize("name,most", [("dixon1-6x6", 0.4), ("dixon1-10x10", 0.1)])
@@ -756,7 +727,7 @@ def test_coarse_pass_drops_far_pairs(name, most):
     # 122 of 360 and 156 of 1800 pairs are kept
     g = PRUNING_GRAPHS[name]()
     cfg, roles = DetectionConfig(), collide._pair_roles(g)
-    *_, kept, coarse = collide._grid_stage(g, roles, cfg)
+    *_, (kept, _), (coarse, _) = collide._grid_stage(g, roles, cfg)
     assert len(kept) <= most * roles.shape[1]
     dropped = np.ones(roles.shape[1], dtype=bool)
     dropped[kept] = False
@@ -767,15 +738,32 @@ def test_coarse_pass_drops_far_pairs(name, most):
     assert best_v[dropped].min() > best_v[proved].min()
 
 
+@pytest.mark.parametrize("name", ["dixon1-6x6", "dixon1-10x10"])
+def test_fine_pass_drops_pairs_the_coarse_pass_kept(name):
+    # 122 then 34 of 360, and 156 then 57 of 1800 pairs are kept
+    g = PRUNING_GRAPHS[name]()
+    cfg, roles = DetectionConfig(), collide._pair_roles(g)
+    *_, (read, kept), (_, fine) = collide._grid_stage(g, roles, cfg)
+    assert set(kept.tolist()) < set(read.tolist())
+    dropped = read[np.isin(read, kept, invert=True)]
+    # a pair the fine pass drops is proved clear on the fine grid, and
+    # refines above some proved pair the fine pass keeps
+    proved = fine >= AMBIGUITY_FACTOR * cfg.collide_eps
+    assert np.all(proved[dropped])
+    best_v = refine_everything(g, roles, cfg)[1]
+    assert best_v[dropped].min() > best_v[kept[proved[kept]]].min()
+
+
 @pytest.mark.parametrize("samples", [16, 17, 33, 2049])
 def test_coarse_grid_ends_on_the_last_sample(monkeypatch, samples):
     # with 16 samples the last is appended to the coarse grid; with the
     # others every 16th sample already ends on it
     g = PRUNING_GRAPHS["dixon1-6x6"]()
     cfg, roles = DetectionConfig(samples=samples), collide._pair_roles(g)
-    *_, coarse = collide._grid_stage(g, roles, cfg)
+    *_, (coarse, fine) = collide._grid_stage(g, roles, cfg)
     *_, every, minima = refine_everything(g, roles, cfg)
     assert not np.any(coarse[every // samples] > minima)
+    assert not np.any(fine[every // samples] > minima)
     got = outcome(g, cfg)
     monkeypatch.setattr(collide, "_probe", lambda *a: refine_everything(*a)[:3])
     assert got == outcome(g, cfg)
@@ -783,7 +771,8 @@ def test_coarse_grid_ends_on_the_last_sample(monkeypatch, samples):
 
 def test_coarse_pass_keeps_the_pairs_that_fail_on_the_grid():
     # a's pair fails on the grid, and on its zero-filled samples reads a
-    # coarse bound far above w's: it is kept all the same; z's pair is dropped
+    # bound far above w's: both grids keep it all the same; z's pair is
+    # dropped
     g = MovingGraph(
         ("s0", "s1", "a", "w", "z"),
         (("s0", "s1"),),
@@ -796,11 +785,11 @@ def test_coarse_pass_keeps_the_pairs_that_fail_on_the_grid():
         },
     )
     roles = collide._pair_roles(g)
-    _, failures, *_, kept, coarse = collide._grid_stage(g, roles, DetectionConfig())
+    _, failures, *_, kept, bounds = collide._grid_stage(g, roles, DetectionConfig())
     named = [g.vertices[v] for v in roles[0].tolist()]
     assert [named[k] for k in failures] == ["a"]
-    assert [named[k] for k in kept.tolist()] == ["a", "w"]
-    assert math.isnan(coarse[named.index("a")])
+    assert [[named[k] for k in pairs.tolist()] for pairs in kept] == [["a", "w"]] * 2
+    assert [math.isnan(bound[named.index("a")]) for bound in bounds] == [True, True]
     with pytest.raises(DetectionError) as exc:
         detect_all(g)
     assert [(v, e) for v, e, _ in exc.value.failures] == [("a", ("s0", "s1"))]
