@@ -184,7 +184,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     if args.interval is not None:
-        g = dataclasses.replace(g, domain=_interval(args.interval))
+        domain = _interval(args.interval)
+        try:
+            g = dataclasses.replace(g, domain=domain)
+        except ValueError as err:
+            raise ValueError(f"--interval: {err}") from None
     cfg = _bound("DetectionConfig")(samples=args.samples, collide_eps=args.eps)
     _warn_if_not_periodic(g)
     t0 = time.perf_counter()

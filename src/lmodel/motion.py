@@ -96,7 +96,9 @@ class MovingGraph:
                 raise GraphFormatError(f"motion of {v!r} must be a pair of expressions")
         t0, t1 = self.domain
         if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
-            raise GraphFormatError(f"bad time domain {self.domain!r}")
+            raise GraphFormatError(
+                f"bad time domain {self.domain!r}: it must be finite with a < b"
+            )
 
     @cached_property
     def edge_labels(self) -> tuple[str, ...]:

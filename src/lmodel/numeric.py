@@ -9,17 +9,27 @@ scalar as a one-element array, so detection samples a grid and refines
 many minima at once with it, and a scalar gets an array's bits.
 Evaluation either returns a finite value or raises :class:`ExprDomainError`
 (square root of a negative number, division by zero, overflow); it never
-silently produces NaN or infinity.  Trees that differ only in their
-constants share a *shape*: :func:`split_constants` folds a tree's constant
-parts, and :func:`merge_shapes` joins the trees of one shape into a single
-tree whose constant leaves hold one value per evaluation point, so one
-evaluation serves them all.  :func:`eval_position`,
-:func:`positions_on_grid` and :func:`validate_edge_lengths` evaluate a
-moving graph's vertices.
+silently produces NaN or infinity.  :func:`evaluate` runs
+:func:`compile_expr`'s kernel, which a caller that evaluates one tree many
+times keeps: the tree's constant parts are folded once, and each other
+node is one closure over the numpy call that the checking interpreter
+makes.  The kernel checks no node.  It runs with numpy's overflow, divide
+and invalid flags raising, and from finite times a failing node always
+raises one; on a raised flag, and for a time that is not finite, the
+interpreter runs again and raises the node's error, or returns the same
+bits if no node failed.
+
+Trees that differ only in their constants share a *shape*:
+:func:`split_constants` folds a tree's constant parts, and
+:func:`merge_shapes` joins the trees of one shape into a single tree whose
+constant leaves hold one value per evaluation point, so one evaluation
+serves them all.  :func:`eval_position`, :func:`positions_on_grid` and
+:func:`validate_edge_lengths` evaluate a moving graph's vertices.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,6 +40,7 @@ from .motion import GraphFormatError, MovingGraph
 
 __all__ = [
     "evaluate",
+    "compile_expr",
     "evaluate_on",
     "split_constants",
     "merge_shapes",
@@ -53,12 +64,53 @@ def evaluate(e: Expr, t):
     stays scalar even for array input; use :func:`evaluate_on` when a
     full-size array is required.  Overflow is caught at the node that
     produces it, so a scalar and an array holding the same time fail at the
-    same place.
+    same place.  To evaluate one tree many times, compile it once with
+    :func:`compile_expr`.
     """
-    scalar = np.ndim(t) == 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _ev(e, np.array([t], dtype=float) if scalar else t)
-    return out[0] if scalar and np.ndim(out) else out
+    return compile_expr(e)(t)
+
+
+def compile_expr(e: Expr):
+    """``e`` as a kernel: a callable that evaluates it exactly as :func:`evaluate` does.
+
+    Every subtree without ``t`` is folded once, here, by the checking
+    interpreter; if one fails, or a divisor folds to zero, the kernel
+    always runs the interpreter, which raises each time's first error in
+    tree order.  Every other node becomes one closure making the numpy
+    call the interpreter makes, in the same order, so the values have the
+    same bits.  The kernel checks no node: it runs with numpy's overflow,
+    divide and invalid flags raising.  From finite operands, a sum,
+    difference, product, quotient or power leaves the finite numbers, a
+    divisor is zero, or a square root's argument is negative only when one
+    of those flags goes up.  A raised flag, or a time that is not finite,
+    reruns the interpreter, which raises the error with its reason, node
+    and time, or returns the same bits when no node failed.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel = _compile(e)
+            if kernel is None:
+                value = _ev(e, None)
+                return lambda t: value
+    except ExprDomainError:
+        kernel = None
+
+    def run(t):
+        scalar = np.ndim(t) == 0
+        x = np.array([t], dtype=float) if scalar else t
+        out = None
+        if kernel is not None and np.isfinite(x).all():
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                    out = kernel(x)
+            except FloatingPointError:
+                pass
+        if out is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = _ev(e, x)
+        return out[0] if scalar and np.ndim(out) else out
+
+    return run
 
 
 def evaluate_on(e: Expr, ts: np.ndarray) -> np.ndarray:
@@ -128,6 +180,50 @@ def _ev(e: Expr, t):
     return val
 
 
+_UNARY = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def _compile(e: Expr):
+    """The kernel of a node that depends on ``t``, or None for a node that does not.
+
+    Works bottom-up, so "depends on ``t``" is decided once per node, and
+    folds only the largest subtrees without ``t``.  The constant leaves of a
+    merged shape hold one value per point, so they count as depending on
+    ``t``.  Raises :class:`ExprDomainError` when a fold fails or a divisor
+    folds to zero: the tree then fails at every time, in an order only the
+    interpreter knows.
+    """
+    k = e.kind
+    if k == "t":
+        return lambda t: t
+    if k == "const":
+        if isinstance(e, _Slots):
+            value = e.value
+            return lambda t: value
+        return None
+    kids = [_compile(a) for a in e.args]
+    if all(f is None for f in kids):
+        return None
+    if k == "pow":
+        (f,), n = kids, e.exponent
+        return lambda t: f(t) ** n
+    if k in _UNARY:
+        (f,), op = kids, _UNARY[k]
+        return lambda t: op(f(t))
+    (f, g), op = kids, _BINARY[k]
+    if f is None:
+        c = _ev(e.args[0], None)
+        return lambda t: op(c, g(t))
+    if g is None:
+        c = _ev(e.args[1], None)
+        if k == "div" and c == 0.0:
+            # fails at every time, even for no times at all, like a failing fold
+            raise ExprDomainError("division by zero", e)
+        return lambda t: op(f(t), c)
+    return lambda t: op(f(t), g(t))
+
+
 # ---------------------------------------------------------------------------
 # shapes
 
@@ -135,17 +231,25 @@ def _ev(e: Expr, t):
 _HOLE = const(0.0)
 
 
-def _has_t(e: Expr) -> bool:
-    return e.kind == "t" or any(_has_t(a) for a in e.args)
+def _split(e: Expr, holes: list):
+    """The shape of ``e``, or None when ``e`` has no ``t``.
 
-
-def _split(e: Expr, values: list) -> Expr:
-    if not _has_t(e):
-        values.append(evaluate(e, 0.0))
-        return _HOLE
-    if not e.args:
+    Works bottom-up, so "has ``t``" is decided once per node: a child
+    without ``t`` waits in ``holes`` until its parent turns out to have
+    ``t``, so the holes come in depth-first order.
+    """
+    if e.kind == "t":
         return e
-    return Expr(e.kind, exponent=e.exponent, args=tuple(_split(a, values) for a in e.args))
+    start, shapes = len(holes), []
+    for a in e.args:
+        s = _split(a, holes)
+        if s is None:
+            holes.append(a)
+        shapes.append(s)
+    if all(s is None for s in shapes):
+        del holes[start:]
+        return None
+    return Expr(e.kind, exponent=e.exponent, args=tuple(_HOLE if s is None else s for s in shapes))
 
 
 def split_constants(e: Expr) -> tuple[Expr, tuple]:
@@ -157,8 +261,12 @@ def split_constants(e: Expr) -> tuple[Expr, tuple]:
     equal shapes differ only in these values.  Raises
     :class:`ExprDomainError` when a constant part fails.
     """
-    values: list = []
-    return _split(e, values), tuple(values)
+    holes: list = []
+    shape = _split(e, holes)
+    if shape is None:
+        shape, holes = _HOLE, [e]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return shape, tuple(_ev(h, None) for h in holes)
 
 
 class _Slots:
@@ -166,7 +274,8 @@ class _Slots:
 
     Only :func:`merge_shapes` builds it: :class:`Expr` accepts finite
     scalars only, and ``_ev`` reads nothing but ``kind`` and ``value`` here.
-    Not being an :class:`Expr`, it prints as ``c`` in ``to_text``.
+    A kernel never folds it, since its value is an array.  Not being an
+    :class:`Expr`, it prints as ``c`` in ``to_text``.
     """
 
     kind = "const"
@@ -226,6 +335,10 @@ def positions_on_grid(
     return out
 
 
+# doubles in one table of edge lengths that validation holds at once
+_LENGTH_BLOCK = 1 << 15
+
+
 @dataclass(frozen=True)
 class EdgeLengthStats:
     edge: tuple[str, str]
@@ -254,13 +367,28 @@ def validate_edge_lengths(g: MovingGraph, samples: int = 512, tol: float = 1e-9)
     ts = np.linspace(g.domain[0], g.domain[1], samples)
     needed = {w for e in g.edges for w in e}
     pos = positions_on_grid(g, ts, [v for v in g.vertices if v in needed])
-    stats = []
-    for u, v in g.edges:
-        xu, yu = pos[u]
-        xv, yv = pos[v]
-        lens = np.hypot(xu - xv, yu - yv)
-        mean = float(lens.mean())
-        dev = float(np.max(np.abs(lens - mean)))
-        stats.append(EdgeLengthStats((u, v), mean, dev))
+    row = {v: k for k, v in enumerate(pos)}
+    xs = np.array([x for x, _ in pos.values()]).reshape(-1, samples)
+    ys = np.array([y for _, y in pos.values()]).reshape(-1, samples)
+    ends = np.array([(row[u], row[v]) for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
+    mean, dev = np.empty((2, len(ends)))
+    # a chunk of edges at a time bounds the lengths table; a row's mean and
+    # largest deviation have the bits of the same edge's alone
+    step = max(1, _LENGTH_BLOCK // samples)
+    for s in range(0, len(ends), step):
+        u, v = ends[s : s + step].T
+        # built in place, so that no more than three tables live at once
+        lens = xs[u]
+        lens -= xs[v]
+        dy = ys[u]
+        dy -= ys[v]
+        np.hypot(lens, dy, out=lens)
+        del dy
+        mean[s : s + step] = lens.mean(axis=1)
+        lens -= mean[s : s + step, None]
+        dev[s : s + step] = np.abs(lens, out=lens).max(axis=1)
+    stats = tuple(
+        EdgeLengthStats(e, m, d) for e, m, d in zip(g.edges, mean.tolist(), dev.tolist())
+    )
     passed = all(s.max_deviation <= tol * max(1.0, s.mean) for s in stats)
-    return LengthReport(tuple(stats), tol, passed)
+    return LengthReport(stats, tol, passed)

@@ -439,6 +439,25 @@ def test_unparsable_interval_is_named(raw, want, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "raw,domain",
+    [
+        ("1:0", "(1.0, 0.0)"),
+        ("0:0", "(0.0, 0.0)"),
+        ("0:inf", "(0.0, inf)"),
+        ("0:nan", "(0.0, nan)"),
+    ],
+    ids=["reversed", "empty", "infinite", "nan"],
+)
+def test_unusable_interval_names_the_rule(raw, domain, tmp_path, capsys):
+    gpath = gen_ref(tmp_path, capsys)
+    assert main(["detect", str(gpath), "--interval", raw]) == 2
+    err = capsys.readouterr().err
+    want = f"error: --interval: bad time domain {domain}: it must be finite with a < b\n"
+    assert want in err
+    assert "Traceback" not in err
+
+
 def test_no_arguments_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

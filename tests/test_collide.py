@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -220,7 +221,7 @@ def random_roles(rng, n_vertices, n_pairs):
 
 
 # 1 makes every block one sample wide and every chunk one pair
-BLOCKS = [1, 9, 16, 40, 1 << 13, 100, 300]
+BLOCKS = [1, 9, 16, 40, 1 << 13, 100, 300, 1 << 15]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
@@ -245,7 +246,7 @@ def test_grid_stage_matches_per_pair_loop(monkeypatch, block, kind):
         assert_grid_matches_reference(xs, ys, roles, ts)
 
 
-@pytest.mark.parametrize("block", [1, 4, 1 << 13])
+@pytest.mark.parametrize("block", [1, 4, 1 << 13, 1 << 15])
 @pytest.mark.parametrize(
     "gs,want",
     [
@@ -579,17 +580,21 @@ def _seeded_dixon1(seed):
     return dixon1(random_dixon1_params(random.Random(seed)))
 
 
-def seeded_dixon1_10x10():
-    """A dixon1 K(10,10) with seeded radii and signs."""
-    rng = random.Random(10)
+def seeded_square_dixon1(m, seed):
+    """A dixon1 K(m,m) with seeded radii and signs."""
+    rng = random.Random(seed)
 
     def radii():
-        return tuple(itertools.accumulate(round(rng.uniform(0.5, 2.0), 3) for _ in range(9)))
+        return tuple(itertools.accumulate(round(rng.uniform(0.5, 2.0), 3) for _ in range(m - 1)))
 
     def signs():
-        return tuple(rng.choice((1, -1)) for _ in range(9))
+        return tuple(rng.choice((1, -1)) for _ in range(m - 1))
 
-    return dixon1(Dixon1Params(10, 10, radii(), radii(), signs(), signs()))
+    return dixon1(Dixon1Params(m, m, radii(), radii(), signs(), signs()))
+
+
+def seeded_dixon1_10x10():
+    return seeded_square_dixon1(10, 10)
 
 
 def beyond_graph(x):
@@ -793,6 +798,21 @@ def test_coarse_pass_keeps_the_pairs_that_fail_on_the_grid():
     with pytest.raises(DetectionError) as exc:
         detect_all(g)
     assert [(v, e) for v, e, _ in exc.value.failures] == [("a", ("s0", "s1"))]
+
+
+def test_detection_memory_stays_within_budget():
+    # the grid stage's blocks and chunks of GRID_BLOCK doubles dominate what
+    # detection allocates beyond the grid: 1.7 MB at 1 << 13, 2.5 MB at
+    # 1 << 15 and 3.6 MB at 1 << 16 on this K(14,14)
+    g = seeded_square_dixon1(14, 14)
+    detect_all(g)  # first-call imports and caches are not detection's memory
+    tracemalloc.start()
+    try:
+        detect_all(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_detection_loads_no_numpy_module():

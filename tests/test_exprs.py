@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmodel import exprs as E
+from lmodel import numeric
 from lmodel.interval import rounding_bound, speed_bound
-from lmodel.numeric import evaluate, evaluate_on, merge_shapes, split_constants
+from lmodel.numeric import compile_expr, evaluate, evaluate_on, merge_shapes, split_constants
 
 
 def test_parse_simple_tree():
@@ -290,6 +291,106 @@ def test_scalar_evaluation_matches_the_array_bit_for_bit(tree, times):
         return
     for t, w in zip(times, want):
         assert np.float64(evaluate(tree, t)).tobytes() == w.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels
+
+
+def _interpret(tree, t):
+    """``evaluate`` as the checking interpreter alone computes it."""
+    scalar = np.ndim(t) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = numeric._ev(tree, np.array([t], dtype=float) if scalar else t)
+    return out[0] if scalar and np.ndim(out) else out
+
+
+def _outcome(run, tree, t):
+    """The value's bits, or the error's reason, node and time."""
+    try:
+        return np.asarray(run(tree, t), dtype=float).tobytes()
+    except E.ExprDomainError as err:
+        return err.reason, id(err.expr), None if err.t is None else np.float64(err.t).tobytes()
+
+
+_times = st.one_of(
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.lists(
+        st.one_of(
+            st.floats(min_value=-4.0, max_value=4.0),
+            st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan]),
+        ),
+        max_size=8,
+    ).map(np.array),
+)
+
+
+@given(
+    st.one_of(
+        _members,
+        st.builds(E.powi, _trees, st.integers(min_value=2, max_value=7)),
+        # powers that overflow for bases past about 3, and underflow near 0
+        st.builds(E.powi, _trees, st.integers(min_value=100, max_value=700)),
+    ),
+    _times,
+)
+@settings(max_examples=500)
+def test_kernel_matches_the_interpreter(tree, t):
+    # trees that fail on [-4, 4] included: a square root or divisor of
+    # either sign or zero, overflowing powers, non-finite times
+    got = _outcome(lambda e, x: compile_expr(e)(x), tree, t)
+    assert got == _outcome(_interpret, tree, t)
+
+
+@given(_members, st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200)
+def test_merged_kernel_matches_the_interpreter(tree, seed):
+    rng = np.random.default_rng(seed)
+    trees = [tree] + [_recast(tree, rng) for _ in range(int(rng.integers(1, 4)))]
+    try:
+        parts = [split_constants(e) for e in trees]
+    except E.ExprDomainError:
+        return
+    if len({shape for shape, _ in parts}) > 1:
+        return
+    sizes = [int(rng.integers(1, 5)) for _ in trees]
+    merged = merge_shapes(parts[0][0], [values for _, values in parts], sizes)
+    ts = rng.uniform(-4.0, 4.0, sum(sizes))
+    got = _outcome(lambda e, x: compile_expr(e)(x), merged, ts)
+    assert got == _outcome(_interpret, merged, ts)
+
+
+def test_t_dependent_failure_raises_before_a_failing_constant_part():
+    # 1/t fails at t=0, before the constant part sqrt(0-1) to its right
+    tree = E.parse_expression("1/t + sqrt(0-1)")
+    for t in (0.0, np.array([1.0, 0.0])):
+        with pytest.raises(E.ExprDomainError, match="division by zero") as exc:
+            compile_expr(tree)(t)
+        assert exc.value.t == 0.0 and exc.value.expr is tree.args[0]
+    # elsewhere the constant part fails, at every time
+    with pytest.raises(E.ExprDomainError, match="square root") as exc:
+        compile_expr(tree)(np.array([1.0, 2.0]))
+    assert exc.value.t is None and exc.value.expr is tree.args[1]
+
+
+def test_constant_zero_divisor_fails_without_times():
+    # no flag goes up on an empty array, yet the interpreter fails it
+    tree = E.parse_expression("t/(1-1)")
+    with pytest.raises(E.ExprDomainError, match="division by zero") as exc:
+        compile_expr(tree)(np.array([]))
+    assert exc.value.t is None and exc.value.expr is tree
+
+
+def test_kernel_runs_without_the_interpreter(monkeypatch):
+    kernel = compile_expr(E.parse_expression("sqrt(2)*sin(t)/(1+t^2) - 3"))
+    ts = np.linspace(-4.0, 4.0, 9)
+    want = _interpret(E.parse_expression("sqrt(2)*sin(t)/(1+t^2) - 3"), ts)
+
+    def refuse(*_):
+        raise AssertionError("the interpreter ran")
+
+    monkeypatch.setattr(numeric, "_ev", refuse)
+    assert kernel(ts).tobytes() == want.tobytes()
 
 
 def test_split_constants_folds_constant_parts():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lmodel import exprs as E
+from lmodel import numeric
 from lmodel.motion import TAU, GraphFormatError, MovingGraph, edge_label, load_graph, save_graph
 from lmodel.numeric import eval_position, positions_on_grid, validate_edge_lengths
 
@@ -199,6 +200,36 @@ def test_edge_lengths_ignores_isolated_vertices():
         },
     )
     assert validate_edge_lengths(g).passed
+
+
+@pytest.mark.parametrize("block", [1, 1000, numeric._LENGTH_BLOCK])
+@pytest.mark.parametrize("samples", [2, 512, 700])
+def test_edge_lengths_match_a_per_edge_reference(
+    monkeypatch, ref_dixon1, ref_s2, ref_dixon2, block, samples
+):
+    # the edges are taken a chunk at a time; 1 makes every chunk one edge
+    monkeypatch.setattr(numeric, "_LENGTH_BLOCK", block)
+    drift = MovingGraph(
+        ("a", "b", "c"),
+        (("a", "b"), ("c", "a")),
+        {
+            "a": (E.parse_expression("sin(t)"), E.const(0.0)),
+            "b": (E.parse_expression("t/3"), E.parse_expression("cos(t)^2")),
+            "c": (E.const(2.0), E.const(-1.0)),
+        },
+    )
+    for g in (ref_dixon1, ref_s2, ref_dixon2, drift):
+        ts = np.linspace(g.domain[0], g.domain[1], samples)
+        pos = positions_on_grid(g, ts)
+        report = validate_edge_lengths(g, samples=samples)
+        assert [s.edge for s in report.edges] == list(g.edges)
+        for s, (u, v) in zip(report.edges, g.edges):
+            lens = np.hypot(pos[u][0] - pos[v][0], pos[u][1] - pos[v][1])
+            mean = float(lens.mean())
+            dev = float(np.max(np.abs(lens - mean)))
+            assert (type(s.mean), type(s.max_deviation)) == (float, float)
+            assert np.float64(s.mean).tobytes() == np.float64(mean).tobytes()
+            assert np.float64(s.max_deviation).tobytes() == np.float64(dev).tobytes()
 
 
 def test_validate_edge_lengths_bad_args(ref_dixon1):
