@@ -11,11 +11,11 @@ detector therefore samples the gap on a dense grid, then drives sampled
 local minima of all pairs together into tiny brackets by golden-section search.
 
 Only the pairs that can change the answer are looked at closely.
-Interval speed bounds on the vertices
-(:func:`lmodel.interval.speed_bound`) make each gap Lipschitz, so grid
+Interval speed bounds on the vertices make each gap Lipschitz, so grid
 samples bound the gap between them from below (Piyavskii-Shubert
 bounding; Shubert, SIAM J. Numer. Anal. 9, 1972), less a margin for
-rounding (:func:`lmodel.interval.rounding_bound`).  One rule runs on a
+rounding; one enclosure walk gives both bounds
+(:func:`lmodel.interval.speed_and_stray`).  One rule runs on a
 coarse grid of every ``COARSE_STRIDE``-th sample, then on the whole grid
 for the pairs that are left: bound each pair over the whole domain, and
 drop the pairs proved to stay farther apart than a pair that is proved
@@ -49,7 +49,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .exprs import ExprDomainError
-from .interval import rounding_bound, speed_bound
+from .interval import speed_and_stray
 from .motion import CollisionPair, DetectionError, MovingGraph, edge_label, pair_edge
 from .numeric import eval_position, evaluate_on
 from .sampling import bracket_gap, grid_minima, slack
@@ -189,7 +189,7 @@ _REFINE_CHUNK = 2048
 # The pruning rule's rounding margins.  Speed bounds are computed in floating
 # point, rounded to nearest: the gap's Lipschitz constant is scaled up by
 # _SPEED_SLACK.  A coordinate evaluates to within its rounding bound E of its
-# exact value (:func:`lmodel.interval.rounding_bound`), which moves its vertex
+# exact value (:func:`lmodel.interval.speed_and_stray`), which moves its vertex
 # by at most sqrt(2)*E and a pair's gap, a sum of three distances, by at most
 # 2*sqrt(2)*(E_v + E_i + E_j); both the floor's samples and the refined value
 # stray, so the bound is lowered by twice that.  The slack's own arithmetic
@@ -218,7 +218,7 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
 
     The gap of pair (v, {i, j}) changes by at most ``L = 2(S_v + S_i + S_j)``
     per unit time, where ``S_w`` bounds vertex w's speed over the domain
-    (:func:`lmodel.interval.speed_bound`).  So between samples a and b at
+    (:func:`lmodel.interval.speed_and_stray`).  So between samples a and b at
     most h apart it stays above ``(g_a + g_b)/2 - L*h/2``, less the rounding
     margins.  The smallest such cell average is the floor of a sampled local
     minimum (see :func:`lmodel.sampling.grid_minima`), so over the whole
@@ -268,8 +268,9 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     failed[list(failures)] = True
     speed, stray = np.zeros((2, len(motion)))
     for w in sampled:
-        speed[w] = math.hypot(*(speed_bound(e, *g.domain) for e in motion[w]))
-        stray[w] = max(rounding_bound(e, *g.domain) for e in motion[w])
+        (sx, ex), (sy, ey) = (speed_and_stray(e, *g.domain) for e in motion[w])
+        speed[w] = math.hypot(sx, sy)
+        stray[w] = max(ex, ey)
     lipschitz = 2.0 * _SPEED_SLACK * (speed[roles[0]] + speed[roles[1]] + speed[roles[2]])
     margin = _STRAY * (stray[roles[0]] + stray[roles[1]] + stray[roles[2]])
     gap_slack = _GAP_SLACK * (1.0 + max(xs.max(), ys.max(), -xs.min(), -ys.min()))

@@ -15,7 +15,7 @@ node kind for it.  No :class:`Expr` is taller, and no parsed text nests deeper,
 than ``MAX_EXPR_HEIGHT``, so no walk of a tree can exhaust the stack.
 
 This module parses and prints trees and needs no numpy.  The evaluator
-(``evaluate``, ``evaluate_on``, ``split_constants``, ``merge_shapes``)
+(``evaluate``, ``evaluate_on``, ``split_constants``, ``merged_kernel``)
 lives in :mod:`lmodel.numeric`.
 """
 from __future__ import annotations
@@ -327,8 +327,7 @@ def _fmt_const(v: float) -> str:
 def _render(e: Expr, min_level: int) -> str:
     lvl = _LEVEL[e.kind]
     if e.kind == "const":
-        # the constant leaves of a merged shape are not Exprs and hold arrays
-        s = _fmt_const(e.value) if isinstance(e, Expr) else "c"
+        s = _fmt_const(e.value)
     elif e.kind == "t":
         s = "t"
     elif e.kind in _FUNCS:

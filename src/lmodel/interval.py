@@ -4,8 +4,9 @@ Forward-mode interval arithmetic (Moore, Kearfott & Cloud, *Introduction to
 Interval Analysis*, 2009) gives every node of an expression an enclosure of
 its value and its derivative over a time interval, and a running error
 analysis over those enclosures bounds how far floating-point evaluation
-strays from the exact value.  Detection turns both into lower bounds on its
-refinement brackets (see :mod:`lmodel.collide`).  Plain ``math``, no numpy.
+strays from the exact value.  :func:`speed_and_stray` gives both from one
+walk, and detection turns them into lower bounds on its pairs' gaps (see
+:mod:`lmodel.collide`).  Plain ``math``, no numpy.
 
 It is a module of its own, imported only by :mod:`lmodel.collide`,
 because without a bytecode cache Python compiles a module's source on
@@ -20,7 +21,7 @@ import math
 
 from .exprs import Expr
 
-__all__ = ["speed_bound", "rounding_bound"]
+__all__ = ["speed_and_stray"]
 
 
 class _Unbounded(Exception):
@@ -141,38 +142,29 @@ def _enclose(e: Expr, t: tuple) -> tuple[tuple, tuple, float]:
     return out
 
 
-def speed_bound(e: Expr, lo: float, hi: float) -> float:
-    """An upper bound on |de/dt| over [lo, hi], or ``inf`` when there is none.
+def speed_and_stray(e: Expr, lo: float, hi: float) -> tuple[float, float]:
+    """Bounds over [lo, hi] on |de/dt| and on |evaluate(e, t) - e(t)|: one enclosure walk for both.
 
     Forward-mode interval arithmetic (Moore, Kearfott & Cloud, *Introduction
     to Interval Analysis*, 2009): every node gets an enclosure of its value
-    and of its derivative over [lo, hi].  The bound is ``inf`` when an
-    enclosure reaches a domain fault (a square root argument that is not
-    positive, a divisor that contains 0) or a non-finite endpoint, so a tree
-    that can fail to evaluate anywhere on [lo, hi] never gets a finite bound.
-    The endpoints are rounded to nearest, not outward: callers widen the
+    and of its derivative over [lo, hi], and the speed bound is the
+    derivative's largest size.  Both bounds are ``inf`` when an enclosure
+    reaches a domain fault (a square root argument that is not positive, a
+    divisor that contains 0) or a non-finite endpoint, so a tree that can
+    fail to evaluate anywhere on [lo, hi] never gets a finite bound.  The
+    endpoints are rounded to nearest, not outward: callers widen the speed
     bound by a relative margin.
-    """
-    try:
-        _, (dl, dh), _ = _enclose(e, (float(lo), float(hi)))
-    except (_Unbounded, OverflowError):
-        return math.inf
-    return max(abs(dl), abs(dh))
-
-
-def rounding_bound(e: Expr, lo: float, hi: float) -> float:
-    """A bound on |evaluate(e, t) - e(t)| over [lo, hi], or ``inf`` when there is none.
 
     ``e(t)`` is the exact value of the tree, with its constants as stored.
-    A running error analysis over the enclosures of :func:`speed_bound`:
-    every node adds what its operands' errors can move it by, plus one
-    rounding of its result.  Cancellation is what this catches: in
-    ``(t + 1e8) - 1e8`` the values are small but the rounding is that of
-    1e8.  The bound is ``inf`` wherever :func:`speed_bound` is, and where
-    the rounding could bring a square root argument or a divisor to 0.
+    The stray comes from a running error analysis over the enclosures: every
+    node adds what its operands' errors can move it by, plus one rounding
+    of its result.  Cancellation is what this catches: in ``(t + 1e8) -
+    1e8`` the values are small but the rounding is that of 1e8.  The stray
+    is also ``inf`` where the rounding could bring a square root argument
+    or a divisor to 0.
     """
     try:
-        err = _enclose(e, (float(lo), float(hi)))[2]
+        _, (dl, dh), err = _enclose(e, (float(lo), float(hi)))
     except (_Unbounded, OverflowError):
-        return math.inf
-    return err if math.isfinite(err) else math.inf
+        return math.inf, math.inf
+    return max(abs(dl), abs(dh)), err if math.isfinite(err) else math.inf

@@ -8,23 +8,23 @@ expression, so the commands that only plan never load it.
 scalar as a one-element array, so detection samples a grid and refines
 many minima at once with it, and a scalar gets an array's bits.
 Evaluation either returns a finite value or raises :class:`ExprDomainError`
-(square root of a negative number, division by zero, overflow); it never
-silently produces NaN or infinity.  :func:`evaluate` runs
-:func:`compile_expr`'s kernel, which a caller that evaluates one tree many
-times keeps: the tree's constant parts are folded once, and each other
-node is one closure over the numpy call that the checking interpreter
-makes.  The kernel checks no node.  It runs with numpy's overflow, divide
-and invalid flags raising, and from finite times a failing node always
-raises one; on a raised flag, and for a time that is not finite, the
-interpreter runs again and raises the node's error, or returns the same
-bits if no node failed.
+(square root of a negative number, division by zero, overflow, a time that
+is not finite); it never silently produces NaN or infinity.
+:func:`evaluate` runs :func:`compile_expr`'s kernel, which a caller that
+evaluates one tree many times keeps.
 
 Trees that differ only in their constants share a *shape*:
-:func:`split_constants` folds a tree's constant parts, and
-:func:`merge_shapes` joins the trees of one shape into a single tree whose
-constant leaves hold one value per evaluation point, so one evaluation
-serves them all.  :func:`eval_position`, :func:`positions_on_grid` and
-:func:`validate_edge_lengths` evaluate a moving graph's vertices.
+:func:`split_constants` folds a tree's constant parts, the one walk that
+does, and every kernel is compiled from its shape: each node one closure
+over the numpy call that the checking interpreter makes.  The kernel
+checks no node.  It runs with numpy's overflow, divide and invalid flags
+raising, and from finite times a failing node always raises one; on a
+raised flag, for a time that is not finite and for no times at all, the
+interpreter runs instead and raises the node's error, or returns the same
+bits if no node failed.  :func:`merged_kernel` fills one shape's holes
+with the constants of several trees, one value per evaluation point, so
+one run serves them all.  :func:`eval_position`, :func:`positions_on_grid`
+and :func:`validate_edge_lengths` evaluate a moving graph's vertices.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ __all__ = [
     "compile_expr",
     "evaluate_on",
     "split_constants",
-    "merge_shapes",
+    "merged_kernel",
     "eval_position",
     "positions_on_grid",
     "EdgeLengthStats",
@@ -73,25 +73,21 @@ def evaluate(e: Expr, t):
 def compile_expr(e: Expr):
     """``e`` as a kernel: a callable that evaluates it exactly as :func:`evaluate` does.
 
-    Every subtree without ``t`` is folded once, here, by the checking
-    interpreter; if one fails, or a divisor folds to zero, the kernel
-    always runs the interpreter, which raises each time's first error in
-    tree order.  Every other node becomes one closure making the numpy
-    call the interpreter makes, in the same order, so the values have the
-    same bits.  The kernel checks no node: it runs with numpy's overflow,
-    divide and invalid flags raising.  From finite operands, a sum,
-    difference, product, quotient or power leaves the finite numbers, a
-    divisor is zero, or a square root's argument is negative only when one
-    of those flags goes up.  A raised flag, or a time that is not finite,
-    reruns the interpreter, which raises the error with its reason, node
-    and time, or returns the same bits when no node failed.
+    The kernel is compiled from :func:`split_constants`' shape: the tree's
+    constant parts are folded once, there, and every other node becomes one
+    closure making the numpy call the checking interpreter makes, in the
+    same order, so the values have the same bits.  The kernel checks no
+    node: it runs with numpy's overflow, divide and invalid flags raising.
+    From finite operands, a sum, difference, product, quotient or power
+    leaves the finite numbers, a divisor is zero, or a square root's
+    argument is negative only when one of those flags goes up.  A raised
+    flag, a time that is not finite, an empty array of times (on which no
+    flag goes up) and a constant part that fails all run the interpreter
+    instead, which raises each time's first error in tree order with its
+    reason, node and time, or returns the same bits when no node failed.
     """
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            kernel = _compile(e)
-            if kernel is None:
-                value = _ev(e, None)
-                return lambda t: value
+        kernel = _compile(*split_constants(e))
     except ExprDomainError:
         kernel = None
 
@@ -99,7 +95,7 @@ def compile_expr(e: Expr):
         scalar = np.ndim(t) == 0
         x = np.array([t], dtype=float) if scalar else t
         out = None
-        if kernel is not None and np.isfinite(x).all():
+        if kernel is not None and x.size and np.isfinite(x).all():
             try:
                 with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
                     out = kernel(x)
@@ -137,6 +133,9 @@ def _ev(e: Expr, t):
     if k == "const":
         return e.value
     if k == "t":
+        bad = ~np.isfinite(t)
+        if bad.any():
+            raise ExprDomainError("time is not finite", e, _offending_t(bad, t))
         return t
     if k == "neg":
         return -_ev(e.args[0], t)
@@ -184,44 +183,31 @@ _UNARY = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
 _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
 
-def _compile(e: Expr):
-    """The kernel of a node that depends on ``t``, or None for a node that does not.
+def _compile(shape: Expr, holes):
+    """The kernel of ``shape``, its holes filled with ``holes`` in depth-first order.
 
-    Works bottom-up, so "depends on ``t``" is decided once per node, and
-    folds only the largest subtrees without ``t``.  The constant leaves of a
-    merged shape hold one value per point, so they count as depending on
-    ``t``.  Raises :class:`ExprDomainError` when a fold fails or a divisor
-    folds to zero: the tree then fails at every time, in an order only the
-    interpreter knows.
+    A hole is a ``const`` leaf of a :func:`split_constants` shape, and its
+    value a scalar or one value per point.
     """
-    k = e.kind
-    if k == "t":
-        return lambda t: t
-    if k == "const":
-        if isinstance(e, _Slots):
-            value = e.value
-            return lambda t: value
-        return None
-    kids = [_compile(a) for a in e.args]
-    if all(f is None for f in kids):
-        return None
-    if k == "pow":
-        (f,), n = kids, e.exponent
-        return lambda t: f(t) ** n
-    if k in _UNARY:
-        (f,), op = kids, _UNARY[k]
-        return lambda t: op(f(t))
-    (f, g), op = kids, _BINARY[k]
-    if f is None:
-        c = _ev(e.args[0], None)
-        return lambda t: op(c, g(t))
-    if g is None:
-        c = _ev(e.args[1], None)
-        if k == "div" and c == 0.0:
-            # fails at every time, even for no times at all, like a failing fold
-            raise ExprDomainError("division by zero", e)
-        return lambda t: op(f(t), c)
-    return lambda t: op(f(t), g(t))
+    values = iter(holes)
+
+    def walk(e: Expr):
+        k = e.kind
+        if k == "t":
+            return lambda t: t
+        if k == "const":
+            c = next(values)
+            return lambda t: c
+        if k == "pow":
+            f, n = walk(e.args[0]), e.exponent
+            return lambda t: f(t) ** n
+        if k in _UNARY:
+            f, op = walk(e.args[0]), _UNARY[k]
+            return lambda t: op(f(t))
+        f, g, op = walk(e.args[0]), walk(e.args[1]), _BINARY[k]
+        return lambda t: op(f(t), g(t))
+
+    return walk(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -269,43 +255,19 @@ def split_constants(e: Expr) -> tuple[Expr, tuple]:
         return shape, tuple(_ev(h, None) for h in holes)
 
 
-class _Slots:
-    """A constant leaf of a merged shape: one value per evaluation point.
-
-    Only :func:`merge_shapes` builds it: :class:`Expr` accepts finite
-    scalars only, and ``_ev`` reads nothing but ``kind`` and ``value`` here.
-    A kernel never folds it, since its value is an array.  Not being an
-    :class:`Expr`, it prints as ``c`` in ``to_text``.
-    """
-
-    kind = "const"
-    exponent = 0
-    args = ()
-    height = 1
-
-    def __init__(self, value: np.ndarray):
-        self.value = value
-
-
-def _merge(e: Expr, holes):
-    if e.kind == "const":
-        return _Slots(next(holes))
-    if not e.args:
-        return e
-    return Expr(e.kind, exponent=e.exponent, args=tuple(_merge(a, holes) for a in e.args))
-
-
-def merge_shapes(shape: Expr, values: list[tuple], sizes: list[int]):
-    """One tree for several trees of ``shape``, each over its own points.
+def merged_kernel(shape: Expr, values: list[tuple], sizes: list[int]):
+    """One kernel for several trees of ``shape``, each over its own points.
 
     Tree k has the constants ``values[k]`` (from :func:`split_constants`)
-    and owns the next ``sizes[k]`` points of the array the merged tree is
-    evaluated on; each hole holds one constant per point.  Each point then
-    gets the bits of its own tree: numpy's elementwise operations do not
-    depend on their neighbours, and a scalar operand gives the bits of the
-    same value repeated in an array.
+    and owns the next ``sizes[k]`` points of the array the kernel runs on;
+    each hole holds one constant per point.  Each point then gets the bits
+    of its own tree: numpy's elementwise operations do not depend on their
+    neighbours, and a scalar operand gives the bits of the same value
+    repeated in an array.  Like :func:`compile_expr`'s kernel it checks no
+    node: the caller runs it on finite times with numpy's overflow, divide
+    and invalid flags raising, and a raised flag means some tree failed.
     """
-    return _merge(shape, (np.repeat(h, sizes) for h in zip(*values)))
+    return _compile(shape, [np.repeat(h, sizes) for h in zip(*values)])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ the whole domain.  It runs this on a coarse grid, a subset of the
 samples, then on the whole grid for the pairs the coarse grid keeps, and
 drops the pairs that stay far apart.
 :func:`bracket_gap` evaluates the gaps at the probe times of a batch of
-refinement brackets, with one evaluation per coordinate expression shape
-(see :func:`lmodel.numeric.merge_shapes`), each shape compiled once per
-batch (:func:`lmodel.numeric.compile_expr`).  Both give, bit for bit, what
+refinement brackets, with one kernel run per coordinate expression shape,
+each shape's kernel compiled once per batch
+(:func:`lmodel.numeric.merged_kernel`).  Both give, bit for bit, what
 evaluating pair by pair and vertex by vertex gives.
 
 ``GRID_BLOCK`` bounds the memory the grid stage holds beyond the grid
@@ -35,7 +35,7 @@ from array import array
 import numpy as np
 
 from .exprs import ExprDomainError
-from .numeric import compile_expr, evaluate, evaluate_on, merge_shapes, split_constants
+from .numeric import evaluate, evaluate_on, merged_kernel, split_constants
 
 __all__ = ["GRID_BLOCK", "slack", "grid_minima", "bracket_gap"]
 
@@ -157,11 +157,13 @@ def bracket_gap(motion: list, roles: np.ndarray, seed: np.ndarray, errors: dict)
     the vertex indices (v, i, j) of each bracket's pair, one row per role.
     The coordinates of the batch's vertices are split into shapes and
     constants (:func:`lmodel.numeric.split_constants`) once, and every shape
-    is compiled once and evaluated once per call, merged over the brackets
-    of every vertex that uses it.  A call that leaves the domain is redone
-    vertex by vertex, and then point by point for a vertex that fails, so a
-    bracket whose probe leaves the domain is charged its first error in
-    ``errors`` and reads NaN from then on.
+    is compiled once into a kernel merged over the brackets of every vertex
+    that uses it.  A call runs every kernel once, all with numpy's
+    overflow, divide and invalid flags raising.  A raised flag means some
+    probe left the domain: the call is redone vertex by vertex, and then
+    point by point for a vertex that fails, so a bracket whose probe
+    leaves the domain is charged its first error in ``errors`` and reads
+    NaN from then on.
     """
     m = roles.shape[1]
     slots = roles.ravel()  # role-major: slot r*m + k is role r of bracket k
@@ -172,13 +174,13 @@ def bracket_gap(motion: list, roles: np.ndarray, seed: np.ndarray, errors: dict)
     for w in used:
         for axis in (0, 1):
             members.setdefault(shapes[w][axis][0], []).append((w, axis))
-    merged = []  # (merged tree's kernel, its slots in px|py, the brackets they probe)
+    merged = []  # (merged kernel, its slots in px|py, the brackets they probe)
     for shape, group in members.items():
         values = [shapes[w][axis][1] for w, axis in group]
         sizes = [len(vertex_slots[w]) for w, _ in group]
         at = np.concatenate([vertex_slots[w] + axis * 3 * m for w, axis in group])
         # slot r*m + k of either coordinate is probed at t[k]
-        merged.append((compile_expr(merge_shapes(shape, values, sizes)), at, at % m))
+        merged.append((merged_kernel(shape, values, sizes), at, at % m))
     failed = np.zeros(m, dtype=bool)
 
     def by_vertex(t: np.ndarray, p: np.ndarray) -> dict:
@@ -205,9 +207,12 @@ def bracket_gap(motion: list, roles: np.ndarray, seed: np.ndarray, errors: dict)
         p = np.zeros(6 * m)
         bad = {}
         try:
-            for kernel, at, k in merged:
-                p[at] = kernel(t[k])
-        except ExprDomainError:
+            # the probe times lie in the domain, so they are finite, and from
+            # finite times a failing node raises a flag
+            with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                for kernel, at, k in merged:
+                    p[at] = kernel(t[k])
+        except FloatingPointError:
             bad = by_vertex(np.tile(t, 3), p)
         px, py = p.reshape(2, 3, m)
         y = slack(px[0], py[0], px[1], py[1], px[2], py[2])

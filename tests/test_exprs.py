@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from lmodel import exprs as E
 from lmodel import numeric
-from lmodel.interval import rounding_bound, speed_bound
-from lmodel.numeric import compile_expr, evaluate, evaluate_on, merge_shapes, split_constants
+from lmodel.interval import speed_and_stray
+from lmodel.numeric import compile_expr, evaluate, evaluate_on, merged_kernel, split_constants
 
 
 def test_parse_simple_tree():
@@ -231,49 +231,6 @@ def _recast(e, rng):
     return E.Expr(e.kind, exponent=e.exponent, args=tuple(_recast(a, rng) for a in e.args))
 
 
-def _evaluate_each(trees, times):
-    out = []
-    for e, t in zip(trees, times):
-        try:
-            out.append(evaluate_on(e, t))
-        except E.ExprDomainError:
-            out.append(None)
-    return out
-
-
-@given(_members, st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=300)
-def test_merged_shape_evaluation_matches_each_tree(tree, seed):
-    rng = np.random.default_rng(seed)
-    trees = [tree] + [_recast(tree, rng) for _ in range(int(rng.integers(1, 5)))]
-    times = [rng.uniform(-4.0, 4.0, int(rng.integers(1, 6))) for _ in trees]
-    want = _evaluate_each(trees, times)
-    parts = []
-    for e in trees:
-        try:
-            parts.append(split_constants(e))
-        except E.ExprDomainError:
-            parts.append(None)
-    shapes = {}
-    for k, part in enumerate(parts):
-        if part is None:
-            # a constant part that fails fails every evaluation
-            assert want[k] is None
-        else:
-            shapes.setdefault(part[0], []).append(k)
-    for shape, members in shapes.items():
-        sizes = [len(times[k]) for k in members]
-        tree = merge_shapes(shape, [parts[k][1] for k in members], sizes)
-        try:
-            got = evaluate_on(tree, np.concatenate([times[k] for k in members]))
-        except E.ExprDomainError:
-            assert any(want[k] is None for k in members)
-            continue
-        for k, piece in zip(members, np.split(got, np.cumsum(sizes)[:-1])):
-            assert want[k] is not None
-            assert piece.tobytes() == want[k].tobytes()
-
-
 @given(
     st.one_of(_members, st.builds(E.powi, _trees, st.integers(min_value=2, max_value=7))),
     st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=8),
@@ -343,21 +300,40 @@ def test_kernel_matches_the_interpreter(tree, t):
 
 
 @given(_members, st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=200)
+@settings(max_examples=300)
 def test_merged_kernel_matches_the_interpreter(tree, seed):
+    # trees of one shape merged: each gets the bits the interpreter gives
+    # its own tree, and a flag goes up exactly when one of them fails
     rng = np.random.default_rng(seed)
-    trees = [tree] + [_recast(tree, rng) for _ in range(int(rng.integers(1, 4)))]
-    try:
-        parts = [split_constants(e) for e in trees]
-    except E.ExprDomainError:
-        return
-    if len({shape for shape, _ in parts}) > 1:
-        return
-    sizes = [int(rng.integers(1, 5)) for _ in trees]
-    merged = merge_shapes(parts[0][0], [values for _, values in parts], sizes)
-    ts = rng.uniform(-4.0, 4.0, sum(sizes))
-    got = _outcome(lambda e, x: compile_expr(e)(x), merged, ts)
-    assert got == _outcome(_interpret, merged, ts)
+    trees = [tree] + [_recast(tree, rng) for _ in range(int(rng.integers(1, 5)))]
+    times = [rng.uniform(-4.0, 4.0, int(rng.integers(1, 6))) for _ in trees]
+    want = []
+    for e, t in zip(trees, times):
+        try:
+            want.append(np.broadcast_to(_interpret(e, t), t.shape))
+        except E.ExprDomainError:
+            want.append(None)
+    shapes = {}
+    for k, e in enumerate(trees):
+        try:
+            shape, values = split_constants(e)
+        except E.ExprDomainError:
+            # a constant part that fails fails every evaluation
+            assert want[k] is None
+        else:
+            shapes.setdefault(shape, []).append((k, values))
+    for shape, members in shapes.items():
+        sizes = [len(times[k]) for k, _ in members]
+        kernel = merged_kernel(shape, [values for _, values in members], sizes)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                got = kernel(np.concatenate([times[k] for k, _ in members]))
+        except FloatingPointError:
+            assert any(want[k] is None for k, _ in members)
+            continue
+        for (k, _), piece in zip(members, np.split(got, np.cumsum(sizes)[:-1])):
+            assert want[k] is not None
+            assert piece.tobytes() == want[k].tobytes()
 
 
 def test_t_dependent_failure_raises_before_a_failing_constant_part():
@@ -393,6 +369,18 @@ def test_kernel_runs_without_the_interpreter(monkeypatch):
     assert kernel(ts).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("text", ["t", "sin(t)", "sqrt(t)"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_time_raises(text, bad):
+    tree = E.parse_expression(text)
+    leaf = tree if tree.kind == "t" else tree.args[0]
+    for t in (bad, np.array([1.0, bad, 2.0])):
+        with pytest.raises(E.ExprDomainError, match="time is not finite") as exc:
+            evaluate(tree, t)
+        assert exc.value.expr is leaf
+        assert np.float64(exc.value.t).tobytes() == np.float64(bad).tobytes()
+
+
 def test_split_constants_folds_constant_parts():
     e = E.parse_expression("2^3*sin(t)+sqrt(2)-t^2")
     shape, values = split_constants(e)
@@ -403,29 +391,37 @@ def test_split_constants_folds_constant_parts():
 
 
 # ---------------------------------------------------------------------------
-# speed bounds
+# speed and rounding bounds: one enclosure walk
+
+
+def _speed(e, lo, hi):
+    return speed_and_stray(e, lo, hi)[0]
+
+
+def _stray(e, lo, hi):
+    return speed_and_stray(e, lo, hi)[1]
 
 
 def test_speed_bound_exact_cases():
-    assert speed_bound(E.parse_expression("sin(t)"), 0.0, 2 * math.pi) == 1.0
-    assert speed_bound(E.const(3.5), 0.0, 1.0) == 0.0
-    assert speed_bound(E.parse_expression("2^3*sin(1)"), -1.0, 1.0) == 0.0
-    assert speed_bound(E.tvar(), -5.0, 5.0) == 1.0
-    assert speed_bound(E.parse_expression("t*t"), 0.0, 2.0) == 4.0
-    assert speed_bound(E.parse_expression("3*cos(t)"), 0.0, 1.0) == 3.0 * math.sin(1.0)
+    assert _speed(E.parse_expression("sin(t)"), 0.0, 2 * math.pi) == 1.0
+    assert _speed(E.const(3.5), 0.0, 1.0) == 0.0
+    assert _speed(E.parse_expression("2^3*sin(1)"), -1.0, 1.0) == 0.0
+    assert _speed(E.tvar(), -5.0, 5.0) == 1.0
+    assert _speed(E.parse_expression("t*t"), 0.0, 2.0) == 4.0
+    assert _speed(E.parse_expression("3*cos(t)"), 0.0, 1.0) == 3.0 * math.sin(1.0)
     # sqrt and division whose enclosures reach 0 give no bound
-    assert speed_bound(E.parse_expression("sqrt(t)"), 0.0, 1.0) == math.inf
-    assert speed_bound(E.parse_expression("sqrt(t)"), 0.25, 1.0) == 1.0
-    assert speed_bound(E.parse_expression("1/t"), -1.0, 1.0) == math.inf
-    assert speed_bound(E.parse_expression("1/t"), 1.0, 2.0) == 1.0
+    assert _speed(E.parse_expression("sqrt(t)"), 0.0, 1.0) == math.inf
+    assert _speed(E.parse_expression("sqrt(t)"), 0.25, 1.0) == 1.0
+    assert _speed(E.parse_expression("1/t"), -1.0, 1.0) == math.inf
+    assert _speed(E.parse_expression("1/t"), 1.0, 2.0) == 1.0
     # and neither do enclosures that overflow
-    assert speed_bound(E.parse_expression("t^200"), 0.0, 100.0) == math.inf
+    assert _speed(E.parse_expression("t^200"), 0.0, 100.0) == math.inf
 
 
 def _value_range(e, lo, hi, big):
     """Value enclosure of ``e`` over [lo, hi], or None at a domain fault.
 
-    The reference for when speed_bound gives up: critical points of sin and
+    The reference for when the speed bound gives up: critical points of sin and
     cos are found by walking the multiples of pi/2.  ``big`` collects the
     largest magnitude seen, since a derivative enclosure can overflow where
     the values do not.
@@ -519,7 +515,7 @@ _speed_trees = st.recursive(
 @settings(max_examples=400)
 def test_speed_bound_exceeds_central_differences(tree, lo, width):
     hi = lo + width
-    got = speed_bound(tree, lo, hi)
+    got = _speed(tree, lo, hi)
     big = [0.0]
     enclosure = _value_range(tree, lo, hi, big)
     if enclosure is None:
@@ -544,21 +540,21 @@ def test_speed_bound_exceeds_central_differences(tree, lo, width):
 
 
 def test_rounding_bound_exact_cases():
-    assert rounding_bound(E.tvar(), -5.0, 5.0) == 0.0
-    assert rounding_bound(E.const(3.5), 0.0, 1.0) == 0.0
-    assert 0.0 < rounding_bound(E.parse_expression("sin(t)"), 0.0, 2 * math.pi) < 1e-15
+    assert _stray(E.tvar(), -5.0, 5.0) == 0.0
+    assert _stray(E.const(3.5), 0.0, 1.0) == 0.0
+    assert 0.0 < _stray(E.parse_expression("sin(t)"), 0.0, 2 * math.pi) < 1e-15
     # cancellation: the values are at most 1, the rounding is that of 1e8
     ts = np.linspace(0.0, 1.0, 10001)
     cancel = E.sub(E.add(E.tvar(), E.const(1e8)), E.const(1e8))
     stray = np.abs(evaluate_on(cancel, ts) - ts).max()
     assert stray > 1e-9
-    assert stray <= rounding_bound(cancel, 0.0, 1.0) < 1e-6
-    # no bound where speed_bound has none, nor where rounding could reach a fault
-    assert rounding_bound(E.parse_expression("sqrt(t)"), 0.0, 1.0) == math.inf
-    assert rounding_bound(E.parse_expression("1/t"), -1.0, 1.0) == math.inf
+    assert stray <= _stray(cancel, 0.0, 1.0) < 1e-6
+    # no bound where the speed bound has none, nor where rounding could reach a fault
+    assert _stray(E.parse_expression("sqrt(t)"), 0.0, 1.0) == math.inf
+    assert _stray(E.parse_expression("1/t"), -1.0, 1.0) == math.inf
     near_zero = E.sqrt(E.add(cancel, E.const(1e-9)))
-    assert math.isfinite(speed_bound(near_zero, 0.0, 1.0))
-    assert rounding_bound(near_zero, 0.0, 1.0) == math.inf
+    assert math.isfinite(_speed(near_zero, 0.0, 1.0))
+    assert _stray(near_zero, 0.0, 1.0) == math.inf
 
 
 def _exact(e, t, mpmath):
@@ -594,7 +590,7 @@ def _exact(e, t, mpmath):
 def test_rounding_bound_covers_the_evaluation_error(tree, lo, width):
     mpmath = pytest.importorskip("mpmath")
     hi = lo + width
-    bound = rounding_bound(tree, lo, hi)
+    bound = _stray(tree, lo, hi)
     if not math.isfinite(bound):
         return
     # a finite bound also means the evaluation cannot fault on [lo, hi]
