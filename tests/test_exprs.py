@@ -336,6 +336,52 @@ def test_merged_kernel_matches_the_interpreter(tree, seed):
             assert piece.tobytes() == want[k].tobytes()
 
 
+def _evaluate_each(trees, times):
+    out = []
+    for e, t in zip(trees, times):
+        try:
+            out.append(evaluate_on(e, t))
+        except E.ExprDomainError:
+            out.append(None)
+    return out
+
+
+@given(_members, st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300)
+def test_merged_shape_evaluation_matches_each_tree(tree, seed):
+    # the same merge against the public evaluator: each tree's points get
+    # the bits evaluate_on gives that tree alone
+    rng = np.random.default_rng(seed)
+    trees = [tree] + [_recast(tree, rng) for _ in range(int(rng.integers(1, 5)))]
+    times = [rng.uniform(-4.0, 4.0, int(rng.integers(1, 6))) for _ in trees]
+    want = _evaluate_each(trees, times)
+    parts = []
+    for e in trees:
+        try:
+            parts.append(split_constants(e))
+        except E.ExprDomainError:
+            parts.append(None)
+    shapes = {}
+    for k, part in enumerate(parts):
+        if part is None:
+            # a constant part that fails fails every evaluation
+            assert want[k] is None
+        else:
+            shapes.setdefault(part[0], []).append(k)
+    for shape, members in shapes.items():
+        sizes = [len(times[k]) for k in members]
+        kernel = merged_kernel(shape, [parts[k][1] for k in members], sizes)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                got = kernel(np.concatenate([times[k] for k in members]))
+        except FloatingPointError:
+            assert any(want[k] is None for k in members)
+            continue
+        for k, piece in zip(members, np.split(got, np.cumsum(sizes)[:-1])):
+            assert want[k] is not None
+            assert piece.tobytes() == want[k].tobytes()
+
+
 def test_t_dependent_failure_raises_before_a_failing_constant_part():
     # 1/t fails at t=0, before the constant part sqrt(0-1) to its right
     tree = E.parse_expression("1/t + sqrt(0-1)")
