@@ -260,7 +260,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     heights = assign_heights(g, pairs, partition)
     _emit(heights_to_json(g.edge_labels, heights, partition), args.out)
     dt = time.perf_counter() - t0
-    _say(f"plan: heights span [{min(heights.values())}, {max(heights.values())}], {dt:.3f}s")
+    if heights:
+        _say(f"plan: heights span [{min(heights.values())}, {max(heights.values())}], {dt:.3f}s")
+    else:
+        _say(f"plan: no edges, so no heights, {dt:.3f}s")
     return EXIT_OK
 
 

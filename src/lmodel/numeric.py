@@ -9,22 +9,20 @@ scalar as a one-element array, so detection samples a grid and refines
 many minima at once with it, and a scalar gets an array's bits.
 Evaluation either returns a finite value or raises :class:`ExprDomainError`
 (square root of a negative number, division by zero, overflow, a time that
-is not finite); it never silently produces NaN or infinity.
-:func:`evaluate` runs :func:`compile_expr`'s kernel, which a caller that
-evaluates one tree many times keeps.
+is not finite); it never silently produces NaN or infinity.  A single tree
+runs through this checking evaluator, node by node.
 
 Trees that differ only in their constants share a *shape*:
 :func:`split_constants` folds a tree's constant parts, the one walk that
-does, and every kernel is compiled from its shape: each node one closure
-over the numpy call that the checking interpreter makes.  The kernel
-checks no node.  It runs with numpy's overflow, divide and invalid flags
-raising, and from finite times a failing node always raises one; on a
-raised flag, for a time that is not finite and for no times at all, the
-interpreter runs instead and raises the node's error, or returns the same
-bits if no node failed.  :func:`merged_kernel` fills one shape's holes
-with the constants of several trees, one value per evaluation point, so
-one run serves them all.  :func:`eval_position`, :func:`positions_on_grid`
-and :func:`validate_edge_lengths` evaluate a moving graph's vertices.
+does.  Only :func:`merged_kernel` compiles: it fills one shape's holes
+with the constants of several trees, one value per evaluation point, and
+makes each node one closure over the numpy call that the checking
+evaluator makes, so one run serves them all with each tree's own bits.
+The kernel checks no node; refinement runs it with numpy's overflow,
+divide and invalid flags raising, and falls back to the checking
+evaluator tree by tree when one goes up.  :func:`eval_position`,
+:func:`positions_on_grid` and :func:`validate_edge_lengths` evaluate a
+moving graph's vertices.
 """
 from __future__ import annotations
 
@@ -40,7 +38,6 @@ from .motion import GraphFormatError, MovingGraph
 
 __all__ = [
     "evaluate",
-    "compile_expr",
     "evaluate_on",
     "split_constants",
     "merged_kernel",
@@ -62,51 +59,16 @@ def evaluate(e: Expr, t):
     A scalar ``t`` is evaluated as a one-element array, so it gets the bits
     the same time gets inside any array.  The result of a constant subtree
     stays scalar even for array input; use :func:`evaluate_on` when a
-    full-size array is required.  Overflow is caught at the node that
-    produces it, so a scalar and an array holding the same time fail at the
-    same place.  To evaluate one tree many times, compile it once with
-    :func:`compile_expr`.
+    full-size array is required.  Every node is checked as it is computed:
+    the first node to fail, in evaluation order, raises
+    :class:`ExprDomainError` with its reason and the first time at which it
+    fails (None when a constant part fails), so a scalar and an array
+    holding the same time fail at the same place.
     """
-    return compile_expr(e)(t)
-
-
-def compile_expr(e: Expr):
-    """``e`` as a kernel: a callable that evaluates it exactly as :func:`evaluate` does.
-
-    The kernel is compiled from :func:`split_constants`' shape: the tree's
-    constant parts are folded once, there, and every other node becomes one
-    closure making the numpy call the checking interpreter makes, in the
-    same order, so the values have the same bits.  The kernel checks no
-    node: it runs with numpy's overflow, divide and invalid flags raising.
-    From finite operands, a sum, difference, product, quotient or power
-    leaves the finite numbers, a divisor is zero, or a square root's
-    argument is negative only when one of those flags goes up.  A raised
-    flag, a time that is not finite, an empty array of times (on which no
-    flag goes up) and a constant part that fails all run the interpreter
-    instead, which raises each time's first error in tree order with its
-    reason, node and time, or returns the same bits when no node failed.
-    """
-    try:
-        kernel = _compile(*split_constants(e))
-    except ExprDomainError:
-        kernel = None
-
-    def run(t):
-        scalar = np.ndim(t) == 0
-        x = np.array([t], dtype=float) if scalar else t
-        out = None
-        if kernel is not None and x.size and np.isfinite(x).all():
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
-                    out = kernel(x)
-            except FloatingPointError:
-                pass
-        if out is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = _ev(e, x)
-        return out[0] if scalar and np.ndim(out) else out
-
-    return run
+    scalar = np.ndim(t) == 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _ev(e, np.array([t], dtype=float) if scalar else t)
+    return out[0] if scalar and np.ndim(out) else out
 
 
 def evaluate_on(e: Expr, ts: np.ndarray) -> np.ndarray:
@@ -164,50 +126,17 @@ def _ev(e: Expr, t):
         val = num / den
     elif k == "pow":
         try:
-            # a constant base is a plain float, and float ** int raises
-            # instead of returning inf
+            # only a constant base is a plain float, and float ** int
+            # raises instead of returning inf, so every t is affected
             val = _ev(e.args[0], t) ** e.exponent
         except OverflowError:
-            raise ExprDomainError(
-                "non-finite result (overflow)", e, _offending_t(np.asarray(True), t)
-            ) from None
+            raise ExprDomainError("non-finite result (overflow)", e, None) from None
     else:
         raise AssertionError(k)
     bad = ~np.isfinite(np.asarray(val))
     if bad.any():
         raise ExprDomainError("non-finite result (overflow)", e, _offending_t(bad, t))
     return val
-
-
-_UNARY = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
-
-
-def _compile(shape: Expr, holes):
-    """The kernel of ``shape``, its holes filled with ``holes`` in depth-first order.
-
-    A hole is a ``const`` leaf of a :func:`split_constants` shape, and its
-    value a scalar or one value per point.
-    """
-    values = iter(holes)
-
-    def walk(e: Expr):
-        k = e.kind
-        if k == "t":
-            return lambda t: t
-        if k == "const":
-            c = next(values)
-            return lambda t: c
-        if k == "pow":
-            f, n = walk(e.args[0]), e.exponent
-            return lambda t: f(t) ** n
-        if k in _UNARY:
-            f, op = walk(e.args[0]), _UNARY[k]
-            return lambda t: op(f(t))
-        f, g, op = walk(e.args[0]), walk(e.args[1]), _BINARY[k]
-        return lambda t: op(f(t), g(t))
-
-    return walk(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -255,19 +184,44 @@ def split_constants(e: Expr) -> tuple[Expr, tuple]:
         return shape, tuple(_ev(h, None) for h in holes)
 
 
+_UNARY = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
 def merged_kernel(shape: Expr, values: list[tuple], sizes: list[int]):
     """One kernel for several trees of ``shape``, each over its own points.
 
     Tree k has the constants ``values[k]`` (from :func:`split_constants`)
     and owns the next ``sizes[k]`` points of the array the kernel runs on;
-    each hole holds one constant per point.  Each point then gets the bits
-    of its own tree: numpy's elementwise operations do not depend on their
+    each hole holds one constant per point, taken in depth-first order.
+    Every other node becomes one closure making the numpy call the checking
+    evaluator makes, in the same order, so each point gets the bits of its
+    own tree: numpy's elementwise operations do not depend on their
     neighbours, and a scalar operand gives the bits of the same value
-    repeated in an array.  Like :func:`compile_expr`'s kernel it checks no
-    node: the caller runs it on finite times with numpy's overflow, divide
-    and invalid flags raising, and a raised flag means some tree failed.
+    repeated in an array.  The kernel checks no node: the caller runs it on
+    finite times with numpy's overflow, divide and invalid flags raising.
+    From finite operands a node fails only when one of those flags goes up,
+    so a raised flag means some tree failed.
     """
-    return _compile(shape, [np.repeat(h, sizes) for h in zip(*values)])
+    holes = iter([np.repeat(h, sizes) for h in zip(*values)])
+
+    def walk(e: Expr):
+        k = e.kind
+        if k == "t":
+            return lambda t: t
+        if k == "const":
+            c = next(holes)
+            return lambda t: c
+        if k == "pow":
+            f, n = walk(e.args[0]), e.exponent
+            return lambda t: f(t) ** n
+        if k in _UNARY:
+            f, op = walk(e.args[0]), _UNARY[k]
+            return lambda t: op(f(t))
+        f, g, op = walk(e.args[0]), walk(e.args[1]), _BINARY[k]
+        return lambda t: op(f(t), g(t))
+
+    return walk(shape)
 
 
 # ---------------------------------------------------------------------------

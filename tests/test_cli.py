@@ -127,6 +127,19 @@ def test_plan_and_exists_solve_default_dixon1_40x40(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("upper", [[], ["--upper", ""]])
+def test_plan_on_a_graph_without_edges(upper, tmp_path, capsys):
+    # a graph without edges has an empty height table, which is a YES
+    g = MovingGraph(("a",), (), {"a": (E.const(0.0), E.const(0.0))})
+    gpath, ppath = tmp_path / "graph.json", tmp_path / "pairs.json"
+    gpath.write_text(save_graph(g))
+    ppath.write_text(pairs_to_json([], str(gpath)))
+    assert main(["plan", str(gpath), str(ppath), *upper]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["heights"] == {}
+    assert "error" not in out.err
+
+
 def test_plan_rejects_cyclic_partition(tmp_path, capsys):
     gpath = gen_ref(tmp_path, capsys)
     ppath = detect_ref(tmp_path, capsys, gpath)
