@@ -9,7 +9,6 @@ stdout or --out as JSON; progress, timings, warnings, tracebacks to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -186,7 +185,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if args.interval is not None:
         domain = _interval(args.interval)
         try:
-            g = dataclasses.replace(g, domain=domain)
+            g = MovingGraph(g.vertices, g.edges, g.motion, domain)
         except ValueError as err:
             raise ValueError(f"--interval: {err}") from None
     cfg = _bound("DetectionConfig")(samples=args.samples, collide_eps=args.eps)

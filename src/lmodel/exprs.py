@@ -14,9 +14,11 @@ variable ``t``.  The concrete grammar (EBNF) is
 node kind for it.  No :class:`Expr` is taller, and no parsed text nests deeper,
 than ``MAX_EXPR_HEIGHT``, so no walk of a tree can exhaust the stack.
 
-This module parses and prints trees and needs no numpy.  The evaluator
-(``evaluate``, ``evaluate_on``, ``split_constants``, ``merged_kernel``)
-lives in :mod:`lmodel.numeric`.
+One table, ``_KINDS``, gives every node kind its number of children, its
+printing precedence and its operator symbol; node validation, the parser
+and the printer all read it.  This module parses and prints trees and needs
+no numpy.  The evaluator (``evaluate``, ``evaluate_on``, ``split_constants``,
+``merged_kernel``) lives in :mod:`lmodel.numeric`.
 """
 from __future__ import annotations
 
@@ -48,19 +50,25 @@ __all__ = [
 # far below Python's recursion limit, since every walk of a tree recurses
 MAX_EXPR_HEIGHT = 100
 
-_ARITY = {
-    "const": 0,
-    "t": 0,
-    "neg": 1,
-    "sin": 1,
-    "cos": 1,
-    "sqrt": 1,
-    "pow": 1,
-    "add": 2,
-    "sub": 2,
-    "mul": 2,
-    "div": 2,
+# each node kind: its number of children, its printing precedence (atoms
+# bind tightest) and its operator symbol; a function has no symbol and is
+# printed and parsed by its name
+_KINDS = {
+    "const": (0, 5, None),
+    "t": (0, 5, None),
+    "sin": (1, 5, None),
+    "cos": (1, 5, None),
+    "sqrt": (1, 5, None),
+    "pow": (1, 4, "^"),
+    "neg": (1, 3, "-"),
+    "mul": (2, 2, "*"),
+    "div": (2, 2, "/"),
+    "add": (2, 1, "+"),
+    "sub": (2, 1, "-"),
 }
+
+_BIN_KIND = {sym: k for k, (arity, _, sym) in _KINDS.items() if arity == 2}
+_FUNCS = {k for k, (arity, _, sym) in _KINDS.items() if arity == 1 and sym is None}
 
 
 class ExprSyntaxError(ValueError):
@@ -101,12 +109,11 @@ class Expr:
     height: int = field(init=False, repr=False, compare=False)  # nodes on the longest path
 
     def __post_init__(self):
-        if self.kind not in _ARITY:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown node kind {self.kind!r}")
-        if len(self.args) != _ARITY[self.kind]:
-            raise ValueError(
-                f"{self.kind!r} node takes {_ARITY[self.kind]} children, got {len(self.args)}"
-            )
+        arity = _KINDS[self.kind][0]
+        if len(self.args) != arity:
+            raise ValueError(f"{self.kind!r} node takes {arity} children, got {len(self.args)}")
         if self.kind == "const" and not math.isfinite(self.value):
             raise ValueError("constants must be finite")
         if self.kind == "pow":
@@ -177,8 +184,6 @@ _TOKEN_RE = re.compile(
 
 _INT_RE = re.compile(r"\d+")
 
-_FUNCS = ("sin", "cos", "sqrt")
-
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
@@ -192,9 +197,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
-
-
-_BIN_KIND = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
 class _Parser:
@@ -298,24 +300,6 @@ def parse_expression(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # printing
 
-# precedence levels used to decide parenthesization; atoms bind tightest
-_LEVEL = {
-    "add": 1,
-    "sub": 1,
-    "mul": 2,
-    "div": 2,
-    "neg": 3,
-    "pow": 4,
-    "const": 5,
-    "t": 5,
-    "sin": 5,
-    "cos": 5,
-    "sqrt": 5,
-}
-
-_BIN_OP = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-
-
 def _fmt_const(v: float) -> str:
     if not math.isfinite(v):
         raise ValueError(f"constants must be finite, got {v!r}")
@@ -325,21 +309,19 @@ def _fmt_const(v: float) -> str:
 
 
 def _render(e: Expr, min_level: int) -> str:
-    lvl = _LEVEL[e.kind]
-    if e.kind == "const":
-        s = _fmt_const(e.value)
-    elif e.kind == "t":
-        s = "t"
-    elif e.kind in _FUNCS:
-        s = f"{e.kind}({_render(e.args[0], 0)})"
+    arity, lvl, sym = _KINDS[e.kind]
+    if arity == 0:
+        s = "t" if e.kind == "t" else _fmt_const(e.value)
     elif e.kind == "neg":
-        s = "-" + _render(e.args[0], 3)
+        s = sym + _render(e.args[0], lvl)
     elif e.kind == "pow":
-        s = f"{_render(e.args[0], 5)}^{e.exponent}"
+        s = f"{_render(e.args[0], lvl + 1)}{sym}{e.exponent}"
+    elif arity == 1:
+        s = f"{e.kind}({_render(e.args[0], 0)})"
     else:
         # binary operators are left-associative, so the right child needs one
         # extra level to survive a round trip unchanged
-        s = _render(e.args[0], lvl) + _BIN_OP[e.kind] + _render(e.args[1], lvl + 1)
+        s = _render(e.args[0], lvl) + sym + _render(e.args[1], lvl + 1)
     if lvl < min_level:
         s = f"({s})"
     return s

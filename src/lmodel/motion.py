@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -62,7 +63,12 @@ class MovingGraph:
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
         object.__setattr__(self, "motion", dict(self.motion))
-        object.__setattr__(self, "domain", (float(self.domain[0]), float(self.domain[1])))
+        try:
+            domain = (float(self.domain[0]), float(self.domain[1]))
+        except OverflowError:  # an int beyond the floats, say from a JSON file
+            msg = "bad time domain: an endpoint is too large for a float"
+            raise GraphFormatError(msg) from None
+        object.__setattr__(self, "domain", domain)
         self._validate()
 
     def _validate(self) -> None:
@@ -99,6 +105,8 @@ class MovingGraph:
             raise GraphFormatError(
                 f"bad time domain {self.domain!r}: it must be finite with a < b"
             )
+        if not math.isfinite(t1 - t0):
+            raise GraphFormatError(f"bad time domain {self.domain!r}: its width b - a overflows")
 
     @cached_property
     def edge_labels(self) -> tuple[str, ...]:
@@ -205,9 +213,7 @@ def load_graph(text: str) -> MovingGraph:
     ):
         raise GraphFormatError("'domain' must be a pair of numbers [t0, t1]")
 
-    return MovingGraph(
-        tuple(vertices), tuple(edges), motion, (float(domain_raw[0]), float(domain_raw[1]))
-    )
+    return MovingGraph(tuple(vertices), tuple(edges), motion, tuple(domain_raw))
 
 
 def save_graph(g: MovingGraph) -> str:
@@ -254,7 +260,7 @@ def pairs_from_json(text: str, g: MovingGraph) -> tuple[CollisionPair, ...]:
         gap_val = entry["gap"]
         if any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in (t, gap_val)):
             raise GraphFormatError(f"pair entry {entry!r} has non-numeric t or gap")
-        if not math.isfinite(gap_val):
+        if not abs(gap_val) <= sys.float_info.max:  # inf, NaN or an int beyond the floats
             raise GraphFormatError(f"pair entry {entry!r} has a non-finite gap")
         if not t0 - 1e-9 <= t <= t1 + 1e-9:
             raise GraphFormatError(f"pair witness t={t!r} is outside the domain [{t0}, {t1}]")

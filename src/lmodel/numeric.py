@@ -10,14 +10,16 @@ many minima at once with it, and a scalar gets an array's bits.
 Evaluation either returns a finite value or raises :class:`ExprDomainError`
 (square root of a negative number, division by zero, overflow, a time that
 is not finite); it never silently produces NaN or infinity.  A single tree
-runs through this checking evaluator, node by node.
+runs through this checking evaluator, node by node.  Every operator node's
+numpy call comes from one table, ``_UNARY`` or ``_BINARY`` (``pow`` takes
+its integer exponent); the checking evaluator adds only its checks.
 
 Trees that differ only in their constants share a *shape*:
 :func:`split_constants` folds a tree's constant parts, the one walk that
 does.  Only :func:`merged_kernel` compiles: it fills one shape's holes
 with the constants of several trees, one value per evaluation point, and
-makes each node one closure over the numpy call that the checking
-evaluator makes, so one run serves them all with each tree's own bits.
+makes each node one closure over the same table's call, so one run serves
+them all with each tree's own bits.
 The kernel checks no node; refinement runs it with numpy's overflow,
 divide and invalid flags raising, and falls back to the checking
 evaluator tree by tree when one goes up.  :func:`eval_position`,
@@ -79,63 +81,47 @@ def evaluate_on(e: Expr, ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _offending_t(bad, t) -> float | None:
-    bad = np.asarray(bad)
-    if bad.ndim == 0:
-        # a constant subtree failed; every t is affected
-        return None
-    idx = int(np.argmax(bad))
-    return float(np.asarray(t).reshape(-1)[idx])
+def _check(bad, reason: str, e: Expr, t) -> None:
+    """Raise :class:`ExprDomainError` where ``bad`` holds, naming its first time
+    (None when ``bad`` comes from a constant part: every time is affected)."""
+    if bad.any():
+        at = float(np.asarray(t).reshape(-1)[int(np.argmax(bad))]) if bad.ndim else None
+        raise ExprDomainError(reason, e, at)
+
+
+# each operator node's numpy call, which the checking evaluator and the
+# merged kernels both make; neg keeps a constant a Python float, whose
+# ** raises OverflowError rather than returning inf
+_UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
 
 def _ev(e: Expr, t):
-    # sin, cos and sqrt of finite input are finite, and neg preserves
-    # finiteness, so only the arithmetic nodes need an overflow check
     k = e.kind
     if k == "const":
         return e.value
     if k == "t":
-        bad = ~np.isfinite(t)
-        if bad.any():
-            raise ExprDomainError("time is not finite", e, _offending_t(bad, t))
+        _check(~np.isfinite(t), "time is not finite", e, t)
         return t
-    if k == "neg":
-        return -_ev(e.args[0], t)
-    if k == "sin":
-        return np.sin(_ev(e.args[0], t))
-    if k == "cos":
-        return np.cos(_ev(e.args[0], t))
-    if k == "sqrt":
-        v = _ev(e.args[0], t)
-        bad = np.asarray(v) < 0.0
-        if np.any(bad):
-            raise ExprDomainError("square root of a negative value", e, _offending_t(bad, t))
-        return np.sqrt(v)
-    if k == "add":
-        val = _ev(e.args[0], t) + _ev(e.args[1], t)
-    elif k == "sub":
-        val = _ev(e.args[0], t) - _ev(e.args[1], t)
-    elif k == "mul":
-        val = _ev(e.args[0], t) * _ev(e.args[1], t)
-    elif k == "div":
-        num = _ev(e.args[0], t)
-        den = _ev(e.args[1], t)
-        bad = np.asarray(den) == 0.0
-        if np.any(bad):
-            raise ExprDomainError("division by zero", e, _offending_t(bad, t))
-        val = num / den
-    elif k == "pow":
+    x = [_ev(a, t) for a in e.args]
+    if k == "pow":
         try:
             # only a constant base is a plain float, and float ** int
             # raises instead of returning inf, so every t is affected
-            val = _ev(e.args[0], t) ** e.exponent
+            val = x[0] ** e.exponent
         except OverflowError:
             raise ExprDomainError("non-finite result (overflow)", e, None) from None
+    elif k in _UNARY:
+        if k == "sqrt":
+            _check(np.asarray(x[0]) < 0.0, "square root of a negative value", e, t)
+        # sin, cos and sqrt of finite input are finite, and neg preserves
+        # finiteness, so only the arithmetic nodes need an overflow check
+        return _UNARY[k](x[0])
     else:
-        raise AssertionError(k)
-    bad = ~np.isfinite(np.asarray(val))
-    if bad.any():
-        raise ExprDomainError("non-finite result (overflow)", e, _offending_t(bad, t))
+        if k == "div":
+            _check(np.asarray(x[1]) == 0.0, "division by zero", e, t)
+        val = _BINARY[k](*x)
+    _check(~np.isfinite(np.asarray(val)), "non-finite result (overflow)", e, t)
     return val
 
 
@@ -184,24 +170,20 @@ def split_constants(e: Expr) -> tuple[Expr, tuple]:
         return shape, tuple(_ev(h, None) for h in holes)
 
 
-_UNARY = {"neg": np.negative, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
-_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
-
-
 def merged_kernel(shape: Expr, values: list[tuple], sizes: list[int]):
     """One kernel for several trees of ``shape``, each over its own points.
 
     Tree k has the constants ``values[k]`` (from :func:`split_constants`)
     and owns the next ``sizes[k]`` points of the array the kernel runs on;
     each hole holds one constant per point, taken in depth-first order.
-    Every other node becomes one closure making the numpy call the checking
-    evaluator makes, in the same order, so each point gets the bits of its
-    own tree: numpy's elementwise operations do not depend on their
-    neighbours, and a scalar operand gives the bits of the same value
-    repeated in an array.  The kernel checks no node: the caller runs it on
-    finite times with numpy's overflow, divide and invalid flags raising.
-    From finite operands a node fails only when one of those flags goes up,
-    so a raised flag means some tree failed.
+    Every other node becomes one closure making the call that ``_UNARY`` or
+    ``_BINARY`` gives its kind, the checking evaluator's call, in the same
+    order, so each point gets the bits of its own tree: numpy's elementwise
+    operations do not depend on their neighbours, and a scalar operand gives
+    the bits of the same value repeated in an array.  The kernel checks no
+    node: the caller runs it on finite times with numpy's overflow, divide
+    and invalid flags raising.  From finite operands a node fails only when
+    one of those flags goes up, so a raised flag means some tree failed.
     """
     holes = iter([np.repeat(h, sizes) for h in zip(*values)])
 

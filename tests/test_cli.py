@@ -471,6 +471,15 @@ def test_unusable_interval_names_the_rule(raw, domain, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_interval_of_overflowing_width_names_the_rule(tmp_path, capsys):
+    gpath = gen_ref(tmp_path, capsys)
+    assert main(["detect", str(gpath), "--interval=-1.7e308:1.7e308"]) == 2
+    err = capsys.readouterr().err
+    want = "error: --interval: bad time domain (-1.7e+308, 1.7e+308): its width b - a overflows\n"
+    assert want in err
+    assert "Traceback" not in err
+
+
 def test_no_arguments_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

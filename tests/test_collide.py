@@ -905,6 +905,7 @@ def test_pairs_json_canonicalizes_edges(ref_dixon1):
         ({"vertex": "p0", "edge": ["q0", "p1"], "t": 0.0, "gap": -math.inf}, "non-finite"),
         ({"vertex": ["p0"], "edge": ["q0", "p1"], "t": 0.0, "gap": 0.0}, "unknown vertex"),
         ({"vertex": "p0", "edge": [["q0"], "p1"], "t": 0.0, "gap": 0.0}, "not an edge"),
+        ({"vertex": "p0", "edge": ["q0", "p1"], "t": 0.0, "gap": 10**400}, "non-finite"),
     ],
 )
 def test_pairs_json_rejects_bad_entries(ref_dixon1, entry, msg):

@@ -374,6 +374,35 @@ def test_constant_zero_divisor_fails_without_times():
     assert exc.value.t is None and exc.value.expr is tree
 
 
+def test_every_kind_has_one_operation():
+    # every kind is a leaf, pow or a kind whose call one of the tables gives
+    kinds = {"const", "t", "pow"} | set(numeric._UNARY) | set(numeric._BINARY)
+    assert set(E._KINDS) == kinds
+    assert len(kinds) == 3 + len(numeric._UNARY) + len(numeric._BINARY)
+
+
+@pytest.mark.parametrize("kind", sorted(E._KINDS))
+def test_every_kind_is_handled_everywhere(kind):
+    # one node of each kind over t + 5, a valid argument of every kind on
+    # [0, 1]: it prints and parses back, both evaluators give it the same
+    # bits, and its enclosures are finite
+    leaf = E.add(E.tvar(), E.const(5.0))
+    tree = E.Expr(
+        kind,
+        value=2.5 if kind == "const" else 0.0,
+        exponent=3 if kind == "pow" else 0,
+        args=(leaf,) * E._KINDS[kind][0],
+    )
+    assert E.parse_expression(E.to_text(tree)) == tree
+    ts = np.linspace(0.0, 1.0, 5)
+    want = np.broadcast_to(_interpret(tree, ts), ts.shape)
+    shape, values = split_constants(tree)
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        got = merged_kernel(shape, [values], [len(ts)])(ts)
+    assert np.broadcast_to(got, ts.shape).tobytes() == want.tobytes()
+    assert all(map(math.isfinite, speed_and_stray(tree, 0.0, 1.0)))
+
+
 def test_kernel_runs_without_the_interpreter(monkeypatch):
     tree = E.parse_expression("sqrt(2)*sin(t)/(1+t^2) - 3")
     ts = np.linspace(-4.0, 4.0, 9)

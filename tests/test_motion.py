@@ -105,6 +105,8 @@ def test_positions_on_grid(ref_dixon1):
         (lambda d: d["vertices"][0].update(x="sin(u)"), "unknown identifier"),
         (lambda d: d["vertices"][0].update(id=7), "must be a string"),
         (lambda d: d["edges"].append("a-b"), "pair of vertex ids"),
+        (lambda d: d.update(domain=[0, 10**400]), "too large for a float"),
+        (lambda d: d.update(domain=[-1.7e308, 1.7e308]), "width b - a overflows"),
     ],
 )
 def test_load_rejects_bad_data(mutate, msg):
