@@ -27,11 +27,10 @@ from lmodel.cgraph import build_collision_graph
 from lmodel.collide import detect_all
 from lmodel.exprs import const
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
-from lmodel.motion import CollisionPair, MovingGraph
+from lmodel.motion import CollisionPair, MovingGraph, SearchCapError
 from lmodel.plan import (
     CyclicGraphError,
     Partition,
-    SearchCapError,
     assign_heights,
     decide_partition,
     exists_arrangement,

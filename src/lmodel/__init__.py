@@ -41,6 +41,7 @@ _EXPORTS = {
         "DetectionError",
         "GraphFormatError",
         "MovingGraph",
+        "SearchCapError",
         "edge_label",
         "load_graph",
         "pairs_from_json",
@@ -52,7 +53,6 @@ _EXPORTS = {
         "CyclicGraphError",
         "Partition",
         "PartitionDecision",
-        "SearchCapError",
         "VerifyReport",
         "Violation",
         "assign_heights",

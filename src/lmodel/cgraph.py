@@ -11,11 +11,10 @@ with the witnesses and orders an :func:`induced` copy would give.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .motion import CollisionPair, MovingGraph, edge_label, pair_edge
 
@@ -36,14 +35,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CollisionGraph:
-    nodes: tuple[str, ...]
-    arcs: frozenset[tuple[str, str]]
+class CollisionGraph(namedtuple("CollisionGraph", "nodes arcs")):
+    """Nodes in canonical order, and the arcs between them."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "arcs", frozenset(self.arcs))
+    def __new__(cls, nodes: Iterable[str], arcs: Iterable[tuple[str, str]]):
+        self = super().__new__(cls, tuple(nodes), frozenset(arcs))
         known = set(self.nodes)
         if len(known) != len(self.nodes):
             raise ValueError("duplicate nodes")
@@ -52,6 +48,7 @@ class CollisionGraph:
                 raise ValueError(f"self-arc at {u!r}")
             if u not in known or v not in known:
                 raise ValueError(f"arc ({u!r}, {v!r}) leaves the node set")
+        return self
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -169,12 +166,9 @@ def topo_order(succ: Sequence[Sequence[int]], alive: bytearray | None = None) ->
     return out
 
 
-@dataclass(frozen=True)
-class MultiEdgedSubgraph:
-    """Nodes on directed two-cycles, one undirected edge per two-cycle."""
-
-    nodes: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+class MultiEdgedSubgraph(namedtuple("MultiEdgedSubgraph", "nodes edges")):
+    """Nodes on directed two-cycles (a tuple), one undirected edge per
+    two-cycle (a frozenset of node pairs)."""
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -196,8 +190,7 @@ def multi_edged_subgraph(c: CollisionGraph) -> MultiEdgedSubgraph:
     return MultiEdgedSubgraph(tuple(n for n in c.nodes if n in members), und)
 
 
-@dataclass(frozen=True)
-class BipartiteResult:
+class BipartiteResult(NamedTuple):
     bipartite: bool
     coloring: dict[str, int] | None
     components: tuple[tuple[str, ...], ...]

@@ -14,39 +14,41 @@ import sys
 import time
 
 from . import _bind_on_first_use
-from .cgraph import build_collision_graph, multi_edged_subgraph, to_dot
 from .exprs import ExprDomainError
 from .motion import (
     DetectionError,
     MovingGraph,
+    SearchCapError,
     load_graph,
     pairs_from_json,
     pairs_to_json,
     save_graph,
 )
-from .plan import (
-    SearchCapError,
-    assign_heights,
-    cyclic_side,
-    decide_partition,
-    exists_arrangement,
-    heights_from_json,
-    heights_to_json,
-    make_partition,
-    verify_collision_free,
-)
 
-# Only detect and validate evaluate trajectories, so only they import numpy:
-# their library functions are bound here on first use (PEP 562), and the two
-# commands look them up in this module at call time (``_bound``), so a
-# caller can still replace them here.
+# Each command imports only the modules it runs: only detect and validate
+# evaluate trajectories, so only they import numpy, and only the planning
+# commands import the collision graph and the planner.  Those modules' names
+# are bound here on first use (PEP 562), and the commands look them up in
+# this module at call time (``_bound``), so a caller can still replace them
+# here.
 __getattr__ = _bind_on_first_use(
     globals(),
     {
+        "build_collision_graph": "cgraph",
+        "multi_edged_subgraph": "cgraph",
+        "to_dot": "cgraph",
         "DetectionConfig": "collide",
         "detect_all": "collide",
         "eval_position": "numeric",
         "validate_edge_lengths": "numeric",
+        "assign_heights": "plan",
+        "cyclic_side": "plan",
+        "decide_partition": "plan",
+        "exists_arrangement": "plan",
+        "heights_from_json": "plan",
+        "heights_to_json": "plan",
+        "make_partition": "plan",
+        "verify_collision_free": "plan",
     },
 )
 
@@ -223,9 +225,9 @@ def _warn_if_not_periodic(g: MovingGraph, tol: float = 1e-9) -> None:
 def cmd_cgraph(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     pairs = pairs_from_json(_read(args.pairs), g)
-    c = build_collision_graph(g, pairs)
-    _emit(to_dot(c), args.dot)
-    two = multi_edged_subgraph(c)
+    c = _bound("build_collision_graph")(g, pairs)
+    _emit(_bound("to_dot")(c), args.dot)
+    two = _bound("multi_edged_subgraph")(c)
     _say(f"cgraph: {len(c.nodes)} nodes, {len(c.arcs)} arcs, {len(two.edges)} two-cycles")
     return EXIT_OK
 
@@ -233,12 +235,12 @@ def cmd_cgraph(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     pairs = pairs_from_json(_read(args.pairs), g)
-    c = build_collision_graph(g, pairs)
+    c = _bound("build_collision_graph")(g, pairs)
     t0 = time.perf_counter()
     if args.upper is not None:
         wanted = tuple(x.strip() for x in args.upper.split(",") if x.strip() != "")
-        partition = make_partition(g.edge_labels, wanted)
-        bad = cyclic_side(c, partition)
+        partition = _bound("make_partition")(g.edge_labels, wanted)
+        bad = _bound("cyclic_side")(c, partition)
         if bad is not None:
             name, cycle = bad
             data = dict(result="NO", reason="partition-not-acyclic", side=name, cycle=list(cycle))
@@ -246,7 +248,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             _say(f"plan: the given {name} class contains the cycle {' -> '.join(cycle)}")
             return EXIT_NO
     else:
-        decision = decide_partition(c)
+        decision = _bound("decide_partition")(c)
         if not decision.found:
             data = {"result": "NO", "reason": decision.reason}
             if decision.odd_cycle is not None:
@@ -256,8 +258,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
             _say(f"plan: no acyclic bipartition ({decision.reason}), {dt:.3f}s")
             return EXIT_NO
         partition = decision.partition
-    heights = assign_heights(g, pairs, partition)
-    _emit(heights_to_json(g.edge_labels, heights, partition), args.out)
+    heights = _bound("assign_heights")(g, pairs, partition)
+    _emit(_bound("heights_to_json")(g.edge_labels, heights, partition), args.out)
     dt = time.perf_counter() - t0
     if heights:
         _say(f"plan: heights span [{min(heights.values())}, {max(heights.values())}], {dt:.3f}s")
@@ -269,8 +271,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     pairs = pairs_from_json(_read(args.pairs), g)
-    heights, _ = heights_from_json(_read(args.heights))
-    report = verify_collision_free(g, pairs, heights)
+    heights, _ = _bound("heights_from_json")(_read(args.heights))
+    report = _bound("verify_collision_free")(g, pairs, heights)
     data = {
         "ok": report.ok,
         "violations": [
@@ -292,7 +294,7 @@ def cmd_exists(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     pairs = pairs_from_json(_read(args.pairs), g)
     t0 = time.perf_counter()
-    witness = exists_arrangement(g, pairs)
+    witness = _bound("exists_arrangement")(g, pairs)
     dt = time.perf_counter() - t0
     if witness is None:
         _emit(_json({"result": "NO"}), args.out)
@@ -397,10 +399,14 @@ def main(argv: list[str] | None = None) -> int:
     ) as err:
         _say(f"error: {err}")
         return EXIT_ERROR
-    except Exception:  # a fault of the program, never a "no"
-        import traceback
+    except Exception as err:
+        if isinstance(err, ModuleNotFoundError) and err.name == "numpy":
+            # only validate and detect import numpy; planning never needs it
+            _say(f"error: {args.command} needs numpy ({err})")
+        else:  # a fault of the program, never a "no"
+            import traceback
 
-        traceback.print_exc()
+            traceback.print_exc()
         return EXIT_ERROR
 
 

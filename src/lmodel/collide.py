@@ -43,8 +43,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections import namedtuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -75,22 +75,20 @@ AMBIGUITY_FACTOR = 10.0
 REFINE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DetectionConfig:
-    samples: int = 2048
-    collide_eps: float = 1e-7
+class DetectionConfig(namedtuple("DetectionConfig", "samples collide_eps")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.samples, int) or isinstance(self.samples, bool) or self.samples < 16:
-            raise ValueError(f"samples must be an int of at least 16, got {self.samples!r}")
-        if not REFINE_TOL < self.collide_eps < math.inf:  # NaN fails both comparisons
+    def __new__(cls, samples: int = 2048, collide_eps: float = 1e-7):
+        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 16:
+            raise ValueError(f"samples must be an int of at least 16, got {samples!r}")
+        if not REFINE_TOL < collide_eps < math.inf:  # NaN fails both comparisons
             raise ValueError(
                 f"collide_eps must be finite and exceed the refinement tolerance {REFINE_TOL:g}"
             )
+        return super().__new__(cls, samples, collide_eps)
 
 
-@dataclass(frozen=True)
-class PairProbe:
+class PairProbe(NamedTuple):
     """Outcome of probing one vertex-edge pair, collision or not."""
 
     vertex: str
@@ -101,8 +99,7 @@ class PairProbe:
     ambiguous: bool
 
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(NamedTuple):
     pairs: tuple[CollisionPair, ...]
     ambiguous: tuple[PairProbe, ...]
     clear_margin: float | None

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 __all__ = [
     "MAX_EXPR_HEIGHT",
@@ -94,35 +94,44 @@ class ExprDomainError(ArithmeticError):
         super().__init__(" ".join(parts))
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(namedtuple("Expr", "kind value exponent args height")):
     """One node of an expression tree.
 
     ``value`` is meaningful only for ``const`` nodes, ``exponent`` only for
-    ``pow`` nodes.  Trees are immutable and compared structurally.
+    ``pow`` nodes.  Trees are immutable and compared structurally.  The
+    last item, ``height``, counts the nodes on the longest path down; the
+    constructor computes it, and as it follows from ``args`` it never
+    decides ``==``.
     """
 
-    kind: str
-    value: float = 0.0
-    exponent: int = 0
-    args: tuple["Expr", ...] = ()
-    height: int = field(init=False, repr=False, compare=False)  # nodes on the longest path
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
-        arity = _KINDS[self.kind][0]
-        if len(self.args) != arity:
-            raise ValueError(f"{self.kind!r} node takes {arity} children, got {len(self.args)}")
-        if self.kind == "const" and not math.isfinite(self.value):
+    def __new__(
+        cls, kind: str, value: float = 0.0, exponent: int = 0, args: tuple[Expr, ...] = ()
+    ):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown node kind {kind!r}")
+        arity = _KINDS[kind][0]
+        if len(args) != arity:
+            raise ValueError(f"{kind!r} node takes {arity} children, got {len(args)}")
+        if kind == "const" and not math.isfinite(value):
             raise ValueError("constants must be finite")
-        if self.kind == "pow":
-            if not isinstance(self.exponent, int) or self.exponent < 0:
+        if kind == "pow":
+            if not isinstance(exponent, int) or exponent < 0:
                 raise ValueError("exponent must be a nonnegative integer")
-        height = 1 + max((a.height for a in self.args), default=0)
+        height = 1 + max((a.height for a in args), default=0)
         if height > MAX_EXPR_HEIGHT:
             raise ValueError(f"expression nests deeper than {MAX_EXPR_HEIGHT} levels")
-        object.__setattr__(self, "height", height)
+        return tuple.__new__(cls, (kind, value, exponent, args, height))
+
+    def __getnewargs__(self):  # what copy and pickle pass back to __new__
+        return self[:4]
+
+    def __repr__(self) -> str:
+        return (
+            f"Expr(kind={self.kind!r}, value={self.value!r}, "
+            f"exponent={self.exponent!r}, args={self.args!r})"
+        )
 
 
 def const(value: float) -> Expr:

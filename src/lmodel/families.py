@@ -19,7 +19,8 @@ byte-identical to what a round trip through the file format produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import Iterable
 
 from .exprs import _fmt_const, parse_expression
 from .motion import MovingGraph
@@ -35,11 +36,14 @@ __all__ = [
 ]
 
 
-def _check_finite(name: str, value: float) -> None:
-    """Reject a parameter, or a constant a generator derives from one, that
-    is not finite: the generated text could not hold it."""
+def _finite(name: str, value: float) -> float:
+    """``value`` as a float.  A parameter, or a constant a generator derives
+    from one, that is not finite is refused: the generated text could not
+    hold it."""
+    value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _check_radii(name: str, vals: tuple[float, ...], count: int) -> None:
@@ -47,7 +51,7 @@ def _check_radii(name: str, vals: tuple[float, ...], count: int) -> None:
         raise ValueError(f"{name} must have {count - 1} entries, got {len(vals)}")
     prev = 0.0
     for v in vals:
-        _check_finite(f"{name} entries", v)
+        _finite(f"{name} entries", v)
         if not v > prev:
             raise ValueError(f"{name} must be positive and strictly increasing")
         prev = v
@@ -60,28 +64,30 @@ def _check_signs(name: str, vals: tuple[int, ...], count: int) -> None:
         raise ValueError(f"{name} entries must be +1 or -1")
 
 
-@dataclass(frozen=True)
-class Dixon1Params:
+class Dixon1Params(namedtuple("Dixon1Params", "m n a b sx sy")):
     """K_{m,n} instance: radii a (x class) and b (y class), axis-side signs."""
 
-    m: int
-    n: int
-    a: tuple[float, ...]
-    b: tuple[float, ...]
-    sx: tuple[int, ...]
-    sy: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "b", tuple(float(v) for v in self.b))
-        object.__setattr__(self, "sx", tuple(int(s) for s in self.sx))
-        object.__setattr__(self, "sy", tuple(int(s) for s in self.sy))
+    def __new__(
+        cls,
+        m: int,
+        n: int,
+        a: Iterable[float],
+        b: Iterable[float],
+        sx: Iterable[int],
+        sy: Iterable[int],
+    ):
+        a, b = tuple(float(v) for v in a), tuple(float(v) for v in b)
+        sx, sy = tuple(int(s) for s in sx), tuple(int(s) for s in sy)
+        self = super().__new__(cls, m, n, a, b, sx, sy)
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be at least 1")
         _check_radii("a", self.a, self.m)
         _check_radii("b", self.b, self.n)
         _check_signs("sx", self.sx, self.m)
         _check_signs("sy", self.sy, self.n)
+        return self
 
 
 def dixon1(p: Dixon1Params) -> MovingGraph:
@@ -105,19 +111,13 @@ def dixon1(p: Dixon1Params) -> MovingGraph:
     return MovingGraph(tuple(vertices), edges, motion)
 
 
-@dataclass(frozen=True)
-class Dixon2Params:
+class Dixon2Params(namedtuple("Dixon2Params", "a b d")):
     """K_{4,4} instance with edge lengths a, b, c, d; c is derived."""
 
-    a: float
-    b: float
-    d: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "d"):
-            value = float(getattr(self, name))
-            _check_finite(name, value)
-            object.__setattr__(self, name, value)
+    def __new__(cls, a: float, b: float, d: float):
+        self = super().__new__(cls, _finite("a", a), _finite("b", b), _finite("d", d))
         if not self.a > 0:
             raise ValueError("a must be positive")
         if not self.b > self.a:
@@ -125,9 +125,10 @@ class Dixon2Params:
         if not self.d > self.a:
             raise ValueError("d must exceed a")
         # a < b and a < d, so a*a fits whenever these do
-        _check_finite(f"b*b (b = {self.b!r})", self.b * self.b)
-        _check_finite(f"d*d (d = {self.d!r})", self.d * self.d)
-        _check_finite(f"c (b = {self.b!r}, d = {self.d!r})", self.c)
+        _finite(f"b*b (b = {self.b!r})", self.b * self.b)
+        _finite(f"d*d (d = {self.d!r})", self.d * self.d)
+        _finite(f"c (b = {self.b!r}, d = {self.d!r})", self.c)
+        return self
 
     @property
     def c(self) -> float:
@@ -159,17 +160,11 @@ def dixon2(p: Dixon2Params) -> MovingGraph:
     return MovingGraph(vertices, edges, motion)
 
 
-@dataclass(frozen=True)
-class S2Params:
-    a: float = 1.0
-    b: float = 11.0 / 5.0
-    c: float = 1.5
+class S2Params(namedtuple("S2Params", "a b c")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            value = float(getattr(self, name))
-            _check_finite(name, value)
-            object.__setattr__(self, name, value)
+    def __new__(cls, a: float = 1.0, b: float = 11.0 / 5.0, c: float = 1.5):
+        self = super().__new__(cls, _finite("a", a), _finite("b", b), _finite("c", c))
         if not self.a > 0:
             raise ValueError("a must be positive")
         if not self.b > self.a:
@@ -177,8 +172,9 @@ class S2Params:
         if not self.c > self.a:
             raise ValueError("c must exceed a")
         # a < b, so a*a and 3*a fit whenever b*b does
-        _check_finite(f"b*b (b = {self.b!r})", self.b * self.b)
-        _check_finite(f"c*c (c = {self.c!r})", self.c * self.c)
+        _finite(f"b*b (b = {self.b!r})", self.b * self.b)
+        _finite(f"c*c (c = {self.c!r})", self.c * self.c)
+        return self
 
 
 S2_EDGES = (

@@ -10,7 +10,9 @@ than trusting the input.
 The records of detection live here too: a :class:`CollisionPair`, the one
 pair rule :func:`pair_edge`, :class:`DetectionError` and the pairs file.
 Planning reads nothing else of detection, so it never loads numpy.  The
-names that evaluate trajectories live in :mod:`lmodel.numeric`.
+names that evaluate trajectories live in :mod:`lmodel.numeric`.  The
+planner's refusal, :class:`SearchCapError`, lives here as well, so that the
+command line can report it without importing the planner.
 """
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exprs import Expr, ExprSyntaxError, parse_expression, to_text
 
@@ -32,6 +34,8 @@ __all__ = [
     "pair_edge",
     "CollisionPair",
     "DetectionError",
+    "SearchCapError",
+    "parse_json",
     "load_graph",
     "save_graph",
     "pairs_to_json",
@@ -48,28 +52,34 @@ class GraphFormatError(ValueError):
     """Invalid graph structure or file content."""
 
 
+class SearchCapError(RuntimeError):
+    """A search ran past its expansion budget undecided."""
+
+
 def edge_label(edge: tuple[str, str]) -> str:
     return f"{edge[0]}-{edge[1]}"
 
 
-@dataclass(frozen=True)
-class MovingGraph:
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    motion: Mapping[str, tuple[Expr, Expr]]
-    domain: tuple[float, float] = (0.0, TAU)
+class MovingGraph(namedtuple("MovingGraph", "vertices edges motion domain")):
+    """The vertices, the edges and one (x, y) expression pair per vertex,
+    over the closed time interval ``domain``; checked on construction."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
-        object.__setattr__(self, "motion", dict(self.motion))
+    def __new__(
+        cls,
+        vertices: Iterable[str],
+        edges: Iterable[tuple[str, str]],
+        motion: Mapping[str, tuple[Expr, Expr]],
+        domain: tuple[float, float] = (0.0, TAU),
+    ):
+        vertices, edges, motion = tuple(vertices), tuple((u, v) for u, v in edges), dict(motion)
         try:
-            domain = (float(self.domain[0]), float(self.domain[1]))
+            domain = (float(domain[0]), float(domain[1]))
         except OverflowError:  # an int beyond the floats, say from a JSON file
             msg = "bad time domain: an endpoint is too large for a float"
             raise GraphFormatError(msg) from None
-        object.__setattr__(self, "domain", domain)
+        self = super().__new__(cls, vertices, edges, motion, domain)
         self._validate()
+        return self
 
     def _validate(self) -> None:
         seen: set[str] = set()
@@ -131,8 +141,7 @@ class MovingGraph:
         return tuple(v for v in self.vertices if not self.incident[v])
 
 
-@dataclass(frozen=True)
-class CollisionPair:
+class CollisionPair(NamedTuple):
     vertex: str
     edge: tuple[str, str]
     witness_t: float
@@ -167,11 +176,19 @@ class DetectionError(RuntimeError):
 # file format
 
 
-def load_graph(text: str) -> MovingGraph:
+def parse_json(text: str):
+    """The value of the JSON ``text``; any text json refuses is a GraphFormatError."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise GraphFormatError(f"invalid JSON: {err}") from None
+    except ValueError:  # int() refused a literal past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise GraphFormatError(f"invalid JSON: an integer has more than {limit} digits") from None
+
+
+def load_graph(text: str) -> MovingGraph:
+    data = parse_json(text)
     if not isinstance(data, dict):
         raise GraphFormatError("top-level value must be an object")
     verts_raw = data.get("vertices")
@@ -244,10 +261,7 @@ def pairs_to_json(
 
 
 def pairs_from_json(text: str, g: MovingGraph) -> tuple[CollisionPair, ...]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise GraphFormatError(f"invalid JSON: {err}") from None
+    data = parse_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
         raise GraphFormatError("pairs file must be an object with a 'pairs' array")
     t0, t1 = g.domain

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -237,15 +236,13 @@ def positions_on_grid(
 _LENGTH_BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
-class EdgeLengthStats:
+class EdgeLengthStats(NamedTuple):
     edge: tuple[str, str]
     mean: float
     max_deviation: float
 
 
-@dataclass(frozen=True)
-class LengthReport:
+class LengthReport(NamedTuple):
     edges: tuple[EdgeLengthStats, ...]
     tol: float
     passed: bool

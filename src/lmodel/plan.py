@@ -19,8 +19,7 @@ induced copy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cgraph import (
     CollisionGraph,
@@ -32,11 +31,10 @@ from .cgraph import (
     pair_constraints,
     topo_order,
 )
-from .motion import CollisionPair, GraphFormatError, MovingGraph
+from .motion import CollisionPair, GraphFormatError, MovingGraph, SearchCapError, parse_json
 
 __all__ = [
     "CyclicGraphError",
-    "SearchCapError",
     "Partition",
     "PartitionDecision",
     "Violation",
@@ -63,10 +61,6 @@ class CyclicGraphError(ValueError):
         self.cycle = tuple(cycle)
 
 
-class SearchCapError(RuntimeError):
-    """A search ran past its expansion budget undecided."""
-
-
 # search nodes ``decide_partition`` may expand before giving up; the hardest
 # 40-edge instance of the perfbench plan-synth pool exhausts in about 11k
 SPLIT_SEARCH_BUDGET = 1 << 16
@@ -76,8 +70,7 @@ SPLIT_SEARCH_BUDGET = 1 << 16
 EXACT_SEARCH_BUDGET = 1 << 20
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     upper: tuple[str, ...]
     lower: tuple[str, ...]
 
@@ -171,8 +164,7 @@ def _search(n: int, step, undo, budget: int, what: str) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PartitionDecision:
+class PartitionDecision(NamedTuple):
     partition: Partition | None
     reason: str | None = None
     odd_cycle: tuple[str, ...] | None = None
@@ -248,8 +240,7 @@ def assign_heights(
     return heights
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     vertex: str
     edge: tuple[str, str]
     edge_height: int
@@ -257,8 +248,7 @@ class Violation:
     hi: int
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...]
 
@@ -387,10 +377,7 @@ def heights_to_json(
 
 
 def heights_from_json(text: str) -> tuple[dict[str, int], Partition | None]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise GraphFormatError(f"invalid JSON: {err}") from None
+    data = parse_json(text)
     if not isinstance(data, dict) or not isinstance(data.get("heights"), dict):
         raise GraphFormatError("heights file must be an object with a 'heights' mapping")
     heights = {}

@@ -5,9 +5,19 @@ pair can be declared a "collision" freely; the planning layer only sees the
 pair list and the incidence structure, never the geometry.
 """
 import itertools
+import sys
+
+import pytest
 
 from lmodel.exprs import const
 from lmodel.motion import CollisionPair, MovingGraph, edge_label
+
+# the most digits int() reads from a string here; 0 where it has no limit
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
+
+# a JSON integer literal one digit past that limit
+needs_digit_limit = pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int() has no digit limit")
+HUGE_INT = "9" * (DIGIT_LIMIT + 1)
 
 
 def static_graph(n_vertices, edges, prefix="n"):

@@ -589,6 +589,15 @@ def test_commands_call_the_names_bound_on_cli(tmp_path, capsys, monkeypatch):
     assert set(calls) == set(TRACED)
 
 
+def run_child(code, *args, cwd):
+    """Run ``code`` in a fresh interpreter with lmodel importable."""
+    src = os.path.dirname(os.path.dirname(lmodel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, timeout=120, env=env, cwd=cwd
+    )
+
+
 def test_planning_commands_never_import_numpy(tmp_path, capsys):
     gpath = gen_ref(tmp_path, capsys)
     ppath = detect_ref(tmp_path, capsys, gpath)
@@ -616,15 +625,7 @@ def test_planning_commands_never_import_numpy(tmp_path, capsys):
         " ('numpy', 'lmodel'))])\n"
         "print(json.dumps(seen))\n"
     )
-    src = os.path.dirname(os.path.dirname(lmodel.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", child, json.dumps(runs)],
-        capture_output=True,
-        timeout=120,
-        env=env,
-        cwd=tmp_path,
-    )
+    proc = run_child(child, json.dumps(runs), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
     seen = json.loads(proc.stdout)
     assert [code for code, _ in seen] == [0] * len(runs)
@@ -637,3 +638,73 @@ def test_planning_commands_never_import_numpy(tmp_path, capsys):
     assert (out / "graph.json").read_text() == gpath.read_text()
     assert (out / "validate.json").read_text() == vpath.read_text()
     assert (out / "pairs.json").read_text() == ppath.read_text()
+
+
+@pytest.fixture(scope="module")
+def ref_files(tmp_path_factory):
+    """The README K(4,3) graph, its pairs and its heights, as files."""
+    d = tmp_path_factory.mktemp("ref")
+    g, p, h = (str(d / name) for name in ("graph.json", "pairs.json", "heights.json"))
+    assert main(REF_ARGS + ["--out", g]) == 0
+    assert main(["detect", g, "--out", p]) == 0
+    assert main(["plan", g, p, "--out", h]) == 0
+    return d
+
+
+@pytest.fixture(scope="module")
+def startup_modules(ref_files):
+    """The modules a fresh interpreter holds before it runs anything."""
+    proc = run_child("import json, sys; print(json.dumps(sorted(sys.modules)))", cwd=ref_files)
+    return set(json.loads(proc.stdout))
+
+
+# the lmodel modules each command runs; every command runs these
+LAUNCH_CORE = {"lmodel", "lmodel.cli", "lmodel.exprs", "lmodel.motion"}
+LAUNCHES = {
+    "generate": (REF_ARGS[1:] + ["--out", "out.json"], {"lmodel.families"}),
+    "validate": (["graph.json", "--out", "out.json"], {"lmodel.numeric"}),
+    "detect": (
+        ["graph.json", "--out", "out.json"],
+        {"lmodel.collide", "lmodel.interval", "lmodel.numeric", "lmodel.sampling"},
+    ),
+    "cgraph": (["graph.json", "pairs.json", "--dot", "out.dot"], {"lmodel.cgraph"}),
+    "plan": (["graph.json", "pairs.json", "--out", "out.json"], {"lmodel.cgraph", "lmodel.plan"}),
+    "verify": (
+        ["graph.json", "pairs.json", "heights.json", "--out", "out.json"],
+        {"lmodel.cgraph", "lmodel.plan"},
+    ),
+    "exists": (["graph.json", "pairs.json", "--out", "out.json"], {"lmodel.cgraph", "lmodel.plan"}),
+}
+
+LAUNCH = (
+    "import json, sys\n"
+    "from lmodel.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n"
+)
+
+
+@pytest.mark.parametrize("command", LAUNCHES)
+def test_each_launch_loads_only_what_its_command_runs(command, ref_files, startup_modules):
+    args, own = LAUNCHES[command]
+    proc = run_child(LAUNCH, command, *args, cwd=ref_files)
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, modules = json.loads(proc.stdout)
+    assert code == 0, proc.stderr.decode()
+    loaded = set(modules) - startup_modules
+    assert {m for m in loaded if m.split(".")[0] == "lmodel"} == LAUNCH_CORE | own
+    assert "dataclasses" not in loaded
+    assert ("numpy" in loaded) == (command in ("validate", "detect"))
+
+
+@pytest.mark.parametrize("command", ["validate", "detect"])
+def test_missing_numpy_is_one_line(command, ref_files):
+    # a None entry in sys.modules makes every import of numpy fail as if absent
+    child = "import sys\nsys.modules['numpy'] = None\n" + LAUNCH
+    proc = run_child(child, command, "graph.json", cwd=ref_files)
+    err = proc.stderr.decode()
+    assert proc.returncode == 0, err
+    assert json.loads(proc.stdout)[0] == 2
+    assert err.startswith(f"error: {command} needs numpy (")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import os
@@ -29,7 +28,7 @@ from lmodel.numeric import evaluate_on
 from lmodel.sampling import grid_minima, slack
 
 from expected import DIXON1_REF_PAIRS, DIXON1_REF_WITNESS, S2_PAIRS
-from synth import dixon2_partner_pairs, random_dixon1_params
+from synth import HUGE_INT, dixon2_partner_pairs, needs_digit_limit, random_dixon1_params
 
 HALF_PI = math.pi / 2
 
@@ -421,7 +420,8 @@ def test_detect_all_is_deterministic(ref_dixon1, ref_dixon1_result):
 
 
 def test_detect_all_respects_domain(ref_dixon1):
-    half = dataclasses.replace(ref_dixon1, domain=(0.0, math.pi))
+    g = ref_dixon1
+    half = MovingGraph(g.vertices, g.edges, g.motion, domain=(0.0, math.pi))
     got = {(p.vertex, p.edge) for p in detect_all(half).pairs}
     want = set(DIXON1_REF_PAIRS) - {("p0", ("q0", "p2"))}
     assert got == want
@@ -914,6 +914,14 @@ def test_pairs_json_rejects_bad_entries(ref_dixon1, entry, msg):
     text = json.dumps({"graph": "g", "pairs": [entry]})
     with pytest.raises(GraphFormatError, match=msg):
         pairs_from_json(text, ref_dixon1)
+
+
+@needs_digit_limit
+def test_pairs_json_rejects_an_integer_past_the_digit_limit(ref_dixon1):
+    text = f'{{"graph": "g", "pairs": [{{"vertex": "p0", "edge": ["q0", "p1"], "t": {HUGE_INT}}}]}}'
+    with pytest.raises(GraphFormatError, match="invalid JSON: an integer has more than") as err:
+        pairs_from_json(text, ref_dixon1)
+    assert "set_int_max_str_digits" not in str(err.value)
 
 
 def test_pairs_json_rejects_bad_shape(ref_dixon1):

@@ -9,7 +9,7 @@ from lmodel import numeric
 from lmodel.motion import TAU, GraphFormatError, MovingGraph, edge_label, load_graph, save_graph
 from lmodel.numeric import eval_position, positions_on_grid, validate_edge_lengths
 
-from synth import static_graph
+from synth import HUGE_INT, needs_digit_limit, static_graph
 
 GOOD = """
 {
@@ -131,6 +131,14 @@ def test_load_rejects_bad_json():
         load_graph("{nope")
     with pytest.raises(GraphFormatError, match="top-level"):
         load_graph("[1, 2]")
+
+
+@needs_digit_limit
+def test_load_rejects_an_integer_past_the_digit_limit():
+    text = GOOD.replace('"edges"', f'"extra": {HUGE_INT}, "edges"')
+    with pytest.raises(GraphFormatError, match="invalid JSON: an integer has more than") as err:
+        load_graph(text)
+    assert "set_int_max_str_digits" not in str(err.value)
 
 
 def test_construct_rejects_missing_motion():

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 from lmodel import plan
 from lmodel.cgraph import CollisionGraph, build_collision_graph, induced, is_acyclic
 from lmodel.families import Dixon1Params, dixon1
-from lmodel.motion import CollisionPair, GraphFormatError
+from lmodel.motion import CollisionPair, GraphFormatError, SearchCapError
 from lmodel.plan import (
     CyclicGraphError,
     Partition,
-    SearchCapError,
     Violation,
     assign_heights,
     decide_partition,
@@ -34,7 +33,15 @@ from expected import (
     S2_HEIGHTS,
     S2_TRIANGLE,
 )
-from synth import brute_force_exists, dixon1_rule_pairs, fake_pairs, random_instance, static_graph
+from synth import (
+    HUGE_INT,
+    brute_force_exists,
+    dixon1_rule_pairs,
+    fake_pairs,
+    needs_digit_limit,
+    random_instance,
+    static_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -455,6 +462,13 @@ def test_heights_json_round_trip(ref_dixon1, ref_partition):
     heights, part = heights_from_json(bare)
     assert heights == DIXON1_REF_HEIGHTS
     assert part is None
+
+
+@needs_digit_limit
+def test_heights_json_rejects_an_integer_past_the_digit_limit():
+    with pytest.raises(GraphFormatError, match="invalid JSON: an integer has more than") as err:
+        heights_from_json(f'{{"heights": {{"a-b": {HUGE_INT}}}}}')
+    assert "set_int_max_str_digits" not in str(err.value)
 
 
 def test_heights_json_rejects_bad_data():
