@@ -133,7 +133,7 @@ def every_bracket(g, roles, ts, failures):
             xs[w], ys[w] = (evaluate_on(e, ts) for e in g.motion[v])
         except E.ExprDomainError:
             pass  # its pairs are in failures
-    found = np.sort(grid_minima(xs, ys, roles, ts)[2])
+    found = np.sort(grid_minima(xs, ys, roles, ts)[1])
     return found[[k not in failures for k in (found // len(ts)).tolist()]]
 
 
@@ -148,7 +148,7 @@ def check_bounds(g, cfg):
     """
     cfg = cfg or DetectionConfig()
     roles = collide._pair_roles(g)
-    ts, failures, _, found, kept, bounds = collide._grid_stage(g, roles, cfg)
+    ts, failures, found, kept, bounds = collide._grid_stage(g, roles, cfg)
     every = every_bracket(g, roles, ts, failures)
     errors = dict(failures)
     _, minima = collide._refine(g, roles, ts, every, errors)

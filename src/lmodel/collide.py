@@ -11,18 +11,18 @@ detector therefore samples the gap on a dense grid, then drives sampled
 local minima of all pairs together into tiny brackets by golden-section search.
 
 Only the pairs that can change the answer are looked at closely.
-Interval speed bounds on the vertices make each gap Lipschitz, so grid
-samples bound the gap between them from below (Piyavskii-Shubert
-bounding; Shubert, SIAM J. Numer. Anal. 9, 1972), less a margin for
-rounding; one enclosure walk gives both bounds
-(:func:`lmodel.interval.speed_and_stray`).  One rule runs on a
-coarse grid of every ``COARSE_STRIDE``-th sample, then on the whole grid
-for the pairs that are left: bound each pair over the whole domain, and
-drop the pairs proved to stay farther apart than a pair that is proved
-clear of the ambiguity band comes.  They can be neither collisions nor
-the clear margin.  Every sampled minimum of every kept pair is then
-refined, so the result is the one refining every bracket of every pair
-gives (see :func:`_grid_stage`).
+Interval speed bounds on the vertices make each gap Lipschitz, so a
+pair's smallest grid sample, less its change over half a grid step and a
+margin for rounding, bounds its gap over the whole domain from below
+(Piyavskii-Shubert bounding; Shubert, SIAM J. Numer. Anal. 9, 1972); one
+enclosure walk gives both bounds (:func:`lmodel.interval.speed_and_stray`).
+One rule runs on a coarse grid of every ``COARSE_STRIDE``-th sample, then
+on the whole grid for the pairs that are left: bound each pair over the
+whole domain, and drop the pairs proved to stay farther apart than a pair
+that is proved clear of the ambiguity band comes.  They can be neither
+collisions nor the clear margin.  Every sampled minimum of every kept
+pair is then refined, so the result is the one refining every bracket of
+every pair gives (see :func:`_grid_stage`).
 
 Both stages work on the whole graph at once (:mod:`lmodel.sampling`).  The
 grid stage reads every pair's gap off a table of vertex-to-vertex
@@ -188,7 +188,7 @@ _REFINE_CHUNK = 2048
 # _SPEED_SLACK.  A coordinate evaluates to within its rounding bound E of its
 # exact value (:func:`lmodel.interval.speed_and_stray`), which moves its vertex
 # by at most sqrt(2)*E and a pair's gap, a sum of three distances, by at most
-# 2*sqrt(2)*(E_v + E_i + E_j); both the floor's samples and the refined value
+# 2*sqrt(2)*(E_v + E_i + E_j); both the smallest sample and the refined value
 # stray, so the bound is lowered by twice that.  The slack's own arithmetic
 # rounds its distances by a few ulps; _GAP_SLACK times (1 + the largest
 # coordinate on the grid) is far more.
@@ -206,20 +206,17 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
 
     ``roles`` is a 3 x n array of vertex indices: row 0 the vertex, rows 1
     and 2 the edge's endpoints.  Returns the grid ``ts``, {pair index: grid
-    domain error}, the first sampled argmin of every pair the fine grid
-    reads, the brackets (codes ``pair * samples + sample``, in grid order:
-    every sampled minimum of a pair the fine grid keeps that evaluates on
-    the grid), then for the coarse and the fine grid the indices of the
-    pairs it keeps and every pair's bound there (NaN for a pair the grid
-    does not read).
+    domain error}, the brackets (codes ``pair * samples + sample``, in grid
+    order: every sampled minimum of a pair the fine grid keeps that
+    evaluates on the grid), then for the coarse and the fine grid the
+    indices of the pairs it keeps and every pair's bound there (NaN for a
+    pair the grid does not read).
 
     The gap of pair (v, {i, j}) changes by at most ``L = 2(S_v + S_i + S_j)``
     per unit time, where ``S_w`` bounds vertex w's speed over the domain
-    (:func:`lmodel.interval.speed_and_stray`).  So between samples a and b at
-    most h apart it stays above ``(g_a + g_b)/2 - L*h/2``, less the rounding
-    margins.  The smallest such cell average is the floor of a sampled local
-    minimum (see :func:`lmodel.sampling.grid_minima`), so over the whole
-    domain the gap stays above the smallest floor less ``L*h/2`` and the
+    (:func:`lmodel.interval.speed_and_stray`).  Every time of the domain
+    lies within h/2 of a sample, so over the whole domain the gap stays
+    above the pair's smallest sample less ``L*h/2`` and the rounding
     margins: the pair's bound on that grid.
 
     Two passes run this rule, one on every ``COARSE_STRIDE``-th grid
@@ -230,11 +227,11 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     U is dropped; a NaN bound, and a pair whose grid samples fail, are
     kept.  A dropped pair refines above U, and U is at least
     ``AMBIGUITY_FACTOR * eps``: it is no collision and not ambiguous.  The
-    pair U comes from refines to at most U, since its first argmin is a
-    bracket that starts at a grid sample no larger than U, and its bound,
-    a lower bound, is at most that: it is kept.  If the fine pass drops it
-    after all, the fine U is below its minimum, and the pair that U comes
-    from stays.  So the clear margin is at most U, below every dropped
+    pair U comes from refines to at most U, since the first of its smallest
+    samples is a sampled minimum, whose bracket starts there, and its
+    bound, a lower bound, is at most that: it is kept.  If the fine pass
+    drops it after all, the fine U is below its minimum, and the pair that
+    U comes from stays.  So the clear margin is at most U, below every dropped
     pair, and detection reports what refining every bracket of every pair
     reports.  A vertex whose expressions can fail to evaluate on the
     domain, or could once rounded, has no speed or rounding bound, so no
@@ -279,25 +276,18 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     # a slice keeps the fine grid a view of xs and ys
     for idx in (cidx, slice(None)):
         read, grid = kept[-1], ts[idx]
-        first, low, found, floor = grid_minima(xs[:, idx], ys[:, idx], roles[:, read], grid)
-        pair = read[found // len(grid)]
-        floor -= lipschitz[pair] * (float(np.diff(grid).max(initial=0.0)) / 2)
-        floor -= margin[pair]
-        floor -= gap_slack
+        low, found = grid_minima(xs[:, idx], ys[:, idx], roles[:, read], grid)
+        h = float(np.diff(grid).max(initial=0.0))
         bound = np.full(n_pairs, math.nan)
-        bound[read] = math.inf
-        # a pair's samples without NaN hold a sampled minimum; a NaN sample
-        # leaves the pair unbounded, and np.minimum keeps a NaN floor
-        np.minimum.at(bound, pair, floor)
-        bound[read[np.isnan(low)]] = math.nan
+        # a NaN sample leaves the pair unbounded
+        bound[read] = low - lipschitz[read] * (h / 2) - margin[read] - gap_slack
         bound[failed] = math.nan
         bounds.append(bound)
         u = low[bound[read] >= AMBIGUITY_FACTOR * cfg.collide_eps].min(initial=math.inf)
         kept.append(read[~(bound[read] > u)])
-    best_t = np.full(n_pairs, ts[0])
-    best_t[read] = first
+    pair = read[found // len(ts)]
     found = (pair * len(ts) + found % len(ts))[np.isin(pair, kept[-1]) & ~failed[pair]]
-    return ts, failures, best_t, found, kept[1:], bounds
+    return ts, failures, found, kept[1:], bounds
 
 
 def _refine(
@@ -332,11 +322,12 @@ def _probe(
     Refines the brackets of :func:`_grid_stage` in code order: by pair, and
     within a pair by time.  Returns (witness times, minimum gaps, {pair
     index: domain error}); a pair none of whose brackets is refined reads
-    inf.
+    inf at the domain's start.
     """
-    ts, failures, best_t, found, *_ = _grid_stage(g, roles, cfg)
+    ts, failures, found, *_ = _grid_stage(g, roles, cfg)
     found = np.sort(found)
     t_at, v_at = _refine(g, roles, ts, found, failures)
+    best_t = np.full(roles.shape[1], ts[0])
     best_v = np.full(roles.shape[1], math.inf)
     # brackets come in pair order, each pair's in time order, so a scan
     # with < keeps the first bracket reaching the pair's smallest value

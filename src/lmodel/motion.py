@@ -182,6 +182,8 @@ def parse_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise GraphFormatError(f"invalid JSON: {err}") from None
+    except RecursionError:
+        raise GraphFormatError("invalid JSON: nested too deeply") from None
     except ValueError:  # int() refused a literal past the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
         raise GraphFormatError(f"invalid JSON: an integer has more than {limit} digits") from None

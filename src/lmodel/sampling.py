@@ -4,13 +4,11 @@ The gap of vertex v against edge {i, j} needs only the three distances
 between v, i and j.  :func:`grid_minima` therefore builds, for each block
 of grid samples, the table of distances between the vertex pairs that the
 probed pairs use, and reads every pair's gap off three of its columns.  It
-also gives every sampled local minimum its floor, from the gaps of the
-minimum and its neighbours; the minima come block by block, unsorted.
-The smallest floor of a pair is the smallest average of two neighbouring
-samples, which detection turns into a lower bound on the pair's gap over
-the whole domain.  It runs this on a coarse grid, a subset of the
-samples, then on the whole grid for the pairs the coarse grid keeps, and
-drops the pairs that stay far apart.
+gives every pair's smallest sample, which detection turns into a lower
+bound on the pair's gap over the whole domain, and every sampled local
+minimum; the minima come block by block, unsorted.  Detection runs this
+on a coarse grid, a subset of the samples, then on the whole grid for
+the pairs the coarse grid keeps, and drops the pairs that stay far apart.
 :func:`bracket_gap` evaluates the gaps at the probe times of a batch of
 refinement brackets, with one kernel run per coordinate expression shape,
 each shape's kernel compiled once per batch
@@ -50,7 +48,7 @@ def slack(xv, yv, xi, yi, xj, yj):
 
 
 def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarray):
-    """Each pair's first sampled argmin and gap there, and every sampled local minimum's floor.
+    """Each pair's smallest sampled gap, and every sampled local minimum.
 
     ``xs``, ``ys`` hold the vertices' grid samples, one row per vertex.  The
     gap needs only vertex-to-vertex distances, so each block of samples
@@ -60,23 +58,13 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
     gaps are ``slack``'s bit for bit.  A sample is a local minimum when it is
     below its left neighbour and not above its right one, so a plateau
     counts at its left edge and the endpoints count; each block reaches one
-    sample past both of its edges for the neighbours.  The floor of the
-    minimum at sample k is ``(g[k] + min(g[k-1], g[k+1])) / 2``, a missing
-    neighbour at an end of the grid counting as +inf: a gap that changes
-    by at most L per unit time stays above ``floor - L*h/2`` on the bracket
-    ``[t[k-1], t[k+1]]`` of samples at most h apart.  The smallest floor
-    of a pair is also its smallest average ``(g[a] + g[a+1]) / 2`` of two
-    neighbouring samples, so the gap stays above it less ``L*h/2`` on the
-    whole grid.  In the cell of the smallest average, the smaller sample is
-    no larger than its other neighbour, else that neighbour's cell would
-    average less; so it is a sampled minimum, or sits on a plateau whose
-    left edge is one, and that minimum's floor is at most the average.
+    sample past both of its edges for the neighbours.
 
-    Returns the first sampled argmin and its value (the first NaN, if any)
-    per pair, then the minima as codes ``pair index * samples + sample
-    index`` and their floors, in the order the blocks find them: block by
-    block, and within a block in code order.  Nothing here sorts them;
-    detection puts only the ones it refines into code order.
+    Returns the smallest sample per pair (NaN if any sample is NaN), then
+    the minima as codes ``pair index * samples + sample index``, in the
+    order the blocks find them: block by block, and within a block in code
+    order.  Nothing here sorts them; detection puts only the ones it
+    refines into code order.
     """
     n_samples, n_pairs = len(ts), roles.shape[1]
     v, i, j = roles
@@ -89,9 +77,8 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
     width = max(1, min(n_samples, GRID_BLOCK // max(len(ua), 1) - 2))  # samples per block
     chunk = max(1, GRID_BLOCK // (width + 2))
 
-    best_t = np.full(n_pairs, ts[0])
-    best_v = np.full(n_pairs, math.inf)
-    found, floors = array("q"), array("d")  # the minima and their floors, in grid order
+    low = np.full(n_pairs, math.inf)
+    found = array("q")  # the minima, in grid order
     for lo in range(0, n_samples, width):
         hi = min(lo + width, n_samples)
         e0, e1 = max(lo - 1, 0), min(hi + 1, n_samples)
@@ -108,13 +95,7 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
             gs = dist.take(col[v[k], i[k]], axis=0)
             gs += dist.take(col[v[k], j[k]], axis=0)
             gs -= dist.take(col[i[k], j[k]], axis=0)
-            # first minimum or first NaN; the samples a block shares with its
-            # neighbours come again in the same order, so the first stays first
-            at = gs.argmin(axis=1)
-            low = gs[np.arange(len(gs)), at]
-            bv, bt = best_v[k], best_t[k]
-            better = (low < bv) | (np.isnan(low) & ~np.isnan(bv))
-            bv[better], bt[better] = low[better], ts[e0 + at[better]]
+            np.minimum(low[k], gs.min(axis=1), out=low[k])  # a NaN stays
             # neighbours along the flattened rows; where one row meets the
             # next the comparison stands for the grid's missing neighbour
             w, flat = e1 - e0, gs.ravel()
@@ -131,23 +112,11 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
                 rows[:, 0] = False
             if hi < n_samples:
                 rows[:, -1] = False
-            q = np.flatnonzero(is_min)
-            r, c = np.divmod(q, w)
+            r, c = np.divmod(np.flatnonzero(is_min), w)
             found.frombytes((r * n_samples + c + (s * n_samples + e0)).astype(np.int64).tobytes())
-            # a minimum's neighbours sit beside it in its row; at an end of the
-            # grid +inf stands for the missing one
-            before, after = flat.take(q - 1, mode="clip"), flat.take(q + 1, mode="clip")
-            if lo == 0:
-                before[c == 0] = math.inf
-            if hi == n_samples:
-                after[c == w - 1] = math.inf
-            np.minimum(before, after, out=before)
-            before += flat.take(q)
-            before *= 0.5
-            floors.frombytes(before.tobytes())
             del gs
         del dist
-    return best_t, best_v, np.frombuffer(found, dtype=np.int64), np.frombuffer(floors, dtype=float)
+    return low, np.frombuffer(found, dtype=np.int64)
 
 
 def bracket_gap(motion: list, roles: np.ndarray, seed: np.ndarray, errors: dict):

@@ -19,6 +19,9 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", int)()
 needs_digit_limit = pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int() has no digit limit")
 HUGE_INT = "9" * (DIGIT_LIMIT + 1)
 
+# JSON nested past any recursion limit
+TOO_DEEP = "[" * 100000
+
 
 def static_graph(n_vertices, edges, prefix="n"):
     verts = tuple(f"{prefix}{i}" for i in range(n_vertices))

@@ -20,7 +20,7 @@ from expected import (
     DIXON1_REF_UPPER,
     S2_TRIANGLE,
 )
-from synth import dixon1_rule_pairs, fake_pairs
+from synth import TOO_DEEP, dixon1_rule_pairs, fake_pairs
 
 REF_ARGS = [
     "generate", "--family", "dixon1", "--m", "4", "--n", "3",
@@ -428,6 +428,16 @@ def test_bad_graph_json_is_usage_error(tmp_path, capsys):
     gpath.write_text("{oops")
     assert main(["detect", str(gpath)]) == 2
     assert "error: invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "plan"])
+def test_json_nested_too_deeply_is_usage_error(command, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(TOO_DEEP)
+    files = [deep] if command == "validate" else [gen_ref(tmp_path, capsys), deep]
+    assert main([command, *map(str, files)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid JSON: nested too deeply\n"
 
 
 def test_bad_interval_is_usage_error(tmp_path, capsys):

@@ -28,7 +28,13 @@ from lmodel.numeric import evaluate_on
 from lmodel.sampling import grid_minima, slack
 
 from expected import DIXON1_REF_PAIRS, DIXON1_REF_WITNESS, S2_PAIRS
-from synth import HUGE_INT, dixon2_partner_pairs, needs_digit_limit, random_dixon1_params
+from synth import (
+    HUGE_INT,
+    TOO_DEEP,
+    dixon2_partner_pairs,
+    needs_digit_limit,
+    random_dixon1_params,
+)
 
 HALF_PI = math.pi / 2
 
@@ -185,29 +191,23 @@ def local_min_indices(gs):
 
 def per_pair_grid(xs, ys, roles, ts):
     """The grid stage as a loop over pairs: the reference for the whole-graph one."""
-    best_t, best_v = np.empty((2, roles.shape[1]))
-    found, floors = [], []
+    low = np.empty(roles.shape[1])
+    found = []
     for k, (v, i, j) in enumerate(roles.T.tolist()):
         gs = slack(xs[v], ys[v], xs[i], ys[i], xs[j], ys[j])
-        best_t[k], best_v[k] = ts[np.argmin(gs)], gs[np.argmin(gs)]
-        at = local_min_indices(gs)
-        found += (k * len(ts) + at).tolist()
-        # a missing neighbour at an end of the grid counts as +inf
-        padded = np.concatenate([[math.inf], gs, [math.inf]])
-        floors.append((gs[at] + np.minimum(padded[at], padded[at + 2])) / 2)
-    return best_t, best_v, found, np.concatenate([[], *floors])
+        low[k] = gs.min()
+        found += (k * len(ts) + local_min_indices(gs)).tolist()
+    return low, found
 
 
 def assert_grid_matches_reference(xs, ys, roles, ts):
     with np.errstate(all="ignore"):
-        want_t, want_v, want_found, want_floors = per_pair_grid(xs, ys, roles, ts)
-        got_t, got_v, found, floors = grid_minima(xs, ys, roles, ts)
-    assert got_t.tobytes() == want_t.tobytes()
-    assert got_v.tobytes() == want_v.tobytes()
+        want_low, want_found = per_pair_grid(xs, ys, roles, ts)
+        low, found = grid_minima(xs, ys, roles, ts)
+    # a NaN's sign depends on the order of the reduction; slack never reads -0.0
+    assert np.array_equal(low, want_low, equal_nan=True)
     # the minima come in grid order; in code order they are the reference's
-    order = np.argsort(found)
-    assert found[order].tolist() == want_found
-    assert floors[order].tobytes() == want_floors.tobytes()
+    assert np.sort(found).tolist() == want_found
 
 
 def random_roles(rng, n_vertices, n_pairs):
@@ -266,7 +266,7 @@ def test_grid_stage_local_minima(monkeypatch, block, gs, want):
     ys = np.zeros_like(xs)
     roles = np.array([[0], [1], [2]])
     ts = np.arange(len(gs), dtype=float)
-    _, _, found, _ = grid_minima(xs, ys, roles, ts)
+    _, found = grid_minima(xs, ys, roles, ts)
     assert sorted(found.tolist()) == want
     assert_grid_matches_reference(xs, ys, roles, ts)
 
@@ -274,7 +274,7 @@ def test_grid_stage_local_minima(monkeypatch, block, gs, want):
 def bracket_bounds(g):
     """The brackets of the kept pairs of ``g``, in code order, then the pairs
     each grid keeps and every pair's bound on each grid."""
-    _, _, _, found, kept, bounds = collide._grid_stage(g, collide._pair_roles(g), DetectionConfig())
+    _, _, found, kept, bounds = collide._grid_stage(g, collide._pair_roles(g), DetectionConfig())
     return (np.sort(found).tobytes(), *(k.tobytes() for k in kept), *(b.tobytes() for b in bounds))
 
 
@@ -289,8 +289,8 @@ def test_detection_does_not_depend_on_the_block_size(
     monkeypatch.setattr(sampling, "GRID_BLOCK", block)
     assert detect_all(ref_dixon1) == ref_dixon1_result
     assert [detect_pair(ref_dixon1, v, e) for v, e in probes] == want
-    # the floors, and with them the bounds and the kept pairs, come out bit
-    # for bit alike
+    # the smallest samples, and with them the bounds and the kept pairs,
+    # come out bit for bit alike
     assert bracket_bounds(ref_dixon1) == want_bounds
 
 
@@ -545,9 +545,9 @@ def refine_everything(g, roles, cfg):
         bad = [grid_err[w] for w in trio if w in grid_err]
         if bad:
             failures[k] = bad[0]
-    best_t, _, found, _ = grid_minima(xs, ys, roles, ts)
-    found = np.sort(found)
+    found = np.sort(grid_minima(xs, ys, roles, ts)[1])
     found = found[[k not in failures for k in (found // len(ts)).tolist()]]
+    best_t = np.full(roles.shape[1], ts[0])
     best_v = np.full(roles.shape[1], math.inf)
     minima = np.empty(len(found))
     for s in range(0, len(found), 2048):
@@ -614,9 +614,9 @@ def beyond_graph(x):
 def two_dips_graph():
     """Two dips of x = 1.006127 + 2(1 - cos(2(t - c))), less a tilt that
     makes the second 2e-6 deeper in gap.  The first sits midway between two
-    samples, where its floor is below eps; the second sits on a sample,
-    where its floor is above ten times eps, so skipping minima by that
-    floor would skip the deeper dip."""
+    samples, which average less than any two beside the second; the second
+    sits on a sample, the pair's smallest, so refining only the minimum of
+    the smallest average would skip the deeper dip."""
     c = 511.5 * 2 * math.pi / (DetectionConfig().samples - 1)
     return beyond_graph(
         E.parse_expression(f"1.006127 + 2*(1 - cos(2*(t - {c!r}))) - {1e-6 / math.pi!r}*t")
@@ -665,7 +665,7 @@ def test_bracket_bounds_are_below_their_refined_minima(name):
     # of the pair's brackets, and the brackets are exactly the kept pairs'
     g = PRUNING_GRAPHS[name]()
     cfg, roles = DetectionConfig(), collide._pair_roles(g)
-    _, _, _, found, kept, bounds = collide._grid_stage(g, roles, cfg)
+    _, _, found, kept, bounds = collide._grid_stage(g, roles, cfg)
     *_, want_found, minima = refine_everything(g, roles, cfg)
     pair = want_found // cfg.samples
     assert np.sort(found).tolist() == want_found[np.isin(pair, kept[-1])].tolist()
@@ -710,9 +710,8 @@ def test_detection_does_not_depend_on_the_order_of_the_minima(monkeypatch, name)
     rng = np.random.default_rng(sorted(PRUNING_GRAPHS).index(name))
 
     def shuffled(*args):
-        best_t, best_v, found, floors = grid_minima(*args)
-        order = rng.permutation(len(found))
-        return best_t, best_v, found[order], floors[order]
+        low, found = grid_minima(*args)
+        return low, found[rng.permutation(len(found))]
 
     monkeypatch.setattr(collide, "grid_minima", shuffled)
     assert (outcome(g), [probe_outcome(g, v, e) for v, e in probes]) == want
@@ -722,7 +721,7 @@ def test_pruning_refines_few_brackets():
     # 80 of the 840 brackets of all pairs
     g = PRUNING_GRAPHS["dixon1-6x6"]()
     cfg, roles = DetectionConfig(), collide._pair_roles(g)
-    found = collide._grid_stage(g, roles, cfg)[3]
+    found = collide._grid_stage(g, roles, cfg)[2]
     *_, every, _ = refine_everything(g, roles, cfg)
     assert len(found) <= 0.1 * len(every)
 
@@ -759,11 +758,13 @@ def test_fine_pass_drops_pairs_the_coarse_pass_kept(name):
     assert best_v[dropped].min() > best_v[kept[proved[kept]]].min()
 
 
+@pytest.mark.parametrize("name", PRUNING_GRAPHS)
 @pytest.mark.parametrize("samples", [16, 17, 33, 2049])
-def test_coarse_grid_ends_on_the_last_sample(monkeypatch, samples):
+def test_coarse_grid_ends_on_the_last_sample(monkeypatch, samples, name):
     # with 16 samples the last is appended to the coarse grid; with the
-    # others every 16th sample already ends on it
-    g = PRUNING_GRAPHS["dixon1-6x6"]()
+    # others every 16th sample already ends on it.  Both grids' bounds lie
+    # below every refined minimum
+    g = PRUNING_GRAPHS[name]()
     cfg, roles = DetectionConfig(samples=samples), collide._pair_roles(g)
     *_, (coarse, fine) = collide._grid_stage(g, roles, cfg)
     *_, every, minima = refine_everything(g, roles, cfg)
@@ -922,6 +923,11 @@ def test_pairs_json_rejects_an_integer_past_the_digit_limit(ref_dixon1):
     with pytest.raises(GraphFormatError, match="invalid JSON: an integer has more than") as err:
         pairs_from_json(text, ref_dixon1)
     assert "set_int_max_str_digits" not in str(err.value)
+
+
+def test_pairs_json_rejects_json_nested_too_deeply(ref_dixon1):
+    with pytest.raises(GraphFormatError, match="invalid JSON: nested too deeply"):
+        pairs_from_json('{"graph": "g", "pairs": ' + TOO_DEEP, ref_dixon1)
 
 
 def test_pairs_json_rejects_bad_shape(ref_dixon1):

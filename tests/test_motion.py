@@ -9,7 +9,7 @@ from lmodel import numeric
 from lmodel.motion import TAU, GraphFormatError, MovingGraph, edge_label, load_graph, save_graph
 from lmodel.numeric import eval_position, positions_on_grid, validate_edge_lengths
 
-from synth import HUGE_INT, needs_digit_limit, static_graph
+from synth import HUGE_INT, TOO_DEEP, needs_digit_limit, static_graph
 
 GOOD = """
 {
@@ -139,6 +139,11 @@ def test_load_rejects_an_integer_past_the_digit_limit():
     with pytest.raises(GraphFormatError, match="invalid JSON: an integer has more than") as err:
         load_graph(text)
     assert "set_int_max_str_digits" not in str(err.value)
+
+
+def test_load_rejects_json_nested_too_deeply():
+    with pytest.raises(GraphFormatError, match="invalid JSON: nested too deeply"):
+        load_graph(TOO_DEEP)
 
 
 def test_construct_rejects_missing_motion():

@@ -35,6 +35,7 @@ from expected import (
 )
 from synth import (
     HUGE_INT,
+    TOO_DEEP,
     brute_force_exists,
     dixon1_rule_pairs,
     fake_pairs,
@@ -469,6 +470,11 @@ def test_heights_json_rejects_an_integer_past_the_digit_limit():
     with pytest.raises(GraphFormatError, match="invalid JSON: an integer has more than") as err:
         heights_from_json(f'{{"heights": {{"a-b": {HUGE_INT}}}}}')
     assert "set_int_max_str_digits" not in str(err.value)
+
+
+def test_heights_json_rejects_json_nested_too_deeply():
+    with pytest.raises(GraphFormatError, match="invalid JSON: nested too deeply"):
+        heights_from_json('{"heights": ' + TOO_DEEP)
 
 
 def test_heights_json_rejects_bad_data():
