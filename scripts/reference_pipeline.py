@@ -6,7 +6,7 @@ settle the question exactly. Timings are wall clock.
 """
 import time
 
-from lmodel.cgraph import build_collision_graph, multi_edged_subgraph
+from lmodel.cgraph import build_collision_graph
 from lmodel.collide import detect_all
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
 from lmodel.plan import assign_heights, decide_partition, exists_arrangement
@@ -17,7 +17,6 @@ def run(name, g):
     result = detect_all(g)
     t_detect = time.perf_counter() - t0
     c = build_collision_graph(g, result.pairs)
-    two = multi_edged_subgraph(c)
 
     t0 = time.perf_counter()
     decision = decide_partition(c)
@@ -40,7 +39,7 @@ def run(name, g):
     margin = "-" if result.clear_margin is None else f"{result.clear_margin:.4f}"
     print(f"  detect    {len(result.pairs)} collision pairs of {result.probed} probed, "
           f"clear margin {margin}, {t_detect:.3f}s")
-    print(f"  cgraph    {len(c.arcs)} arcs, {len(two.edges)} two-cycles")
+    print(f"  cgraph    {len(c.arcs)} arcs, {len(c.two_cycles)} two-cycles")
     print(f"  plan      {plan}, {t_plan:.3f}s")
     print(f"  exists    {exact}, {t_exact:.3f}s")
     print()

@@ -14,17 +14,7 @@ and :mod:`lmodel.collide`.
 from importlib import import_module
 
 _EXPORTS = {
-    "cgraph": (
-        "BipartiteResult",
-        "CollisionGraph",
-        "MultiEdgedSubgraph",
-        "bipartition",
-        "build_collision_graph",
-        "induced",
-        "is_acyclic",
-        "multi_edged_subgraph",
-        "to_dot",
-    ),
+    "cgraph": ("CollisionGraph", "build_collision_graph", "to_dot"),
     "collide": (
         "DetectionConfig",
         "DetectionResult",
@@ -32,7 +22,6 @@ _EXPORTS = {
         "detect_all",
         "detect_pair",
         "gap",
-        "golden_minimize",
     ),
     "exprs": ("Expr", "ExprDomainError", "ExprSyntaxError", "parse_expression", "to_text"),
     "families": ("Dixon1Params", "Dixon2Params", "S2Params", "dixon1", "dixon2", "s2"),
@@ -59,13 +48,9 @@ _EXPORTS = {
         "decide_partition",
         "dixon1_heights",
         "exists_arrangement",
-        "heights_down",
         "heights_from_json",
         "heights_to_json",
-        "heights_up",
         "make_partition",
-        "partition_is_valid",
-        "split_layers",
         "verify_collision_free",
     ),
 }

@@ -6,31 +6,27 @@ from the canonical edge order and drives every tie-break below, so repeated
 runs produce identical output.
 
 The ordering core below runs on the int lists ``CollisionGraph.succ``.  An
-optional ``alive`` node mask restricts it to the subgraph the mask induces,
-with the witnesses and orders an :func:`induced` copy would give.
+optional ``alive`` node mask restricts it to the subgraph the mask induces.
+The two-cycle structure, an undirected graph on ``CollisionGraph.partners``,
+is two-coloured by index as well (:func:`two_colour`).
 """
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .motion import CollisionPair, MovingGraph, edge_label, pair_edge
 
 __all__ = [
     "CollisionGraph",
-    "MultiEdgedSubgraph",
-    "BipartiteResult",
     "build_collision_graph",
     "pair_constraints",
-    "induced",
-    "is_acyclic",
     "find_cycle",
     "on_cycle",
     "topo_order",
-    "multi_edged_subgraph",
-    "bipartition",
+    "two_colour",
     "to_dot",
 ]
 
@@ -55,16 +51,29 @@ class CollisionGraph(namedtuple("CollisionGraph", "nodes arcs")):
         return {n: i for i, n in enumerate(self.nodes)}
 
     @cached_property
-    def successors(self) -> dict[str, tuple[str, ...]]:
-        succ: dict[str, list[str]] = {n: [] for n in self.nodes}
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        """For each node, the heads of its arcs by index, ascending: the
+        graph the ordering core below runs on."""
+        idx = self.index
+        succ: list[list[int]] = [[] for _ in self.nodes]
         for u, v in self.arcs:
-            succ[u].append(v)
-        return {n: tuple(sorted(vs, key=self.index.__getitem__)) for n, vs in succ.items()}
+            succ[idx[u]].append(idx[v])
+        return tuple(tuple(sorted(ys)) for ys in succ)
 
     @cached_property
-    def succ(self) -> tuple[tuple[int, ...], ...]:
-        """``successors`` by node index, for the ordering core below."""
-        return tuple(tuple(self.index[v] for v in self.successors[n]) for n in self.nodes)
+    def partners(self) -> tuple[tuple[int, ...], ...]:
+        """``partners[x]`` lists the y, ascending, that x forms a directed
+        two-cycle with: y in ``succ[x]`` and x in ``succ[y]``."""
+        nodes, arcs = self.nodes, self.arcs
+        return tuple(
+            tuple([y for y in ys if (nodes[y], nodes[x]) in arcs]) for x, ys in enumerate(self.succ)
+        )
+
+    @property
+    def two_cycles(self) -> list[tuple[int, int]]:
+        """Each directed two-cycle once, as an index pair (x, y) with x < y,
+        in index order."""
+        return [(x, y) for x, ys in enumerate(self.partners) for y in ys if x < y]
 
 
 def pair_constraints(
@@ -84,29 +93,13 @@ def build_collision_graph(g: MovingGraph, pairs: Iterable[CollisionPair]) -> Col
     return CollisionGraph(labels, frozenset(arcs))
 
 
-def induced(c: CollisionGraph, keep: Iterable[str]) -> CollisionGraph:
-    keep_set = set(keep)
-    unknown = keep_set - set(c.nodes)
-    if unknown:
-        raise ValueError(f"unknown nodes: {sorted(unknown)}")
-    nodes = tuple(n for n in c.nodes if n in keep_set)
-    arcs = frozenset((u, v) for (u, v) in c.arcs if u in keep_set and v in keep_set)
-    return CollisionGraph(nodes, arcs)
-
-
-def is_acyclic(c: CollisionGraph) -> tuple[bool, tuple[str, ...] | None]:
-    """DFS cycle check. On failure returns a closed node sequence as witness."""
-    cyc = find_cycle(c.succ)
-    return (True, None) if cyc is None else (False, tuple(c.nodes[i] for i in cyc))
-
-
 # ---------------------------------------------------------------------------
-# int-indexed ordering core: succ[i] lists the successors of node i
+# int-indexed ordering core: succ[i] lists the heads of the arcs out of node i
 
 
 def find_cycle(succ: Sequence[Sequence[int]], alive: bytearray | None = None) -> list[int] | None:
     """Closed node sequence of some cycle through nodes marked in ``alive``
-    (all if None), or None; roots and successors are visited in index order,
+    (all if None), or None; roots and arc heads are visited in index order,
     so the witness is canonical."""
     # 0 unseen, 1 on the current path, 2 done; dead nodes count as done
     color = bytearray(len(succ)) if alive is None else bytearray(2 - 2 * a for a in alive)
@@ -166,86 +159,54 @@ def topo_order(succ: Sequence[Sequence[int]], alive: bytearray | None = None) ->
     return out
 
 
-class MultiEdgedSubgraph(namedtuple("MultiEdgedSubgraph", "nodes edges")):
-    """Nodes on directed two-cycles (a tuple), one undirected edge per
-    two-cycle (a frozenset of node pairs)."""
+def two_colour(
+    partners: Sequence[Sequence[int]],
+) -> tuple[list[tuple[list[int], list[int]]] | None, list[int] | None]:
+    """Two-colour the undirected graph joining each node x to ``partners[x]``.
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.nodes)}
-
-    @cached_property
-    def neighbors(self) -> dict[str, tuple[str, ...]]:
-        nb: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for u, v in self.edges:
-            nb[u].append(v)
-            nb[v].append(u)
-        return {n: tuple(sorted(vs, key=self.index.__getitem__)) for n, vs in nb.items()}
-
-
-def multi_edged_subgraph(c: CollisionGraph) -> MultiEdgedSubgraph:
-    idx = c.index
-    und = frozenset((u, v) for u, v in c.arcs if (v, u) in c.arcs and idx[u] < idx[v])
-    members = {n for uv in und for n in uv}
-    return MultiEdgedSubgraph(tuple(n for n in c.nodes if n in members), und)
-
-
-class BipartiteResult(NamedTuple):
-    bipartite: bool
-    coloring: dict[str, int] | None
-    components: tuple[tuple[str, ...], ...]
-    odd_cycle: tuple[str, ...] | None
-
-
-def _bfs(u: MultiEdgedSubgraph, s: str) -> tuple[dict[str, int], dict[str, str | None]]:
-    """BFS distances and parents of the nodes reachable from s, in the order reached."""
-    dist: dict[str, int] = {s: 0}
-    parent: dict[str, str | None] = {s: None}
-    queue = deque([s])
-    while queue:
-        n = queue.popleft()
-        for nb in u.neighbors[n]:
-            if nb not in dist:
-                dist[nb] = dist[n] + 1
-                parent[nb] = n
-                queue.append(nb)
-    return dist, parent
-
-
-def bipartition(u: MultiEdgedSubgraph) -> BipartiteResult:
-    """Two-color u per connected component; on failure find a shortest odd cycle.
-
-    A node's color is the parity of its BFS distance from the first node of
-    its component (in canonical order), so the coloring is canonical too.
-    The odd-cycle witness is a closed node sequence of minimum length, which
-    for a triangle-containing graph is always a triangle.
+    Nodes without partners are left out.  Each component is coloured by the
+    parity of the BFS distance from its least node, neighbours taken in
+    index order.  Returns ``(components, None)`` when no edge joins two
+    nodes of one colour, each component as (colour-0 nodes, colour-1 nodes)
+    in BFS order, the components in order of their least node.  Otherwise
+    returns ``(None, cycle)``, ``cycle`` a shortest odd cycle, closed (its
+    first node repeated at the end).  The candidates close each edge between
+    two nodes at one BFS distance from some root through their lowest
+    common BFS ancestor; of the shortest, the least in node order is taken.
     """
-    color: dict[str, int] = {}
-    comps: list[tuple[str, ...]] = []
-    for start in u.nodes:
-        if start not in color:
-            dist, _ = _bfs(u, start)
-            color.update((n, d % 2) for n, d in dist.items())
-            comps.append(tuple(dist))
-    if all(color[x] != color[y] for x, y in u.edges):
-        return BipartiteResult(True, color, tuple(comps), None)
-    return BipartiteResult(False, None, tuple(comps), _shortest_odd_cycle(u))
 
+    def bfs(s: int) -> tuple[dict[int, int], dict[int, int]]:
+        # distances and parents of the nodes reached from s, in the order reached
+        dist, parent, queue = {s: 0}, {s: s}, [s]
+        for x in queue:  # grows while it is read
+            for y in partners[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    queue.append(y)
+        return dist, parent
 
-def _shortest_odd_cycle(u: MultiEdgedSubgraph) -> tuple[str, ...]:
-    """Close every edge between two nodes at one BFS distance through their
-    lowest common ancestor; the shortest such cycle, least in node order."""
+    colour: dict[int, int] = {}
+    components = []
+    for s, ys in enumerate(partners):
+        if ys and s not in colour:
+            dist, _ = bfs(s)
+            colour.update((x, d % 2) for x, d in dist.items())
+            components.append(tuple([x for x, d in dist.items() if d % 2 == k] for k in (0, 1)))
+    if all(colour[x] != colour[y] for x in colour for y in partners[x]):
+        return components, None
     cycles = []
-    for s in u.nodes:
-        dist, parent = _bfs(u, s)
-        for x, y in u.edges:
-            if x in dist and dist[x] == dist[y]:
-                px, py = [x], [y]
-                while px[-1] != py[-1]:
-                    px.append(parent[px[-1]])
-                    py.append(parent[py[-1]])
-                cycles.append(tuple(px + py[-2::-1] + [x]))
-    return min(cycles, key=lambda cyc: (len(cyc), [u.index[n] for n in cyc]))
+    for s in colour:
+        dist, parent = bfs(s)
+        for x in dist:
+            for y in partners[x]:
+                if x < y and dist[x] == dist[y]:
+                    px, py = [x], [y]
+                    while px[-1] != py[-1]:
+                        px.append(parent[px[-1]])
+                        py.append(parent[py[-1]])
+                    cycles.append(px + py[-2::-1] + [x])
+    return None, min(cycles, key=lambda cyc: (len(cyc), cyc))
 
 
 def to_dot(c: CollisionGraph) -> str:
@@ -255,8 +216,7 @@ def to_dot(c: CollisionGraph) -> str:
         lines.append(f'  "{n}";')
     for u, v in sorted(c.arcs, key=lambda a: (idx[a[0]], idx[a[1]])):
         lines.append(f'  "{u}" -> "{v}";')
-    two = multi_edged_subgraph(c)
-    for u, v in sorted(two.edges, key=lambda e: (idx[e[0]], idx[e[1]])):
-        lines.append(f'  "{u}" -> "{v}" [dir=none, color=red];')
+    for x, y in c.two_cycles:
+        lines.append(f'  "{c.nodes[x]}" -> "{c.nodes[y]}" [dir=none, color=red];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -35,7 +35,6 @@ __getattr__ = _bind_on_first_use(
     globals(),
     {
         "build_collision_graph": "cgraph",
-        "multi_edged_subgraph": "cgraph",
         "to_dot": "cgraph",
         "DetectionConfig": "collide",
         "detect_all": "collide",
@@ -227,8 +226,7 @@ def cmd_cgraph(args: argparse.Namespace) -> int:
     pairs = pairs_from_json(_read(args.pairs), g)
     c = _bound("build_collision_graph")(g, pairs)
     _emit(_bound("to_dot")(c), args.dot)
-    two = _bound("multi_edged_subgraph")(c)
-    _say(f"cgraph: {len(c.nodes)} nodes, {len(c.arcs)} arcs, {len(two.edges)} two-cycles")
+    _say(f"cgraph: {len(c.nodes)} nodes, {len(c.arcs)} arcs, {len(c.two_cycles)} two-cycles")
     return EXIT_OK
 
 

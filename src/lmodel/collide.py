@@ -126,15 +126,16 @@ def golden_minimize(
     tol: float,
     seeds: Iterable[np.ndarray] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shrink every bracket [lo[k], hi[k]] to width tol by golden-section search.
+    """Shrink every bracket [lo[k], hi[k]] to width tol, or to four float
+    spacings of its endpoints if that is wider, by golden-section search.
 
     ``f`` maps an array of one time per bracket to the array of values there;
     all brackets advance together.  Each bracket probes its seeds, lo, hi and
-    the two interior points, then one point per step, and stops at width tol
-    or after a step cap fixed by its initial width.  Returns the best (t,
-    f(t)) per bracket over every point it evaluated, the first on ties, so
-    the result never regresses below the information already in hand.  A NaN
-    value is never best.
+    the two interior points, then one point per step, and stops at that
+    width or after a step cap fixed by its initial width.  Returns the best
+    (t, f(t)) per bracket over every point it evaluated, the first on ties,
+    so the result never regresses below the information already in hand.
+    A NaN value is never best.
     """
     best_t = lo.copy()
     best_v = np.full(lo.shape, math.inf)
@@ -151,19 +152,25 @@ def golden_minimize(
     probe(lo)
     probe(hi)
     a, b = lo.copy(), hi.copy()
+    # far from 0 the floats are too sparse for a bracket of width tol
+    stop = np.maximum(tol, 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
     # a bracket that is not live re-probes lo, a point it already evaluated,
     # and keeps its state
-    wide = b - a > tol
+    wide = b - a > stop
     c = a + _INV_PHI2 * (b - a)
     d = a + _INV_PHI * (b - a)
     yc = probe(np.where(wide, c, lo), wide)
     yd = probe(np.where(wide, d, lo), wide)
     # the bracket shrinks by 1/phi per step; cap the loop in case float
     # rounding stalls it near the tolerance
-    width = np.maximum(b - a, tol).tolist()
-    max_iters = np.array([math.ceil(math.log(tol / w) / math.log(_INV_PHI)) + 8 for w in width])
+    max_iters = np.array(
+        [
+            math.ceil(math.log(s / w) / math.log(_INV_PHI)) + 8
+            for s, w in zip(stop.tolist(), np.maximum(b - a, stop).tolist())
+        ]
+    )
     for k in range(int(max_iters.max(initial=0))):
-        live = (k < max_iters) & (b - a > tol)
+        live = (k < max_iters) & (b - a > stop)
         if not live.any():
             break
         left = live & (yc < yd)

@@ -13,8 +13,7 @@ nothing; ``exists_arrangement`` decides the general question exactly by
 branching, per collision pair, on whether the colliding edge goes below or
 above every edge at the vertex.
 
-Each class of a split is a node mask on the one collision graph, never an
-induced copy.
+Each class of a split is a node mask on the one collision graph.
 """
 from __future__ import annotations
 
@@ -23,13 +22,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .cgraph import (
     CollisionGraph,
-    bipartition,
     build_collision_graph,
     find_cycle,
-    multi_edged_subgraph,
     on_cycle,
     pair_constraints,
     topo_order,
+    two_colour,
 )
 from .motion import CollisionPair, GraphFormatError, MovingGraph, SearchCapError, parse_json
 
@@ -40,14 +38,10 @@ __all__ = [
     "Violation",
     "VerifyReport",
     "make_partition",
-    "heights_up",
-    "heights_down",
-    "partition_is_valid",
     "cyclic_side",
     "decide_partition",
     "assign_heights",
     "verify_collision_free",
-    "split_layers",
     "exists_arrangement",
     "dixon1_heights",
     "heights_to_json",
@@ -95,14 +89,12 @@ def _mask(c: CollisionGraph, labels: Iterable[str]) -> bytearray:
     return alive
 
 
-def _sweep(
-    c: CollisionGraph, start: int, step: int, alive: bytearray | None = None
-) -> dict[str, int]:
+def _sweep(c: CollisionGraph, start: int, step: int, alive: bytearray) -> dict[str, int]:
     # a node's wave is its longest path from an in-degree-0 node of the
     # masked subgraph; waves are numbered in turn, each in canonical node order
     succ = c.succ
     order = topo_order(succ, alive)
-    if len(order) < (len(succ) if alive is None else alive.count(1)):
+    if len(order) < alive.count(1):
         raise CyclicGraphError([c.nodes[i] for i in find_cycle(succ, alive)])
     wave = [0] * len(succ)
     for x in order:
@@ -110,16 +102,6 @@ def _sweep(
             wave[y] = max(wave[y], wave[x] + 1)
     ranked = sorted(order, key=lambda x: (wave[x], x))
     return {c.nodes[x]: start + step * k for k, x in enumerate(ranked)}
-
-
-def heights_up(c: CollisionGraph) -> dict[str, int]:
-    """Remove in-degree-0 waves, numbering 1, 2, ... so arcs point upward."""
-    return _sweep(c, 1, +1)
-
-
-def heights_down(c: CollisionGraph) -> dict[str, int]:
-    """Remove in-degree-0 waves, numbering 0, -1, ... so arcs point downward."""
-    return _sweep(c, 0, -1)
 
 
 def cyclic_side(c: CollisionGraph, p: Partition) -> tuple[str, tuple[str, ...]] | None:
@@ -130,10 +112,6 @@ def cyclic_side(c: CollisionGraph, p: Partition) -> tuple[str, tuple[str, ...]] 
         if cycle is not None:
             return name, tuple(c.nodes[i] for i in cycle)
     return None
-
-
-def partition_is_valid(c: CollisionGraph, p: Partition) -> bool:
-    return cyclic_side(c, p) is None
 
 
 def _search(n: int, step, undo, budget: int, what: str) -> bool:
@@ -186,16 +164,10 @@ def decide_partition(c: CollisionGraph) -> PartitionDecision:
     than ``SPLIT_SEARCH_BUDGET`` nodes undecided raises
     :class:`SearchCapError` rather than running on.
     """
-    u = multi_edged_subgraph(c)
-    bip = bipartition(u)
-    if not bip.bipartite:
-        return PartitionDecision(None, "not-bipartite", bip.odd_cycle)
-    idx = c.index
-    items = [
-        tuple([idx[n] for n in comp if bip.coloring[n] == k] for k in (0, 1))
-        for comp in bip.components
-    ]
-    items += [([idx[n]], []) for n in c.nodes if n not in bip.coloring]
+    items, odd_cycle = two_colour(c.partners)
+    if odd_cycle is not None:
+        return PartitionDecision(None, "not-bipartite", tuple([c.nodes[x] for x in odd_cycle]))
+    items += [([x], []) for x, ys in enumerate(c.partners) if not ys]
 
     succ = c.succ
     upper, lower = bytearray(len(succ)), bytearray(len(succ))
@@ -274,28 +246,6 @@ def verify_collision_free(
         if vals and min(vals) <= hs[e] <= max(vals):
             violations.append(Violation(p.vertex, g.edges[e], hs[e], min(vals), max(vals)))
     return VerifyReport(not violations, tuple(violations))
-
-
-def split_layers(
-    g: MovingGraph, pairs: Iterable[CollisionPair], heights: dict[str, int]
-) -> dict[str, int]:
-    """Spread a verified arrangement onto distinct consecutive integers.
-
-    Strict outside-a-closed-range constraints survive any relabeling that
-    preserves strict order, so ties can be split by rank; the result starts
-    at the original minimum and verifies again.
-    """
-    pairs = tuple(pairs)
-    report = verify_collision_free(g, pairs, heights)
-    if not report.ok:
-        raise ValueError("heights must verify collision-free before splitting")
-    labels = g.edge_labels
-    if not labels:
-        return {}
-    order = {lab: i for i, lab in enumerate(labels)}
-    ranked = sorted(labels, key=lambda lab: (heights[lab], order[lab]))
-    base = min(heights[lab] for lab in labels)
-    return {lab: base + i for i, lab in enumerate(ranked)}
 
 
 def exists_arrangement(

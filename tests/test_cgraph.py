@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -7,18 +8,15 @@ from hypothesis import strategies as st
 from lmodel import plan
 from lmodel.cgraph import (
     CollisionGraph,
-    bipartition,
     build_collision_graph,
     find_cycle,
-    induced,
-    is_acyclic,
-    multi_edged_subgraph,
     on_cycle,
     to_dot,
     topo_order,
+    two_colour,
 )
 from lmodel.motion import CollisionPair
-from lmodel.plan import CyclicGraphError, decide_partition, partition_is_valid
+from lmodel.plan import CyclicGraphError, Partition, cyclic_side, decide_partition
 
 from expected import (
     DIXON1_REF_ARCS,
@@ -39,11 +37,22 @@ def test_build_reference_arcs(ref_dixon1, ref_cgraph):
     assert ref_cgraph.arcs == DIXON1_REF_ARCS
 
 
+def induced(c, keep):
+    """Reference for the node masks: the subgraph of c on the nodes in keep, as a copy."""
+    keep = set(keep)
+    nodes = [n for n in c.nodes if n in keep]
+    return CollisionGraph(nodes, [(u, v) for u, v in c.arcs if u in keep and v in keep])
+
+
+def labels(c, xs):
+    return tuple(c.nodes[x] for x in xs)
+
+
 def test_successors_are_canonically_ordered(ref_cgraph):
-    assert ref_cgraph.successors["q0-p0"] == (
+    assert labels(ref_cgraph, ref_cgraph.succ[ref_cgraph.index["q0-p0"]]) == (
         "q0-p1", "q0-p2", "q0-p3", "q1-p0", "q2-p0"
     )
-    assert ref_cgraph.successors["q2-p3"] == ()
+    assert ref_cgraph.succ[ref_cgraph.index["q2-p3"]] == ()
 
 
 def test_build_rejects_foreign_pairs(ref_dixon1):
@@ -73,18 +82,17 @@ def test_induced_upper_class(ref_cgraph):
             ("q0-p1", "q0-p3"),
         ]
     )
-    ok, witness = is_acyclic(sub)
-    assert ok and witness is None
+    assert find_cycle(sub.succ) is None
 
 
 def test_induced_rejects_unknown_nodes(ref_cgraph):
-    with pytest.raises(ValueError, match="unknown nodes"):
-        induced(ref_cgraph, ["nope"])
+    # a class of a split is a node mask, and a mask knows only the graph's nodes
+    with pytest.raises(ValueError, match="unknown node 'nope'"):
+        cyclic_side(ref_cgraph, Partition(("nope",), ref_cgraph.nodes))
 
 
 def test_full_reference_graph_is_cyclic(ref_cgraph):
-    ok, witness = is_acyclic(ref_cgraph)
-    assert not ok
+    witness = labels(ref_cgraph, find_cycle(ref_cgraph.succ))
     assert witness[0] == witness[-1]
     assert len(witness) >= 3
     for u, v in zip(witness, witness[1:]):
@@ -92,50 +100,38 @@ def test_full_reference_graph_is_cyclic(ref_cgraph):
 
 
 def test_multi_edged_reference(ref_cgraph):
-    u = multi_edged_subgraph(ref_cgraph)
-    assert u.nodes == ("q0-p1", "q0-p2", "q0-p3", "q1-p0", "q2-p0")
-    assert u.edges == DIXON1_REF_TWO_CYCLES
+    c = ref_cgraph
+    assert tuple(n for n, ys in zip(c.nodes, c.partners) if ys) == (
+        "q0-p1", "q0-p2", "q0-p3", "q1-p0", "q2-p0"
+    )
+    assert frozenset(labels(c, xy) for xy in c.two_cycles) == DIXON1_REF_TWO_CYCLES
 
 
 def test_bipartition_reference(ref_cgraph):
-    u = multi_edged_subgraph(ref_cgraph)
-    bip = bipartition(u)
-    assert bip.bipartite
-    assert bip.odd_cycle is None
-    assert bip.coloring == {
-        "q0-p1": 0,
-        "q0-p2": 0,
-        "q0-p3": 0,
-        "q1-p0": 1,
-        "q2-p0": 1,
-    }
-    assert len(bip.components) == 1
-    assert set(bip.components[0]) == set(u.nodes)
+    components, odd_cycle = two_colour(ref_cgraph.partners)
+    assert odd_cycle is None
+    # one component, coloured by BFS parity from q0-p1, in BFS order
+    assert [(labels(ref_cgraph, zero), labels(ref_cgraph, one)) for zero, one in components] == [
+        (("q0-p1", "q0-p2", "q0-p3"), ("q1-p0", "q2-p0"))
+    ]
 
 
 def test_bipartition_of_empty_structure():
     c = CollisionGraph(("a", "b"), frozenset([("a", "b")]))
-    u = multi_edged_subgraph(c)
-    assert u.nodes == ()
-    assert u.edges == frozenset()
-    bip = bipartition(u)
-    assert bip.bipartite
-    assert bip.coloring == {}
-    assert bip.components == ()
+    assert c.partners == ((), ())
+    assert c.two_cycles == []
+    assert two_colour(c.partners) == ([], None)
 
 
 def test_s2_odd_cycle_is_the_triangle(ref_s2, ref_s2_result):
     c = build_collision_graph(ref_s2, ref_s2_result.pairs)
-    u = multi_edged_subgraph(c)
-    bip = bipartition(u)
-    assert not bip.bipartite
-    assert bip.coloring is None
-    cyc = bip.odd_cycle
+    components, cyc = two_colour(c.partners)
+    assert components is None
     assert cyc[0] == cyc[-1]
     assert len(cyc) == 4
-    assert set(cyc) == S2_TRIANGLE
+    assert set(labels(c, cyc)) == S2_TRIANGLE
     for x, y in zip(cyc, cyc[1:]):
-        assert (x, y) in u.edges or (y, x) in u.edges
+        assert y in c.partners[x]
 
 
 def test_to_dot_small_graph():
@@ -163,18 +159,18 @@ def test_to_dot_reference_mentions_every_node(ref_cgraph):
 
 
 def kahn_is_acyclic(c):
-    indeg = {n: 0 for n in c.nodes}
+    indeg = [0] * len(c.nodes)
     for _, v in c.arcs:
-        indeg[v] += 1
-    queue = [n for n in c.nodes if indeg[n] == 0]
+        indeg[c.index[v]] += 1
+    queue = [x for x, d in enumerate(indeg) if d == 0]
     seen = 0
     while queue:
-        u = queue.pop()
+        x = queue.pop()
         seen += 1
-        for w in c.successors[u]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
+        for y in c.succ[x]:
+            indeg[y] -= 1
+            if indeg[y] == 0:
+                queue.append(y)
     return seen == len(c.nodes)
 
 
@@ -201,9 +197,10 @@ def random_digraph(seed):
 @settings(max_examples=150)
 def test_is_acyclic_matches_kahn(seed):
     c = random_digraph(seed)
-    ok, witness = is_acyclic(c)
-    assert ok == kahn_is_acyclic(c)
-    if not ok:
+    cycle = find_cycle(c.succ)
+    assert (cycle is None) == kahn_is_acyclic(c)
+    if cycle is not None:
+        witness = labels(c, cycle)
         assert witness[0] == witness[-1]
         for u, v in zip(witness, witness[1:]):
             assert (u, v) in c.arcs
@@ -222,7 +219,7 @@ def test_ordering_core_matches_kahn(seed):
         assert all(pos[u] < pos[v] for u, v in c.arcs)
 
 
-def _swept(c, start, step, alive=None):
+def _swept(c, start, step, alive):
     try:
         return list(plan._sweep(c, start, step, alive).items())
     except CyclicGraphError as err:
@@ -239,8 +236,9 @@ def test_masks_match_induced_copies(seed, bits):
     cyc = find_cycle(sub.succ)
     assert find_cycle(c.succ, alive) == (None if cyc is None else [back[x] for x in cyc])
     assert topo_order(c.succ, alive) == [back[x] for x in topo_order(sub.succ)]
+    everything = bytearray([1]) * len(sub.nodes)
     for start, step in ((1, +1), (0, -1)):
-        assert _swept(c, start, step, alive) == _swept(sub, start, step)
+        assert _swept(c, start, step, alive) == _swept(sub, start, step, everything)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -250,25 +248,70 @@ def test_decide_partition_matches_brute_force(seed):
     dec = decide_partition(c)
     assert dec.found == brute_force_split(c)
     if dec.found:
-        assert partition_is_valid(c, dec.partition)
+        assert cyclic_side(c, dec.partition) is None
 
 
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=150)
 def test_multi_edged_captures_exactly_the_two_cycles(seed):
     c = random_digraph(seed)
-    u = multi_edged_subgraph(c)
-    want_nodes = {a for a, b in c.arcs if (b, a) in c.arcs}
-    assert set(u.nodes) == want_nodes
-    for x, y in u.edges:
-        assert c.index[x] < c.index[y]
-        assert (x, y) in c.arcs and (y, x) in c.arcs
+    want = {(c.index[a], c.index[b]) for a, b in c.arcs if (b, a) in c.arcs}
+    assert {(x, y) for x, ys in enumerate(c.partners) for y in ys} == want
+    assert all(list(ys) == sorted(ys) for ys in c.partners)
+    assert c.two_cycles == sorted((x, y) for x, y in want if x < y)
+
+
+def shortest_odd_closed_walk(partners):
+    """Reference: the length of a shortest odd closed walk on the two-cycle
+    structure, by BFS over (node, parity) states from every node; None if
+    there is none."""
+    best = None
+    for s in range(len(partners)):
+        dist = {(s, 0): 0}
+        queue = deque([(s, 0)])
+        while queue:
+            x, parity = queue.popleft()
+            for y in partners[x]:
+                if (y, 1 - parity) not in dist:
+                    dist[y, 1 - parity] = dist[x, parity] + 1
+                    queue.append((y, 1 - parity))
+        if (s, 1) in dist and (best is None or dist[s, 1] < best):
+            best = dist[s, 1]
+    return best
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200)
+def test_two_colour_matches_parity_reference(seed):
+    c = random_digraph(seed)
+    partners = c.partners
+    components, cyc = two_colour(partners)
+    shortest = shortest_odd_closed_walk(partners)
+    assert (components is None) == (shortest is not None)
+    if components is not None:
+        colour, home = {}, {}
+        for k, (zero, one) in enumerate(components):
+            for x in zero + one:
+                assert x not in colour
+                colour[x], home[x] = int(x in one), k
+        assert set(colour) == {x for x, ys in enumerate(partners) if ys}
+        assert all(colour[x] != colour[y] and home[x] == home[y] for x, y in c.two_cycles)
+        least = [min(zero + one) for zero, one in components]
+        assert least == sorted(least)
+        assert all(colour[x] == 0 for x in least)
+    else:
+        assert cyc[0] == cyc[-1]
+        assert all(y in partners[x] for x, y in zip(cyc, cyc[1:]))
+        assert len(cyc) - 1 == shortest
 
 
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=100)
 def test_induced_on_full_node_set_is_identity(seed):
     c = random_digraph(seed)
+    everything = bytearray([1]) * len(c.nodes)
+    assert find_cycle(c.succ, everything) == find_cycle(c.succ)
+    assert topo_order(c.succ, everything) == topo_order(c.succ)
     assert induced(c, c.nodes) == c
 
 
@@ -279,5 +322,4 @@ def test_build_from_synthetic_pairs():
     assert c.arcs == frozenset(
         [("n0-n1", "n2-n3"), ("n2-n3", "n0-n1")]
     )
-    u = multi_edged_subgraph(c)
-    assert u.edges == frozenset([("n0-n1", "n2-n3")])
+    assert c.two_cycles == [(0, 2)]

@@ -156,6 +156,24 @@ def test_golden_minimize_degenerate_bracket():
     assert v[0] == 1.0
 
 
+def test_golden_minimize_stops_at_the_float_spacing():
+    # near 1e300 the floats lie ~1.5e284 apart, so no bracket gets to 1e-12 wide;
+    # each stops at four spacings, about 30 steps down from 1e291
+    lo = np.array([1e300])
+    hi = lo * (1.0 + 1e-9)
+    mid = (lo + hi) / 2
+    evaluations = []
+
+    def f(x):
+        evaluations.append(len(x))
+        return np.abs(x - mid)
+
+    t, v = golden_minimize(f, lo, hi, 1e-12)
+    assert sum(evaluations) < 60
+    assert lo[0] <= t[0] <= hi[0]
+    assert v[0] <= 8.0 * np.spacing(1e300)
+
+
 def test_golden_minimize_matches_scalar_search():
     # a staircase: plateaus make ties, so the first-best rule is exercised too
     def f(x):

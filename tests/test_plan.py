@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmodel import plan
-from lmodel.cgraph import CollisionGraph, build_collision_graph, induced, is_acyclic
+from lmodel.cgraph import CollisionGraph, build_collision_graph
 from lmodel.families import Dixon1Params, dixon1
 from lmodel.motion import CollisionPair, GraphFormatError, SearchCapError
 from lmodel.plan import (
@@ -13,16 +13,13 @@ from lmodel.plan import (
     Partition,
     Violation,
     assign_heights,
+    cyclic_side,
     decide_partition,
     dixon1_heights,
     exists_arrangement,
-    heights_down,
     heights_from_json,
     heights_to_json,
-    heights_up,
     make_partition,
-    partition_is_valid,
-    split_layers,
     verify_collision_free,
 )
 
@@ -60,12 +57,12 @@ def ref_partition(ref_dixon1):
 
 
 def test_heights_up_reference_upper_class(ref_cgraph, ref_partition):
-    got = heights_up(induced(ref_cgraph, ref_partition.upper))
+    got = plan._sweep(ref_cgraph, 1, +1, plan._mask(ref_cgraph, ref_partition.upper))
     assert got == {"q0-p0": 1, "q0-p1": 2, "q0-p2": 3, "q0-p3": 4}
 
 
 def test_heights_down_reference_lower_class(ref_cgraph, ref_partition):
-    got = heights_down(induced(ref_cgraph, ref_partition.lower))
+    got = plan._sweep(ref_cgraph, 0, -1, plan._mask(ref_cgraph, ref_partition.lower))
     assert got == {
         "q1-p0": 0, "q1-p1": -1, "q1-p2": -2, "q1-p3": -3,
         "q2-p0": -4, "q2-p1": -5, "q2-p2": -6, "q2-p3": -7,
@@ -74,7 +71,7 @@ def test_heights_down_reference_lower_class(ref_cgraph, ref_partition):
 
 def test_sweep_rejects_cycles(ref_cgraph):
     with pytest.raises(CyclicGraphError) as exc:
-        heights_up(ref_cgraph)
+        plan._sweep(ref_cgraph, 1, +1, plan._mask(ref_cgraph, ref_cgraph.nodes))
     cyc = exc.value.cycle
     assert cyc[0] == cyc[-1]
     for u, v in zip(cyc, cyc[1:]):
@@ -95,9 +92,10 @@ def test_sweep_heights_respect_arcs(seed):
     arcs = rng.sample(possible, rng.randint(0, len(possible)))
     c = CollisionGraph(tuple(nodes), frozenset(arcs))
 
-    up = heights_up(c)
+    everything = bytearray([1]) * n
+    up = plan._sweep(c, 1, +1, everything)
     assert sorted(up.values()) == list(range(1, n + 1))
-    down = heights_down(c)
+    down = plan._sweep(c, 0, -1, everything)
     assert sorted(down.values()) == list(range(-(n - 1), 1))
     for u, v in c.arcs:
         assert up[u] < up[v]
@@ -120,16 +118,16 @@ def test_make_partition_rejects_unknown_labels(ref_dixon1):
 
 
 def test_partition_validity(ref_cgraph, ref_partition):
-    assert partition_is_valid(ref_cgraph, ref_partition)
+    assert cyclic_side(ref_cgraph, ref_partition) is None
     everything = Partition(tuple(ref_cgraph.nodes), ())
-    assert not partition_is_valid(ref_cgraph, everything)
+    assert cyclic_side(ref_cgraph, everything) is not None
 
 
 def test_decide_partition_reference(ref_cgraph):
     dec = decide_partition(ref_cgraph)
     assert dec.found
     assert dec.reason is None
-    assert partition_is_valid(ref_cgraph, dec.partition)
+    assert cyclic_side(ref_cgraph, dec.partition) is None
     # both classes come back in canonical node order
     idx = ref_cgraph.index
     for side in (dec.partition.upper, dec.partition.lower):
@@ -194,7 +192,7 @@ def test_decide_partition_expansion_budget(monkeypatch):
     c = CollisionGraph(nodes, frozenset())
     dec = decide_partition(c)
     assert dec.found
-    assert partition_is_valid(c, dec.partition)
+    assert cyclic_side(c, dec.partition) is None
     # the same search needs 25 expansions, so a budget of 10 runs out
     monkeypatch.setattr(plan, "SPLIT_SEARCH_BUDGET", 10)
     with pytest.raises(SearchCapError, match="10 expansions"):
@@ -312,38 +310,6 @@ def test_verify_isolated_vertex_constrains_nothing():
     g = static_graph(3, [("n0", "n1")])
     pairs = fake_pairs([("n2", ("n0", "n1"))])
     assert verify_collision_free(g, pairs, {"n0-n1": 0}).ok
-
-
-def test_split_layers_identity_on_injective(ref_s2, ref_s2_result):
-    got = split_layers(ref_s2, ref_s2_result.pairs, S2_HEIGHTS)
-    assert got == S2_HEIGHTS
-
-
-def test_split_layers_resolves_ties(ref_s2, ref_s2_result):
-    tied = dict(S2_HEIGHTS)
-    tied["v1-v7"] = 9  # collides in value with v3-v5; neither edge is constrained
-    assert verify_collision_free(ref_s2, ref_s2_result.pairs, tied).ok
-    got = split_layers(ref_s2, ref_s2_result.pairs, tied)
-    # the tie resolves by canonical edge order: v3-v5 precedes v1-v7
-    assert got == dict(S2_HEIGHTS, **{"v3-v5": 8, "v1-v7": 9})
-    assert verify_collision_free(ref_s2, ref_s2_result.pairs, got).ok
-
-
-def test_split_layers_anchors_at_minimum(ref_dixon1, ref_dixon1_result):
-    got = split_layers(ref_dixon1, ref_dixon1_result.pairs, DIXON1_REF_HEIGHTS)
-    assert sorted(got.values()) == list(range(-7, 5))
-    for u in DIXON1_REF_HEIGHTS:
-        for v in DIXON1_REF_HEIGHTS:
-            if DIXON1_REF_HEIGHTS[u] < DIXON1_REF_HEIGHTS[v]:
-                assert got[u] < got[v]
-    assert verify_collision_free(ref_dixon1, ref_dixon1_result.pairs, got).ok
-
-
-def test_split_layers_rejects_unverified_input(ref_dixon1, ref_dixon1_result):
-    broken = dict(DIXON1_REF_HEIGHTS)
-    broken["q0-p3"] = 0
-    with pytest.raises(ValueError, match="must verify"):
-        split_layers(ref_dixon1, ref_dixon1_result.pairs, broken)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pickle
 
 import pytest
 
-from lmodel.cgraph import BipartiteResult, CollisionGraph, MultiEdgedSubgraph
+from lmodel.cgraph import CollisionGraph
 from lmodel.collide import DetectionConfig, DetectionResult, PairProbe
 from lmodel.exprs import Expr, const, sin, tvar
 from lmodel.families import Dixon1Params, Dixon2Params, S2Params
@@ -53,24 +53,6 @@ RECORDS = [
         dict(nodes=("a-b", "c-d"), arcs=frozenset({("a-b", "c-d")})),
         {},
         "CollisionGraph(nodes=('a-b', 'c-d'), arcs=frozenset({('a-b', 'c-d')}))",
-    ),
-    (
-        MultiEdgedSubgraph,
-        dict(nodes=("a-b", "c-d"), edges=frozenset({("a-b", "c-d")})),
-        {},
-        "MultiEdgedSubgraph(nodes=('a-b', 'c-d'), edges=frozenset({('a-b', 'c-d')}))",
-    ),
-    (
-        BipartiteResult,
-        dict(
-            bipartite=True,
-            coloring={"a-b": 0, "c-d": 1},
-            components=(("a-b", "c-d"),),
-            odd_cycle=None,
-        ),
-        {},
-        "BipartiteResult(bipartite=True, coloring={'a-b': 0, 'c-d': 1}, "
-        "components=(('a-b', 'c-d'),), odd_cycle=None)",
     ),
     (
         Partition,
