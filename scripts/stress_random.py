@@ -6,7 +6,9 @@ collision pairs) and checks the exact decision against brute-force
 enumeration of all height orders.  Where the bipartition route finds a
 split, the swept heights must verify; where it finds none ("exhausted" or
 "not-bipartite"), brute-force enumeration of all splits must find none
-either. Exits nonzero on any mismatch.
+either.  Both searches are also rerun as plain backtracking, every failure
+blaming every earlier choice: backjumping must find the same witness and
+the same split decision.  Exits nonzero on any mismatch.
 """
 import argparse
 import itertools
@@ -14,6 +16,7 @@ import random
 import sys
 import time
 
+from lmodel import plan
 from lmodel.cgraph import build_collision_graph
 from lmodel.exprs import const
 from lmodel.motion import CollisionPair, MovingGraph, edge_label
@@ -75,6 +78,24 @@ def brute_force_split(c):
     return False
 
 
+def plain_backtracking(run):
+    """``run()`` with every search failure blaming all earlier depths, so
+    the searches back up one depth at a time."""
+    search = plan._search
+
+    def plain(n, step, undo, budget, what):
+        def blame_all(i, b):
+            return None if step(i, b) is None else (1 << i) - 1
+
+        return search(n, blame_all, undo, budget, what)
+
+    plan._search = plain
+    try:
+        return run()
+    finally:
+        plan._search = search
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=500)
@@ -89,6 +110,9 @@ def main():
     for k in range(args.trials):
         g, pairs = random_instance(rng, args.max_edges, args.max_pairs)
         witness = exists_arrangement(g, pairs)
+        if witness != plain_backtracking(lambda: exists_arrangement(g, pairs)):
+            mismatches += 1
+            print(f"MISMATCH trial {k}: plain backtracking finds another witness")
         want = brute_force(g, pairs)
         if (witness is not None) != want:
             mismatches += 1
@@ -101,6 +125,9 @@ def main():
                 print(f"MISMATCH trial {k}: witness does not verify")
         c = build_collision_graph(g, pairs)
         dec = decide_partition(c)
+        if dec != plain_backtracking(lambda: decide_partition(c)):
+            mismatches += 1
+            print(f"MISMATCH trial {k}: plain backtracking decides the split otherwise")
         if dec.found:
             splits += 1
             heights = assign_heights(g, pairs, dec.partition)

@@ -123,19 +123,29 @@ def find_cycle(succ: Sequence[Sequence[int]], alive: bytearray | None = None) ->
     return None
 
 
-def on_cycle(succ: Sequence[Sequence[int]], x: int, alive: bytearray | None = None) -> bool:
-    """Does x reach itself through nodes marked in ``alive`` (all if None)?
-    Decides whether arcs or nodes just added at x closed a cycle."""
-    seen = bytearray(len(succ))
+def on_cycle(
+    succ: Sequence[Sequence[int]], x: int, alive: bytearray | None = None
+) -> list[int] | None:
+    """Closed path from x back to x through nodes marked in ``alive`` (all
+    if None), or None when there is none.  Decides whether arcs or nodes
+    just added at x closed a cycle, and shows the cycle that explains it."""
+    parent = [-1] * len(succ)  # the node each node was first reached from
     stack = [x]
     while stack:
-        for y in succ[stack.pop()]:
+        u = stack.pop()
+        for y in succ[u]:
             if y == x:
-                return True
-            if not seen[y] and (alive is None or alive[y]):
-                seen[y] = 1
+                path = [x]
+                while u != x:
+                    path.append(u)
+                    u = parent[u]
+                path.append(x)
+                path.reverse()
+                return path
+            if parent[y] < 0 and (alive is None or alive[y]):
+                parent[y] = u
                 stack.append(y)
-    return False
+    return None
 
 
 def topo_order(succ: Sequence[Sequence[int]], alive: bytearray | None = None) -> list[int]:

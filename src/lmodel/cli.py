@@ -397,6 +397,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as err:
         _say(f"error: {err}")
         return EXIT_ERROR
+    except MemoryError as err:  # e.g. a --samples grid too large to allocate
+        _say(f"error: out of memory: {err}" if str(err) else "error: out of memory")
+        return EXIT_ERROR
     except Exception as err:
         if isinstance(err, ModuleNotFoundError) and err.name == "numpy":
             # only validate and detect import numpy; planning never needs it

@@ -14,6 +14,13 @@ branching, per collision pair, on whether the colliding edge goes below or
 above every edge at the vertex.
 
 Each class of a split is a node mask on the one collision graph.
+
+Both searches backjump: a failed choice names, through the cycle that
+:func:`lmodel.cgraph.on_cycle` finds, the earlier choices it rests on
+(the items that placed the cycle's nodes, or the pairs that added its
+arcs).  When both choices of an item fail at once, the search backs up
+straight to the latest choice named, skipping only subtrees without a
+solution, so it returns what plain backtracking returns.
 """
 from __future__ import annotations
 
@@ -56,11 +63,11 @@ class CyclicGraphError(ValueError):
 
 
 # search nodes ``decide_partition`` may expand before giving up; the hardest
-# 40-edge instance of the perfbench plan-synth pool exhausts in about 11k
+# 40-edge instance of the perfbench plan-synth pool exhausts in about 7k
 SPLIT_SEARCH_BUDGET = 1 << 16
 
 # search nodes ``exists_arrangement`` may expand before giving up; the
-# hardest instance of that pool decides in about 76k
+# hardest instance of that pool decides in about 21.5k
 EXACT_SEARCH_BUDGET = 1 << 20
 
 
@@ -116,24 +123,41 @@ def cyclic_side(c: CollisionGraph, p: Partition) -> tuple[str, tuple[str, ...]] 
 
 def _search(n: int, step, undo, budget: int, what: str) -> bool:
     """Depth-first over one binary choice per item 0..n-1, 0 before 1:
-    ``step(i, b)`` applies choice b to item i and says whether it stands,
-    ``undo(i, b)`` takes it back.  On success every choice stays applied.
-    The first try at a depth expands a search node; past ``budget`` of them
-    the search raises :class:`SearchCapError`, naming itself ``what``."""
+    ``step(i, b)`` applies choice b to item i and returns None when it
+    stands, else a bitmask of the earlier depths its failure rests on (the
+    failure recurs whatever is chosen at the other depths); ``undo(i, b)``
+    takes it back.  When both choices at a depth fail at once, no choice
+    after the deepest depth they name can help, so the search backs up
+    straight to it (Gaschnig's backjumping); otherwise it backs up one
+    depth.  It skips only subtrees without a solution, so it finds the same
+    first solution as plain backtracking.  On success every choice stays
+    applied.  The first try at a depth expands a search node; past
+    ``budget`` of them the search raises :class:`SearchCapError`, naming
+    itself ``what``."""
     chosen: list[int] = []  # the stack: the standing choice at each depth
     b = 0
+    failed = None  # what the 0 at this depth rests on, when it failed at once
     left = budget
     while len(chosen) < n:
         if not b:
             left -= 1
             if left < 0:
                 raise SearchCapError(f"{what} ran past {budget} expansions")
-        if step(len(chosen), b):
+        why = step(len(chosen), b)
+        if why is None:
             chosen.append(b)
             b = 0
             continue
         undo(len(chosen), b)
-        while b:  # both choices failed here: back up to the last 0
+        if not b:
+            failed, b = why, 1
+            continue
+        if failed is not None:  # both failed at once: drop the depths past those they name
+            keep = (failed | why).bit_length()
+            while len(chosen) > keep:
+                undo(len(chosen) - 1, chosen.pop())
+            failed = None
+        while b:  # back up to the last 0
             if not chosen:
                 return False
             b = chosen.pop()
@@ -171,15 +195,30 @@ def decide_partition(c: CollisionGraph) -> PartitionDecision:
 
     succ = c.succ
     upper, lower = bytearray(len(succ)), bytearray(len(succ))
+    owner = [0] * len(succ)  # the item that places each node
+    for i, item in enumerate(items):
+        for x in item[0] + item[1]:
+            owner[x] = i
 
-    def place(nodes: list[int], side: bytearray) -> bool:
-        # the side was acyclic before, so any new cycle runs through nodes
+    def place(nodes: list[int], side: bytearray) -> int | None:
+        # the side was acyclic before, so any new cycle runs through nodes;
+        # it rests on the items that placed its nodes
         for x in nodes:
             side[x] = 1
-        return not any(on_cycle(succ, x, side) for x in nodes)
+        for x in nodes:
+            cycle = on_cycle(succ, x, side)
+            if cycle is not None:
+                why = 0
+                for y in cycle:
+                    why |= 1 << owner[y]
+                return why
+        return None
 
-    def step(i: int, flip: int) -> bool:
-        return place(items[i][flip], upper) and place(items[i][1 - flip], lower)
+    def step(i: int, flip: int) -> int | None:
+        why = place(items[i][flip], upper)
+        if why is None:
+            why = place(items[i][1 - flip], lower)
+        return None if why is None else why & ~(1 << i)
 
     def undo(i: int, flip: int) -> None:
         for x in items[i][0] + items[i][1]:  # each node is in one item, so both sides held 0
@@ -269,19 +308,32 @@ def exists_arrangement(
     constraints = [con for con in pair_constraints(g, pairs) if con[1]]
     constraints.sort(key=lambda con: -len(con[1]))
 
-    # the constraint digraph; a choice appends its arcs, backtracking pops them
+    # the constraint digraph; a choice appends its arcs, backtracking pops
+    # them; beside each arc, the depth that appended it
     succ: list[list[int]] = [[] for _ in labels]
+    by: list[list[int]] = [[] for _ in labels]
 
-    def step(i: int, above: int) -> bool:
+    def step(i: int, above: int) -> int | None:
         e, inc = constraints[i]
         for f in inc:  # below: arcs e -> f; above: arcs f -> e
-            succ[f if above else e].append(e if above else f)
-        return not on_cycle(succ, e)  # every new arc touches e, so any new cycle does too
+            u = f if above else e
+            succ[u].append(e if above else f)
+            by[u].append(i)
+        cycle = on_cycle(succ, e)  # every new arc touches e, so any new cycle does too
+        if cycle is None:
+            return None
+        # the cycle rests on the depths that appended its arcs, each arc's earliest copy
+        why = 0
+        for u, v in zip(cycle, cycle[1:]):
+            why |= 1 << by[u][succ[u].index(v)]
+        return why & ~(1 << i)
 
     def undo(i: int, above: int) -> None:
         e, inc = constraints[i]
         for f in inc:
-            succ[f if above else e].pop()
+            u = f if above else e
+            succ[u].pop()
+            by[u].pop()
 
     if not _search(len(constraints), step, undo, EXACT_SEARCH_BUDGET, "exact search"):
         return None

@@ -219,6 +219,30 @@ def test_ordering_core_matches_kahn(seed):
         assert all(pos[u] < pos[v] for u, v in c.arcs)
 
 
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=127))
+@settings(max_examples=200)
+def test_on_cycle_returns_a_closed_path(seed, bits):
+    c = random_digraph(seed)
+    alive = bytearray(bits >> x & 1 for x in range(len(c.nodes)))
+    acyclic = find_cycle(c.succ, alive) is None
+    for x in range(len(c.nodes)):
+        path = on_cycle(c.succ, x, alive)
+        # reference: does some arc into x leave a node that x reaches through alive nodes?
+        reached, todo = {x}, [x]
+        while todo:
+            for y in c.succ[todo.pop()]:
+                if alive[y] and y not in reached:
+                    reached.add(y)
+                    todo.append(y)
+        assert (path is not None) == any(x in c.succ[u] for u in reached)
+        if path is None:
+            continue
+        assert not (acyclic and alive[x])
+        assert path[0] == path[-1] == x
+        assert all(v in c.succ[u] for u, v in zip(path, path[1:]))
+        assert all(alive[y] for y in path[1:-1])
+
+
 def _swept(c, start, step, alive):
     try:
         return list(plan._sweep(c, start, step, alive).items())

@@ -337,6 +337,17 @@ def test_internal_error_is_not_a_no(tmp_path, capsys, monkeypatch):
     assert "RuntimeError: internal error: witness failed verification" in capsys.readouterr().err
 
 
+def test_out_of_memory_is_usage_error(tmp_path, capsys, monkeypatch):
+    def huge(g, cfg):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "detect_all", huge)
+    gpath = gen_ref(tmp_path, capsys)
+    assert main(["detect", str(gpath), "--samples", "100000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
+
+
 def test_cgraph_dot_file(tmp_path, capsys):
     gpath = gen_ref(tmp_path, capsys)
     ppath = detect_ref(tmp_path, capsys, gpath)

@@ -382,6 +382,75 @@ def test_partition_route_is_sound(seed):
         assert exists_arrangement(g, pairs) is not None
 
 
+def _traced(monkeypatch, real, blame_all):
+    """Patch ``plan._search`` to run ``real`` counting its expansions and the
+    most depths one back-up leaves with their second choice untried; with
+    ``blame_all`` every failure blames every earlier depth, which is plain
+    chronological backtracking."""
+    seen = {"expansions": 0, "widest": 0}
+
+    def search(n, step, undo, budget, what):
+        tried = []  # the last choice tried at each depth down to the current one
+
+        def traced(i, b):
+            if b:  # the search came back to i: which depths past it never tried a 1?
+                seen["widest"] = max(seen["widest"], tried[i + 1 :].count(0))
+            else:
+                seen["expansions"] += 1
+            del tried[i:]
+            tried.append(b)
+            why = step(i, b)
+            return (1 << i) - 1 if blame_all and why is not None else why
+
+        return real(n, traced, undo, budget, what)
+
+    monkeypatch.setattr(plan, "_search", search)
+    return seen
+
+
+def _mid_size_instance(rng, size):
+    """``size`` random edges on about size/2.5 vertices, 1.2 to 1.5 pairs an edge."""
+    nv = rng.randint(round(size * 0.35), size // 2)
+    edges = rng.sample([(f"n{a}", f"n{b}") for a in range(nv) for b in range(a + 1, nv)], size)
+    g = static_graph(nv, edges)
+    cand = [(v, e) for v in g.vertices for e in g.edges if v not in e]
+    return g, fake_pairs(rng.sample(cand, round(size * rng.uniform(1.2, 1.5))))
+
+
+def _oriented_graph(rng, n, density):
+    """Each pair of n nodes joined with probability ``density`` by one arc,
+    either way: no two-cycles, and dense enough that the split search backtracks."""
+    nodes = tuple(f"e{i}" for i in range(n))
+    arcs = [
+        (nodes[x], nodes[y]) if rng.random() < 0.5 else (nodes[y], nodes[x])
+        for x in range(n)
+        for y in range(x + 1, n)
+        if rng.random() < density
+    ]
+    return CollisionGraph(nodes, frozenset(arcs))
+
+
+def test_backjumping_gives_the_answers_of_plain_backtracking(monkeypatch):
+    rng = random.Random(23)
+    instances = [random_instance(rng) for _ in range(300)]
+    instances += [_mid_size_instance(rng, rng.randint(20, 40)) for _ in range(20)]
+    graphs = [_oriented_graph(rng, rng.randint(10, 14), 0.6) for _ in range(100)]
+    graphs += [build_collision_graph(g, pairs) for g, pairs in instances]
+    real = plan._search
+
+    def widest_jump(run):
+        seen = _traced(monkeypatch, real, blame_all=False)
+        got = run()
+        plain = _traced(monkeypatch, real, blame_all=True)
+        assert run() == got
+        assert seen["expansions"] <= plain["expansions"]
+        assert plain["widest"] == 0
+        return seen["widest"]
+
+    assert max(widest_jump(lambda: exists_arrangement(g, pairs)) for g, pairs in instances) >= 2
+    assert max(widest_jump(lambda: decide_partition(c)) for c in graphs) >= 2
+
+
 def test_both_planners_solve_default_dixon1_40x40():
     # 1560 pairs, so a search that recursed once per item or constraint
     # would pass the default recursion limit
