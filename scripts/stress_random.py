@@ -8,7 +8,10 @@ split, the swept heights must verify; where it finds none ("exhausted" or
 "not-bipartite"), brute-force enumeration of all splits must find none
 either.  Both searches are also rerun as plain backtracking, every failure
 blaming every earlier choice: backjumping must find the same witness and
-the same split decision.  Exits nonzero on any mismatch.
+the same split decision.  Each trial also splits a dense oriented collision
+graph of 10 to 14 nodes, big enough that the split search backs up over
+several choices, and compares it with plain backtracking and, up to 10
+nodes, with every split.  Exits nonzero on any mismatch.
 """
 import argparse
 import itertools
@@ -17,7 +20,7 @@ import sys
 import time
 
 from lmodel import plan
-from lmodel.cgraph import build_collision_graph
+from lmodel.cgraph import CollisionGraph, build_collision_graph
 from lmodel.exprs import const
 from lmodel.motion import CollisionPair, MovingGraph, edge_label
 from lmodel.plan import (
@@ -58,24 +61,36 @@ def brute_force(g, pairs):
     return False
 
 
-def acyclic(nodes, arcs):
-    """Peel off nodes with no arc in from the rest until none are left."""
-    left = set(nodes)
-    while left:
-        sources = {n for n in left if not any(u in left and v == n for u, v in arcs)}
-        if not sources:
-            return False
-        left -= sources
-    return True
+def oriented_graph(rng, n, density):
+    """Each pair of n nodes joined with probability ``density`` by one arc,
+    either way: no two-cycles, so every node is a free choice."""
+    nodes = tuple(f"e{i}" for i in range(n))
+    arcs = [
+        (nodes[x], nodes[y]) if rng.random() < 0.5 else (nodes[y], nodes[x])
+        for x in range(n)
+        for y in range(x + 1, n)
+        if rng.random() < density
+    ]
+    return CollisionGraph(nodes, frozenset(arcs))
 
 
 def brute_force_split(c):
-    nodes = c.nodes
-    for mask in range(2 ** len(nodes)):
-        upper = {n for k, n in enumerate(nodes) if mask >> k & 1}
-        if acyclic(upper, c.arcs) and acyclic(set(nodes) - upper, c.arcs):
-            return True
-    return False
+    n = len(c.nodes)
+    pred = [0] * n  # bit x of pred[y]: an arc x -> y
+    for u, v in c.arcs:
+        pred[c.index[v]] |= 1 << c.index[u]
+
+    def acyclic(left):
+        """Peel off nodes with no arc in from the rest until none are left."""
+        while left:
+            sources = sum(1 << x for x in range(n) if left >> x & 1 and not pred[x] & left)
+            if not sources:
+                return False
+            left &= ~sources
+        return True
+
+    everything = (1 << n) - 1
+    return any(acyclic(upper) and acyclic(everything & ~upper) for upper in range(1 << n))
 
 
 def plain_backtracking(run):
@@ -105,6 +120,7 @@ def main():
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
+    dense_rng = random.Random(f"{args.seed}-dense")  # leaves rng's instances as they were
     t0 = time.perf_counter()
     solvable = splits = mismatches = 0
     for k in range(args.trials):
@@ -137,6 +153,14 @@ def main():
         elif brute_force_split(c):
             mismatches += 1
             print(f"MISMATCH trial {k}: split search says {dec.reason}, but a split exists")
+        dense = oriented_graph(dense_rng, dense_rng.randint(10, 14), 0.6)
+        dec = decide_partition(dense)
+        if dec != plain_backtracking(lambda: decide_partition(dense)):
+            mismatches += 1
+            print(f"MISMATCH trial {k}: plain backtracking splits the dense graph otherwise")
+        if len(dense.nodes) <= 10 and dec.found != brute_force_split(dense):
+            mismatches += 1
+            print(f"MISMATCH trial {k}: dense split={dec.found} brute={not dec.found}")
     dt = time.perf_counter() - t0
 
     print(f"{args.trials} trials, seed {args.seed}: {solvable} solvable, "

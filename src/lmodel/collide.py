@@ -280,10 +280,11 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     if cidx[-1] != len(ts) - 1:
         cidx = np.append(cidx, len(ts) - 1)
     kept, bounds = [np.arange(n_pairs)], []
-    # a slice keeps the fine grid a view of xs and ys
-    for idx in (cidx, slice(None)):
+    # a slice keeps the fine grid a view of xs and ys; only the fine
+    # grid's minima are refined
+    for idx, minima in ((cidx, False), (slice(None), True)):
         read, grid = kept[-1], ts[idx]
-        low, found = grid_minima(xs[:, idx], ys[:, idx], roles[:, read], grid)
+        low, found = grid_minima(xs[:, idx], ys[:, idx], roles[:, read], grid, minima=minima)
         h = float(np.diff(grid).max(initial=0.0))
         bound = np.full(n_pairs, math.nan)
         # a NaN sample leaves the pair unbounded

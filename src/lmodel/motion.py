@@ -44,8 +44,9 @@ __all__ = [
 
 TAU = 2.0 * math.pi
 
-# vertex ids double as halves of edge labels "u-v", so no dashes or whitespace
-_ID_BAD = re.compile(r"[\s-]")
+# vertex ids double as halves of edge labels "u-v", so no dashes or
+# whitespace, and go into quoted DOT IDs unescaped, so no quotes or backslashes
+_ID_BAD = re.compile(r'[\s\-"\\]')
 
 
 class GraphFormatError(ValueError):
@@ -86,7 +87,8 @@ class MovingGraph(namedtuple("MovingGraph", "vertices edges motion domain")):
         for v in self.vertices:
             if not isinstance(v, str) or not v or _ID_BAD.search(v):
                 raise GraphFormatError(
-                    f"bad vertex id {v!r}: ids are nonempty strings without '-' or whitespace"
+                    f"bad vertex id {v!r}: ids are nonempty strings without '-', '\"', '\\' "
+                    "or whitespace"
                 )
             if v in seen:
                 raise GraphFormatError(f"duplicate vertex {v!r}")

@@ -20,7 +20,9 @@ Both searches backjump: a failed choice names, through the cycle that
 (the items that placed the cycle's nodes, or the pairs that added its
 arcs).  When both choices of an item fail at once, the search backs up
 straight to the latest choice named, skipping only subtrees without a
-solution, so it returns what plain backtracking returns.
+solution, so it returns what plain backtracking returns.  Each choice
+also remembers its last failure, and while the choices it named still
+stand the search takes that failure again without checking for a cycle.
 """
 from __future__ import annotations
 
@@ -67,7 +69,7 @@ class CyclicGraphError(ValueError):
 SPLIT_SEARCH_BUDGET = 1 << 16
 
 # search nodes ``exists_arrangement`` may expand before giving up; the
-# hardest instance of that pool decides in about 21.5k
+# hardest instance of that pool decides in about 22k
 EXACT_SEARCH_BUDGET = 1 << 20
 
 
@@ -130,38 +132,54 @@ def _search(n: int, step, undo, budget: int, what: str) -> bool:
     after the deepest depth they name can help, so the search backs up
     straight to it (Gaschnig's backjumping); otherwise it backs up one
     depth.  It skips only subtrees without a solution, so it finds the same
-    first solution as plain backtracking.  On success every choice stays
-    applied.  The first try at a depth expands a search node; past
+    first solution as plain backtracking.
+
+    Each choice remembers its last failure: the depths it rests on and the
+    choices that stood there.  While those choices still stand, the
+    failure recurs, so the search takes it as it was and calls neither
+    ``step`` nor ``undo`` (backmarking, Gaschnig 1977, with one nogood per
+    choice).  On success every choice stays applied.  The first try at a
+    depth expands a search node, answered from memory or not; past
     ``budget`` of them the search raises :class:`SearchCapError`, naming
     itself ``what``."""
-    chosen: list[int] = []  # the stack: the standing choice at each depth
+    cur = depth = 0  # bit d of cur holds the standing choice at depth d < depth
+    why_at = [None] * (2 * n)  # per choice 2d + b: the depths its last failure rests on
+    held = [0] * (2 * n)  # and the choices that stood at them
     b = 0
     failed = None  # what the 0 at this depth rests on, when it failed at once
     left = budget
-    while len(chosen) < n:
+    while depth < n:
         if not b:
             left -= 1
             if left < 0:
                 raise SearchCapError(f"{what} ran past {budget} expansions")
-        why = step(len(chosen), b)
-        if why is None:
-            chosen.append(b)
-            b = 0
-            continue
-        undo(len(chosen), b)
+        k = 2 * depth + b
+        why = why_at[k]
+        if why is None or (cur ^ held[k]) & why:
+            why = step(depth, b)
+            if why is None:
+                cur |= b << depth
+                depth += 1
+                b = 0
+                continue
+            undo(depth, b)
+            why_at[k], held[k] = why, cur & why
         if not b:
             failed, b = why, 1
             continue
         if failed is not None:  # both failed at once: drop the depths past those they name
             keep = (failed | why).bit_length()
-            while len(chosen) > keep:
-                undo(len(chosen) - 1, chosen.pop())
+            while depth > keep:
+                depth -= 1
+                undo(depth, cur >> depth & 1)
             failed = None
         while b:  # back up to the last 0
-            if not chosen:
+            if not depth:
                 return False
-            b = chosen.pop()
-            undo(len(chosen), b)
+            depth -= 1
+            b = cur >> depth & 1
+            undo(depth, b)
+        cur &= (1 << depth) - 1  # past depth nothing stands
         b = 1
     return True
 

@@ -7,8 +7,9 @@ probed pairs use, and reads every pair's gap off three of its columns.  It
 gives every pair's smallest sample, which detection turns into a lower
 bound on the pair's gap over the whole domain, and every sampled local
 minimum; the minima come block by block, unsorted.  Detection runs this
-on a coarse grid, a subset of the samples, then on the whole grid for
-the pairs the coarse grid keeps, and drops the pairs that stay far apart.
+on a coarse grid, a subset of the samples, for the smallest samples only,
+then on the whole grid for the pairs the coarse grid keeps, and drops the
+pairs that stay far apart.
 :func:`bracket_gap` evaluates the gaps at the probe times of a batch of
 refinement brackets, with one kernel run per coordinate expression shape,
 each shape's kernel compiled once per batch
@@ -47,7 +48,9 @@ def slack(xv, yv, xi, yi, xj, yj):
     return np.hypot(xv - xi, yv - yi) + np.hypot(xv - xj, yv - yj) - np.hypot(xi - xj, yi - yj)
 
 
-def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarray):
+def grid_minima(
+    xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarray, minima: bool = True
+):
     """Each pair's smallest sampled gap, and every sampled local minimum.
 
     ``xs``, ``ys`` hold the vertices' grid samples, one row per vertex.  The
@@ -64,7 +67,8 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
     the minima as codes ``pair index * samples + sample index``, in the
     order the blocks find them: block by block, and within a block in code
     order.  Nothing here sorts them; detection puts only the ones it
-    refines into code order.
+    refines into code order.  With ``minima`` false no minimum is sought,
+    and none is returned.
     """
     n_samples, n_pairs = len(ts), roles.shape[1]
     v, i, j = roles
@@ -96,24 +100,26 @@ def grid_minima(xs: np.ndarray, ys: np.ndarray, roles: np.ndarray, ts: np.ndarra
             gs += dist.take(col[v[k], j[k]], axis=0)
             gs -= dist.take(col[i[k], j[k]], axis=0)
             np.minimum(low[k], gs.min(axis=1), out=low[k])  # a NaN stays
-            # neighbours along the flattened rows; where one row meets the
-            # next the comparison stands for the grid's missing neighbour
-            w, flat = e1 - e0, gs.ravel()
-            falls, rises = flat[1:] < flat[:-1], flat[:-1] <= flat[1:]
-            if lo == 0:
-                falls[w - 1 :: w] = True
-            if hi == n_samples:
-                rises[w - 1 :: w] = True
-            is_min = np.ones(len(flat), dtype=bool)
-            is_min[1:] = falls
-            is_min[:-1] &= rises
-            rows = is_min.reshape(gs.shape)
-            if lo > 0:  # the samples the neighbouring blocks own
-                rows[:, 0] = False
-            if hi < n_samples:
-                rows[:, -1] = False
-            r, c = np.divmod(np.flatnonzero(is_min), w)
-            found.frombytes((r * n_samples + c + (s * n_samples + e0)).astype(np.int64).tobytes())
+            if minima:
+                # neighbours along the flattened rows; where one row meets the
+                # next the comparison stands for the grid's missing neighbour
+                w, flat = e1 - e0, gs.ravel()
+                falls, rises = flat[1:] < flat[:-1], flat[:-1] <= flat[1:]
+                if lo == 0:
+                    falls[w - 1 :: w] = True
+                if hi == n_samples:
+                    rises[w - 1 :: w] = True
+                is_min = np.ones(len(flat), dtype=bool)
+                is_min[1:] = falls
+                is_min[:-1] &= rises
+                rows = is_min.reshape(gs.shape)
+                if lo > 0:  # the samples the neighbouring blocks own
+                    rows[:, 0] = False
+                if hi < n_samples:
+                    rows[:, -1] = False
+                r, c = np.divmod(np.flatnonzero(is_min), w)
+                codes = r * n_samples + c + (s * n_samples + e0)
+                found.frombytes(codes.astype(np.int64).tobytes())
             del gs
         del dist
     return low, np.frombuffer(found, dtype=np.int64)

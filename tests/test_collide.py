@@ -727,8 +727,8 @@ def test_detection_does_not_depend_on_the_order_of_the_minima(monkeypatch, name)
     want = outcome(g), [probe_outcome(g, v, e) for v, e in probes]
     rng = np.random.default_rng(sorted(PRUNING_GRAPHS).index(name))
 
-    def shuffled(*args):
-        low, found = grid_minima(*args)
+    def shuffled(*args, **kw):
+        low, found = grid_minima(*args, **kw)
         return low, found[rng.permutation(len(found))]
 
     monkeypatch.setattr(collide, "grid_minima", shuffled)

@@ -98,6 +98,9 @@ def test_positions_on_grid(ref_dixon1):
         (lambda d: d["vertices"].append({"id": "a", "x": "0", "y": "0"}), "duplicate vertex"),
         (lambda d: d["vertices"].append({"id": "s p", "x": "0", "y": "0"}), "id"),
         (lambda d: d["vertices"].append({"id": "x-y", "x": "0", "y": "0"}), "id"),
+        # ids go unescaped into quoted DOT IDs
+        (lambda d: d["vertices"].append({"id": 'a"x', "x": "0", "y": "0"}), "id"),
+        (lambda d: d["vertices"].append({"id": "a\\", "x": "0", "y": "0"}), "id"),
         (lambda d: d.update(domain=[1.0, 1.0]), "domain"),
         (lambda d: d.update(domain=[0.0]), "domain"),
         (lambda d: d.update(domain=[False, 6.0]), "domain"),
@@ -144,6 +147,12 @@ def test_load_rejects_an_integer_past_the_digit_limit():
 def test_load_rejects_json_nested_too_deeply():
     with pytest.raises(GraphFormatError, match="invalid JSON: nested too deeply"):
         load_graph(TOO_DEEP)
+
+
+@pytest.mark.parametrize("vid", ["", "s p", "x-y", 'a"x', "a\\"])
+def test_construct_rejects_bad_ids(vid):
+    with pytest.raises(GraphFormatError, match="bad vertex id"):
+        MovingGraph((vid,), (), {vid: (E.const(0.0), E.const(0.0))})
 
 
 def test_construct_rejects_missing_motion():

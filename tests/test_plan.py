@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -383,24 +384,38 @@ def test_partition_route_is_sound(seed):
 
 
 def _traced(monkeypatch, real, blame_all):
-    """Patch ``plan._search`` to run ``real`` counting its expansions and the
-    most depths one back-up leaves with their second choice untried; with
-    ``blame_all`` every failure blames every earlier depth, which is plain
-    chronological backtracking."""
+    """Patch ``plan._search`` to run ``real`` counting the first tries it
+    calls ``step`` on and the most depths one back-up leaves with their
+    second choice untried; with ``blame_all`` every failure blames every
+    earlier depth, which is plain chronological backtracking.
+
+    The search answers a try from a remembered failure without calling
+    ``step``.  Plain backtracking meets no choices twice, so it calls
+    ``step`` on every try and its count is its expansions.  Only failures
+    are answered from memory, so the choices that stand are those of the
+    calls that stood, and a back-up is measured where both tries of a depth
+    fail in calls: a lower bound on the widest one."""
     seen = {"expansions": 0, "widest": 0}
 
     def search(n, step, undo, budget, what):
-        tried = []  # the last choice tried at each depth down to the current one
+        chosen = []  # the standing choices
+        zero = None  # (depth, what it rests on) when the last call was a failed 0
 
         def traced(i, b):
-            if b:  # the search came back to i: which depths past it never tried a 1?
-                seen["widest"] = max(seen["widest"], tried[i + 1 :].count(0))
-            else:
-                seen["expansions"] += 1
-            del tried[i:]
-            tried.append(b)
+            nonlocal zero
+            del chosen[i:]
+            assert len(chosen) == i
+            seen["expansions"] += not b
             why = step(i, b)
-            return (1 << i) - 1 if blame_all and why is not None else why
+            if blame_all and why is not None:
+                why = (1 << i) - 1
+            if why is None:
+                chosen.append(b)
+            elif b and zero is not None and zero[0] == i:  # both failed: which depths does it drop?
+                keep = (zero[1] | why).bit_length()
+                seen["widest"] = max(seen["widest"], chosen[keep:].count(0))
+            zero = (i, why) if why is not None and not b else None
+            return why
 
         return real(n, traced, undo, budget, what)
 
@@ -438,17 +453,71 @@ def test_backjumping_gives_the_answers_of_plain_backtracking(monkeypatch):
     graphs += [build_collision_graph(g, pairs) for g, pairs in instances]
     real = plan._search
 
-    def widest_jump(run):
+    def widest_jump(run, budget):
         seen = _traced(monkeypatch, real, blame_all=False)
         got = run()
         plain = _traced(monkeypatch, real, blame_all=True)
         assert run() == got
-        assert seen["expansions"] <= plain["expansions"]
         assert plain["widest"] == 0
+        # the real search decides within plain backtracking's expansions
+        limit = getattr(plan, budget)
+        monkeypatch.setattr(plan, "_search", real)
+        monkeypatch.setattr(plan, budget, plain["expansions"])
+        assert run() == got
+        monkeypatch.setattr(plan, budget, limit)
         return seen["widest"]
 
-    assert max(widest_jump(lambda: exists_arrangement(g, pairs)) for g, pairs in instances) >= 2
-    assert max(widest_jump(lambda: decide_partition(c)) for c in graphs) >= 2
+    for budget, runs in (
+        ("EXACT_SEARCH_BUDGET", [partial(exists_arrangement, g, pairs) for g, pairs in instances]),
+        ("SPLIT_SEARCH_BUDGET", [partial(decide_partition, c) for c in graphs]),
+    ):
+        assert max(widest_jump(run, budget) for run in runs) >= 2
+
+
+def _first_solution(n, nogoods):
+    """The first of the 2^n choices, item 0 first and 0 before 1, that no
+    nogood (a mask of items, and the choices there) matches; None if none."""
+    for k in range(1 << n):
+        x = int(format(k, f"0{n}b")[::-1], 2) if n else 0
+        if not any(x & mask == bits for mask, bits in nogoods):
+            return [x >> i & 1 for i in range(n)]
+    return None
+
+
+def test_search_remembers_failures_on_synthetic_nogoods():
+    # step(i, b) fails when a nogood whose deepest item is i matches the
+    # standing choices, and names that nogood's other items
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        nogoods = []
+        for _ in range(rng.randint(0, 3 * n)):
+            items = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            mask = sum(1 << i for i in items)
+            nogoods.append((mask, sum(rng.randint(0, 1) << i for i in items)))
+        cur = 0  # bit i holds the choice standing at item i
+        last = {}  # (i, b) -> its last failure's mask, and the choices that stood there
+
+        def step(i, b):
+            nonlocal cur
+            if (i, b) in last:  # called again only once the choices it rested on changed
+                why, held = last[i, b]
+                assert (cur ^ held) & why
+            cur |= b << i
+            for mask, bits in nogoods:
+                if mask.bit_length() == i + 1 and cur & mask == bits:
+                    why = mask & ~(1 << i)
+                    last[i, b] = why, cur & why
+                    return why
+            return None
+
+        def undo(i, b):
+            nonlocal cur
+            cur &= ~(1 << i)
+
+        found = plan._search(n, step, undo, 1 << 20, "test search")
+        want = _first_solution(n, nogoods)
+        assert ([cur >> i & 1 for i in range(n)] if found else None) == want
 
 
 def test_both_planners_solve_default_dixon1_40x40():
