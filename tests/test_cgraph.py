@@ -154,6 +154,43 @@ def test_to_dot_reference_mentions_every_node(ref_cgraph):
     assert dot.count("->") == len(ref_cgraph.arcs) + len(DIXON1_REF_TWO_CYCLES)
 
 
+def test_to_dot_reference_text(ref_cgraph):
+    # every node, then the arcs in (index u, index v) order, then the two-cycles
+    assert to_dot(ref_cgraph) == (
+        'digraph C {\n'
+        '  "q0-p0";\n  "q0-p1";\n  "q0-p2";\n  "q0-p3";\n'
+        '  "q1-p0";\n  "q1-p1";\n  "q1-p2";\n  "q1-p3";\n'
+        '  "q2-p0";\n  "q2-p1";\n  "q2-p2";\n  "q2-p3";\n'
+        '  "q0-p0" -> "q0-p1";\n'
+        '  "q0-p0" -> "q0-p2";\n'
+        '  "q0-p0" -> "q0-p3";\n'
+        '  "q0-p0" -> "q1-p0";\n'
+        '  "q0-p0" -> "q2-p0";\n'
+        '  "q0-p1" -> "q0-p3";\n'
+        '  "q0-p1" -> "q1-p0";\n'
+        '  "q0-p1" -> "q2-p0";\n'
+        '  "q0-p2" -> "q1-p0";\n'
+        '  "q0-p2" -> "q2-p0";\n'
+        '  "q0-p3" -> "q1-p0";\n'
+        '  "q0-p3" -> "q2-p0";\n'
+        '  "q1-p0" -> "q0-p1";\n'
+        '  "q1-p0" -> "q0-p2";\n'
+        '  "q1-p0" -> "q0-p3";\n'
+        '  "q1-p1" -> "q0-p3";\n'
+        '  "q2-p0" -> "q0-p1";\n'
+        '  "q2-p0" -> "q0-p2";\n'
+        '  "q2-p0" -> "q0-p3";\n'
+        '  "q2-p1" -> "q0-p3";\n'
+        '  "q0-p1" -> "q1-p0" [dir=none, color=red];\n'
+        '  "q0-p1" -> "q2-p0" [dir=none, color=red];\n'
+        '  "q0-p2" -> "q1-p0" [dir=none, color=red];\n'
+        '  "q0-p2" -> "q2-p0" [dir=none, color=red];\n'
+        '  "q0-p3" -> "q1-p0" [dir=none, color=red];\n'
+        '  "q0-p3" -> "q2-p0" [dir=none, color=red];\n'
+        '}\n'
+    )
+
+
 # ---------------------------------------------------------------------------
 # randomized structure properties
 
