@@ -39,7 +39,7 @@ def run(name, g):
     margin = "-" if result.clear_margin is None else f"{result.clear_margin:.4f}"
     print(f"  detect    {len(result.pairs)} collision pairs of {result.probed} probed, "
           f"clear margin {margin}, {t_detect:.3f}s")
-    print(f"  cgraph    {len(c.arcs)} arcs, {len(c.two_cycles)} two-cycles")
+    print(f"  cgraph    {sum(map(len, c.succ))} arcs, {len(c.two_cycles)} two-cycles")
     print(f"  plan      {plan}, {t_plan:.3f}s")
     print(f"  exists    {exact}, {t_exact:.3f}s")
     print()

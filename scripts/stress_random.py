@@ -64,21 +64,24 @@ def brute_force(g, pairs):
 def oriented_graph(rng, n, density):
     """Each pair of n nodes joined with probability ``density`` by one arc,
     either way: no two-cycles, so every node is a free choice."""
-    nodes = tuple(f"e{i}" for i in range(n))
-    arcs = [
-        (nodes[x], nodes[y]) if rng.random() < 0.5 else (nodes[y], nodes[x])
-        for x in range(n)
-        for y in range(x + 1, n)
-        if rng.random() < density
-    ]
-    return CollisionGraph(nodes, frozenset(arcs))
+    succ = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            if rng.random() < density:
+                if rng.random() < 0.5:
+                    succ[x].append(y)
+                else:
+                    succ[y].append(x)
+    # row r gains its heads below r first, then those above: ascending
+    return CollisionGraph([f"e{i}" for i in range(n)], succ)
 
 
 def brute_force_split(c):
     n = len(c.nodes)
     pred = [0] * n  # bit x of pred[y]: an arc x -> y
-    for u, v in c.arcs:
-        pred[c.index[v]] |= 1 << c.index[u]
+    for x, ys in enumerate(c.succ):
+        for y in ys:
+            pred[y] |= 1 << x
 
     def acyclic(left):
         """Peel off nodes with no arc in from the rest until none are left."""

@@ -5,8 +5,10 @@ clear of f's layer while that endpoint crosses it.  Node order is inherited
 from the canonical edge order and drives every tie-break below, so repeated
 runs produce identical output.
 
-The ordering core below runs on the int lists ``CollisionGraph.succ``.  An
-optional ``alive`` node mask restricts it to the subgraph the mask induces.
+The graph is stored by node index: ``CollisionGraph.succ[x]`` lists the
+heads of x's arcs, and the ordering core below runs on it.  Labels serve
+only for printing (``CollisionGraph.arcs``, :func:`to_dot`).  An optional
+``alive`` node mask restricts the core to the subgraph the mask induces.
 The two-cycle structure, an undirected graph on ``CollisionGraph.partners``,
 is two-coloured by index as well (:func:`two_colour`).
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from heapq import heappop, heappush
+from operator import lt
 from typing import Iterable, Sequence
 
 from .motion import CollisionPair, MovingGraph, edge_label, pair_edge
@@ -31,43 +34,41 @@ __all__ = [
 ]
 
 
-class CollisionGraph(namedtuple("CollisionGraph", "nodes arcs")):
-    """Nodes in canonical order, and the arcs between them."""
+class CollisionGraph(namedtuple("CollisionGraph", "nodes succ")):
+    """Nodes in canonical order, and for each node the heads of its arcs by
+    index, ascending: the graph the ordering core below runs on."""
 
-    def __new__(cls, nodes: Iterable[str], arcs: Iterable[tuple[str, str]]):
-        self = super().__new__(cls, tuple(nodes), frozenset(arcs))
-        known = set(self.nodes)
-        if len(known) != len(self.nodes):
+    def __new__(cls, nodes: Iterable[str], succ: Iterable[Iterable[int]]):
+        self = super().__new__(cls, tuple(nodes), tuple(map(tuple, succ)))
+        nodes, n = self.nodes, len(self.nodes)
+        if len(set(nodes)) != n:
             raise ValueError("duplicate nodes")
-        for u, v in self.arcs:
-            if u == v:
-                raise ValueError(f"self-arc at {u!r}")
-            if u not in known or v not in known:
-                raise ValueError(f"arc ({u!r}, {v!r}) leaves the node set")
+        if len(self.succ) != n:
+            raise ValueError(f"{len(self.succ)} rows of heads for {n} nodes")
+        for x, ys in enumerate(self.succ):
+            if not all(map(lt, ys, ys[1:])):
+                raise ValueError(f"the heads of {nodes[x]!r} are not ascending and unrepeated")
+            if ys and (ys[0] < 0 or ys[-1] >= n):
+                raise ValueError(f"an arc out of {nodes[x]!r} leaves the node set")
+            if x in ys:
+                raise ValueError(f"self-arc at {nodes[x]!r}")
         return self
 
     @cached_property
     def index(self) -> dict[str, int]:
         return {n: i for i, n in enumerate(self.nodes)}
 
-    @cached_property
-    def succ(self) -> tuple[tuple[int, ...], ...]:
-        """For each node, the heads of its arcs by index, ascending: the
-        graph the ordering core below runs on."""
-        idx = self.index
-        succ: list[list[int]] = [[] for _ in self.nodes]
-        for u, v in self.arcs:
-            succ[idx[u]].append(idx[v])
-        return tuple(tuple(sorted(ys)) for ys in succ)
+    @property
+    def arcs(self) -> frozenset[tuple[str, str]]:
+        """Every arc as a (tail, head) label pair; built anew on each read."""
+        return frozenset((u, self.nodes[y]) for u, ys in zip(self.nodes, self.succ) for y in ys)
 
     @cached_property
     def partners(self) -> tuple[tuple[int, ...], ...]:
         """``partners[x]`` lists the y, ascending, that x forms a directed
         two-cycle with: y in ``succ[x]`` and x in ``succ[y]``."""
-        nodes, arcs = self.nodes, self.arcs
-        return tuple(
-            tuple([y for y in ys if (nodes[y], nodes[x]) in arcs]) for x, ys in enumerate(self.succ)
-        )
+        heads = [set(ys) for ys in self.succ]
+        return tuple(tuple([y for y in ys if x in heads[y]]) for x, ys in enumerate(self.succ))
 
     @property
     def two_cycles(self) -> list[tuple[int, int]]:
@@ -88,9 +89,12 @@ def pair_constraints(
 
 
 def build_collision_graph(g: MovingGraph, pairs: Iterable[CollisionPair]) -> CollisionGraph:
-    labels = g.edge_labels
-    arcs = {(labels[f], labels[e]) for e, at_v in pair_constraints(g, pairs) for f in at_v}
-    return CollisionGraph(labels, frozenset(arcs))
+    """An arc from each edge at v to e, for each pair (v, e)."""
+    heads: list[set[int]] = [set() for _ in g.edge_labels]
+    for e, at_v in pair_constraints(g, pairs):
+        for f in at_v:
+            heads[f].add(e)
+    return CollisionGraph(g.edge_labels, [sorted(ys) for ys in heads])
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +224,8 @@ def two_colour(
 
 
 def to_dot(c: CollisionGraph) -> str:
-    idx = c.index
-    lines = ["digraph C {"]
-    for n in c.nodes:
-        lines.append(f'  "{n}";')
-    for u, v in sorted(c.arcs, key=lambda a: (idx[a[0]], idx[a[1]])):
-        lines.append(f'  "{u}" -> "{v}";')
-    for x, y in c.two_cycles:
-        lines.append(f'  "{c.nodes[x]}" -> "{c.nodes[y]}" [dir=none, color=red];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = c.nodes
+    lines = ["digraph C {"] + [f'  "{n}";' for n in nodes]
+    lines += [f'  "{nodes[x]}" -> "{nodes[y]}";' for x, ys in enumerate(c.succ) for y in ys]
+    lines += [f'  "{nodes[x]}" -> "{nodes[y]}" [dir=none, color=red];' for x, y in c.two_cycles]
+    return "\n".join(lines) + "\n}\n"

@@ -226,15 +226,16 @@ def cmd_cgraph(args: argparse.Namespace) -> int:
     pairs = pairs_from_json(_read(args.pairs), g)
     c = _bound("build_collision_graph")(g, pairs)
     _emit(_bound("to_dot")(c), args.dot)
-    _say(f"cgraph: {len(c.nodes)} nodes, {len(c.arcs)} arcs, {len(c.two_cycles)} two-cycles")
+    arcs = sum(map(len, c.succ))
+    _say(f"cgraph: {len(c.nodes)} nodes, {arcs} arcs, {len(c.two_cycles)} two-cycles")
     return EXIT_OK
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     pairs = pairs_from_json(_read(args.pairs), g)
-    c = _bound("build_collision_graph")(g, pairs)
     t0 = time.perf_counter()
+    c = _bound("build_collision_graph")(g, pairs)
     if args.upper is not None:
         wanted = tuple(x.strip() for x in args.upper.split(",") if x.strip() != "")
         partition = _bound("make_partition")(g.edge_labels, wanted)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from lmodel.cgraph import CollisionGraph
 from lmodel.exprs import const
 from lmodel.motion import CollisionPair, MovingGraph, edge_label
 
@@ -27,6 +28,17 @@ def static_graph(n_vertices, edges, prefix="n"):
     verts = tuple(f"{prefix}{i}" for i in range(n_vertices))
     motion = {v: (const(float(i)), const(0.0)) for i, v in enumerate(verts)}
     return MovingGraph(verts, tuple(edges), motion)
+
+
+def collision_graph(nodes, label_arcs):
+    """The CollisionGraph on ``nodes`` whose arcs are the (tail, head) label
+    pairs ``label_arcs``."""
+    nodes = tuple(nodes)
+    index = {n: i for i, n in enumerate(nodes)}
+    heads = [set() for _ in nodes]
+    for u, v in label_arcs:
+        heads[index[u]].add(index[v])
+    return CollisionGraph(nodes, [sorted(ys) for ys in heads])
 
 
 def fake_pairs(items):

@@ -24,7 +24,7 @@ from expected import (
     DIXON1_REF_UPPER,
     S2_TRIANGLE,
 )
-from synth import fake_pairs, static_graph
+from synth import collision_graph, fake_pairs, static_graph
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def induced(c, keep):
     """Reference for the node masks: the subgraph of c on the nodes in keep, as a copy."""
     keep = set(keep)
     nodes = [n for n in c.nodes if n in keep]
-    return CollisionGraph(nodes, [(u, v) for u, v in c.arcs if u in keep and v in keep])
+    return collision_graph(nodes, [(u, v) for u, v in c.arcs if u in keep and v in keep])
 
 
 def labels(c, xs):
@@ -64,11 +64,20 @@ def test_build_rejects_foreign_pairs(ref_dixon1):
 
 def test_collision_graph_validation():
     with pytest.raises(ValueError, match="duplicate"):
-        CollisionGraph(("a", "a"), frozenset())
+        CollisionGraph(("a", "a"), [(), ()])
     with pytest.raises(ValueError, match="self-arc"):
-        CollisionGraph(("a",), frozenset([("a", "a")]))
+        CollisionGraph(("a",), [(0,)])
     with pytest.raises(ValueError, match="leaves the node set"):
-        CollisionGraph(("a",), frozenset([("a", "b")]))
+        CollisionGraph(("a",), [(1,)])
+    with pytest.raises(ValueError, match="leaves the node set"):
+        CollisionGraph(("a", "b"), [(-1,), ()])
+    for row in ((2, 1), (1, 1)):
+        with pytest.raises(ValueError, match="not ascending and unrepeated"):
+            CollisionGraph(("a", "b", "c"), [row, (), ()])
+    for rows in ([(1,)], [(1,), (), ()]):
+        with pytest.raises(ValueError, match="rows of heads for 2 nodes"):
+            CollisionGraph(("a", "b"), rows)
+    assert CollisionGraph(iter("ab"), iter([[1], []])) == (("a", "b"), ((1,), ()))
 
 
 def test_induced_upper_class(ref_cgraph):
@@ -117,7 +126,7 @@ def test_bipartition_reference(ref_cgraph):
 
 
 def test_bipartition_of_empty_structure():
-    c = CollisionGraph(("a", "b"), frozenset([("a", "b")]))
+    c = collision_graph(("a", "b"), [("a", "b")])
     assert c.partners == ((), ())
     assert c.two_cycles == []
     assert two_colour(c.partners) == ([], None)
@@ -135,7 +144,7 @@ def test_s2_odd_cycle_is_the_triangle(ref_s2, ref_s2_result):
 
 
 def test_to_dot_small_graph():
-    c = CollisionGraph(("x", "y"), frozenset([("x", "y"), ("y", "x")]))
+    c = collision_graph(("x", "y"), [("x", "y"), ("y", "x")])
     assert to_dot(c) == (
         'digraph C {\n'
         '  "x";\n'
@@ -227,7 +236,7 @@ def random_digraph(seed):
     nodes = tuple(f"e{i}" for i in range(n))
     possible = [(a, b) for a in nodes for b in nodes if a != b]
     arcs = rng.sample(possible, rng.randint(0, len(possible)))
-    return CollisionGraph(nodes, frozenset(arcs))
+    return collision_graph(nodes, arcs)
 
 
 @given(st.integers(min_value=0, max_value=10**9))

@@ -35,6 +35,7 @@ from synth import (
     HUGE_INT,
     TOO_DEEP,
     brute_force_exists,
+    collision_graph,
     dixon1_rule_pairs,
     fake_pairs,
     needs_digit_limit,
@@ -91,7 +92,7 @@ def test_sweep_heights_respect_arcs(seed):
     rank = {lab: i for i, lab in enumerate(order)}
     possible = [(a, b) for a in nodes for b in nodes if rank[a] < rank[b]]
     arcs = rng.sample(possible, rng.randint(0, len(possible)))
-    c = CollisionGraph(tuple(nodes), frozenset(arcs))
+    c = collision_graph(nodes, arcs)
 
     everything = bytearray([1]) * n
     up = plan._sweep(c, 1, +1, everything)
@@ -161,7 +162,7 @@ def test_decide_partition_exhausted():
         arcs.add(("w", n))
         arcs.add((n, "w"))
     arcs |= {("x", "y"), ("y", "z"), ("z", "x")}
-    c = CollisionGraph(("w", "x", "y", "z"), frozenset(arcs))
+    c = collision_graph(("w", "x", "y", "z"), arcs)
     dec = decide_partition(c)
     assert not dec.found
     assert dec.reason == "exhausted"
@@ -173,7 +174,7 @@ def test_decide_partition_checks_every_placed_node():
     # triangle x -> y -> z -> x misses a, the first of them
     arcs = {("w", n) for n in "axyz"} | {(n, "w") for n in "axyz"}
     arcs |= {("x", "y"), ("y", "z"), ("z", "x")}
-    dec = decide_partition(CollisionGraph(("w", "a", "x", "y", "z"), frozenset(arcs)))
+    dec = decide_partition(collision_graph(("w", "a", "x", "y", "z"), arcs))
     assert dec.reason == "exhausted"
 
 
@@ -183,14 +184,14 @@ def test_decide_partition_backtracks_a_failed_flip():
     # leave the lower side before the second flip is tried
     arcs = {("a", "b"), ("b", "a"), ("c", "d"), ("d", "c"), ("c", "e"), ("e", "c")}
     arcs |= {("b", "e"), ("e", "d"), ("d", "b")}
-    dec = decide_partition(CollisionGraph(("a", "b", "c", "d", "e"), frozenset(arcs)))
+    dec = decide_partition(collision_graph(("a", "b", "c", "d", "e"), arcs))
     assert dec.partition == Partition(("a", "d", "e"), ("b", "c"))
 
 
 def test_decide_partition_expansion_budget(monkeypatch):
     # 25 nodes off every two-cycle: no longer refused for their count alone
     nodes = tuple(f"e{i}" for i in range(25))
-    c = CollisionGraph(nodes, frozenset())
+    c = collision_graph(nodes, ())
     dec = decide_partition(c)
     assert dec.found
     assert cyclic_side(c, dec.partition) is None
@@ -435,14 +436,16 @@ def _mid_size_instance(rng, size):
 def _oriented_graph(rng, n, density):
     """Each pair of n nodes joined with probability ``density`` by one arc,
     either way: no two-cycles, and dense enough that the split search backtracks."""
-    nodes = tuple(f"e{i}" for i in range(n))
-    arcs = [
-        (nodes[x], nodes[y]) if rng.random() < 0.5 else (nodes[y], nodes[x])
-        for x in range(n)
-        for y in range(x + 1, n)
-        if rng.random() < density
-    ]
-    return CollisionGraph(nodes, frozenset(arcs))
+    succ = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            if rng.random() < density:
+                if rng.random() < 0.5:
+                    succ[x].append(y)
+                else:
+                    succ[y].append(x)
+    # row r gains its heads below r first, then those above: ascending
+    return CollisionGraph([f"e{i}" for i in range(n)], succ)
 
 
 def test_backjumping_gives_the_answers_of_plain_backtracking(monkeypatch):

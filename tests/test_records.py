@@ -50,9 +50,9 @@ RECORDS = [
     ),
     (
         CollisionGraph,
-        dict(nodes=("a-b", "c-d"), arcs=frozenset({("a-b", "c-d")})),
+        dict(nodes=("a-b", "c-d"), succ=((1,), ())),
         {},
-        "CollisionGraph(nodes=('a-b', 'c-d'), arcs=frozenset({('a-b', 'c-d')}))",
+        "CollisionGraph(nodes=('a-b', 'c-d'), succ=((1,), ()))",
     ),
     (
         Partition,
