@@ -37,9 +37,9 @@ import numpy as np
 
 from lmodel import collide
 from lmodel import exprs as E
-from lmodel.collide import DetectionConfig, DetectionError, detect_all
+from lmodel.collide import DetectionConfig, detect_all
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
-from lmodel.motion import MovingGraph
+from lmodel.motion import DetectionError, MovingGraph
 from lmodel.numeric import evaluate_on
 from lmodel.sampling import grid_minima
 

@@ -6,10 +6,12 @@ turns those events into a directed collision graph, and then either
 constructs a collision-free integer height per edge or proves that none
 exists.
 
-Each name below is imported from its module on first use (PEP 562), so
-``import lmodel`` loads nothing, and numpy is loaded only by the modules
-that evaluate trajectories: :mod:`lmodel.numeric`, :mod:`lmodel.sampling`
-and :mod:`lmodel.collide`.
+``_EXPORTS`` below is the one table of which module defines each library
+name; :mod:`lmodel.cli` resolves its names through it too.  Each name is
+imported from its module on first use (PEP 562), so ``import lmodel``
+loads nothing, and numpy is loaded only by the modules that evaluate
+trajectories: :mod:`lmodel.numeric`, :mod:`lmodel.sampling` and
+:mod:`lmodel.collide`.
 """
 from importlib import import_module
 
@@ -45,6 +47,7 @@ _EXPORTS = {
         "VerifyReport",
         "Violation",
         "assign_heights",
+        "cyclic_side",
         "decide_partition",
         "dixon1_heights",
         "exists_arrangement",
@@ -60,25 +63,13 @@ __all__ = sorted(name for names in _EXPORTS.values() for name in names)
 __version__ = "0.1.0"
 
 
-def _bind_on_first_use(namespace: dict, where: dict[str, str]):
-    """A PEP 562 module ``__getattr__`` for the module whose globals are
-    ``namespace``: ``where`` maps each name it serves to the module of this
-    package that defines it.  That module is imported on the name's first
-    use, and the name is then bound in ``namespace``."""
-
-    def __getattr__(name: str):
-        if name not in where:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        value = getattr(import_module(f"{__name__}.{where[name]}"), name)
-        namespace[name] = value
-        return value
-
-    return __getattr__
-
-
-__getattr__ = _bind_on_first_use(
-    globals(), {name: module for module, names in _EXPORTS.items() for name in names}
-)
+def __getattr__(name: str):
+    home = next((module for module, names in _EXPORTS.items() if name in names), None)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
 
 
 def __dir__() -> list[str]:

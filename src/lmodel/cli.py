@@ -13,7 +13,6 @@ import json
 import sys
 import time
 
-from . import _bind_on_first_use
 from .exprs import ExprDomainError
 from .motion import (
     DetectionError,
@@ -27,29 +26,18 @@ from .motion import (
 
 # Each command imports only the modules it runs: only detect and validate
 # evaluate trajectories, so only they import numpy, and only the planning
-# commands import the collision graph and the planner.  Those modules' names
-# are bound here on first use (PEP 562), and the commands look them up in
-# this module at call time (``_bound``), so a caller can still replace them
-# here.
-__getattr__ = _bind_on_first_use(
-    globals(),
-    {
-        "build_collision_graph": "cgraph",
-        "to_dot": "cgraph",
-        "DetectionConfig": "collide",
-        "detect_all": "collide",
-        "eval_position": "numeric",
-        "validate_edge_lengths": "numeric",
-        "assign_heights": "plan",
-        "cyclic_side": "plan",
-        "decide_partition": "plan",
-        "exists_arrangement": "plan",
-        "heights_from_json": "plan",
-        "heights_to_json": "plan",
-        "make_partition": "plan",
-        "verify_collision_free": "plan",
-    },
-)
+# commands import the collision graph and the planner.  The library names
+# (``lmodel.__all__``) resolve here through the package's one table on first
+# use, and the commands look them up in this module at call time
+# (``_bound``), so a caller can still replace them here.
+_package = sys.modules[__package__]
+
+
+def __getattr__(name: str):
+    # only library names: anything else, ``__path__`` among them, is absent
+    if name not in _package.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_package, name)
 
 
 def _bound(name: str):
@@ -127,8 +115,6 @@ def _interval(raw: str) -> tuple[float, float]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    from .families import Dixon1Params, Dixon2Params, S2Params, dixon1, dixon2, s2
-
     def option(name: str, parse):
         """Option --name parsed by ``parse``; a parse error names the option."""
         try:
@@ -145,14 +131,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
         b = option("b", _csv_floats) if args.b else tuple(float(k) for k in range(1, n))
         sx = option("sx", _csv_signs) if args.sx else (1,) * (m - 1)
         sy = option("sy", _csv_signs) if args.sy else (1,) * (n - 1)
-        g = dixon1(Dixon1Params(m, n, a, b, sx, sy))
+        g = _bound("dixon1")(_bound("Dixon1Params")(m, n, a, b, sx, sy))
     elif fam == "dixon2":
         if args.a is None or args.b is None or args.d is None:
             raise ValueError("dixon2 needs --a, --b and --d")
-        g = dixon2(Dixon2Params(*(option(k, _float) for k in "abd")))
+        g = _bound("dixon2")(_bound("Dixon2Params")(*(option(k, _float) for k in "abd")))
     else:
         given = {k: option(k, _float) for k in "abc" if getattr(args, k) is not None}
-        g = s2(S2Params(**given))
+        g = _bound("s2")(_bound("S2Params")(**given))
     _emit(save_graph(g), args.out)
     _say(f"generate: {fam} with {len(g.vertices)} vertices, {len(g.edges)} edges")
     return EXIT_OK
@@ -160,8 +146,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
+    validate = _bound("validate_edge_lengths")
     t0 = time.perf_counter()
-    report = _bound("validate_edge_lengths")(g, samples=args.samples, tol=args.tol)
+    report = validate(g, samples=args.samples, tol=args.tol)
     dt = time.perf_counter() - t0
     data = {
         "pass": report.passed,
@@ -234,8 +221,9 @@ def cmd_cgraph(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     pairs = pairs_from_json(_read(args.pairs), g)
+    build, assign = _bound("build_collision_graph"), _bound("assign_heights")
     t0 = time.perf_counter()
-    c = _bound("build_collision_graph")(g, pairs)
+    c = build(g, pairs)
     if args.upper is not None:
         wanted = tuple(x.strip() for x in args.upper.split(",") if x.strip() != "")
         partition = _bound("make_partition")(g.edge_labels, wanted)
@@ -257,7 +245,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             _say(f"plan: no acyclic bipartition ({decision.reason}), {dt:.3f}s")
             return EXIT_NO
         partition = decision.partition
-    heights = _bound("assign_heights")(g, pairs, partition)
+    heights = assign(g, pairs, partition)
     _emit(_bound("heights_to_json")(g.edge_labels, heights, partition), args.out)
     dt = time.perf_counter() - t0
     if heights:
@@ -292,8 +280,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_exists(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     pairs = pairs_from_json(_read(args.pairs), g)
+    exists = _bound("exists_arrangement")
     t0 = time.perf_counter()
-    witness = _bound("exists_arrangement")(g, pairs)
+    witness = exists(g, pairs)
     dt = time.perf_counter() - t0
     if witness is None:
         _emit(_json({"result": "NO"}), args.out)

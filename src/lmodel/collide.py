@@ -58,10 +58,8 @@ __all__ = [
     "AMBIGUITY_FACTOR",
     "REFINE_TOL",
     "DetectionConfig",
-    "CollisionPair",
     "PairProbe",
     "DetectionResult",
-    "DetectionError",
     "gap",
     "golden_minimize",
     "detect_pair",

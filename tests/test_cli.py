@@ -729,3 +729,34 @@ def test_missing_numpy_is_one_line(command, ref_files):
     assert err.startswith(f"error: {command} needs numpy (")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+# the module that each timed command's work lives in
+TIMED = {
+    "validate": "lmodel.numeric",
+    "detect": "lmodel.collide",
+    "plan": "lmodel.plan",
+    "exists": "lmodel.plan",
+}
+
+
+@pytest.mark.parametrize("command", TIMED)
+def test_command_timings_leave_out_the_imports(command, ref_files):
+    # each clock read in cli records whether the command's module is loaded yet
+    child = (
+        "import json, sys, time\n"
+        "clock, seen = time.perf_counter, []\n"
+        "def perf_counter():\n"
+        "    if sys._getframe(1).f_globals['__name__'] == 'lmodel.cli':\n"
+        f"        seen.append({TIMED[command]!r} in sys.modules)\n"
+        "    return clock()\n"
+        "time.perf_counter = perf_counter\n"
+        "from lmodel.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, seen]))\n"
+    )
+    proc = run_child(child, command, *LAUNCHES[command][0], cwd=ref_files)
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, seen = json.loads(proc.stdout)
+    assert code == 0, proc.stderr.decode()
+    assert seen and all(seen), seen

@@ -14,16 +14,21 @@ from lmodel import collide, sampling
 from lmodel import exprs as E
 from lmodel.collide import (
     AMBIGUITY_FACTOR,
-    CollisionPair,
     DetectionConfig,
-    DetectionError,
     detect_all,
     detect_pair,
     gap,
     golden_minimize,
 )
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
-from lmodel.motion import GraphFormatError, MovingGraph, pairs_from_json, pairs_to_json
+from lmodel.motion import (
+    CollisionPair,
+    DetectionError,
+    GraphFormatError,
+    MovingGraph,
+    pairs_from_json,
+    pairs_to_json,
+)
 from lmodel.numeric import evaluate_on
 from lmodel.sampling import grid_minima, slack
 
