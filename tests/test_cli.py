@@ -288,6 +288,29 @@ def test_validate_failing_graph(tmp_path, capsys):
     assert json.loads(out.out)["pass"] is False
 
 
+def test_validate_names_the_first_vertex_failing_on_the_grid(tmp_path, capsys):
+    # z fails first but is on no edge; b comes before c and its x fails
+    # after its y and after c, yet b's x is the one reported
+    g = MovingGraph(
+        ("z", "a", "b", "c"),
+        (("a", "b"), ("b", "c")),
+        {
+            "z": (E.parse_expression("sqrt(t-9)"), E.const(0.0)),
+            "a": (E.parse_expression("sin(t)"), E.const(0.0)),
+            "b": (E.parse_expression("1+sqrt(5-t)"), E.parse_expression("1/(t-t)")),
+            "c": (E.parse_expression("sqrt(sin(t))"), E.const(0.0)),
+        },
+    )
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(save_graph(g))
+    assert main(["validate", str(gpath)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (
+        "error: vertex 'b': square root of a negative value in 'sqrt(5-t)' at t=5.004415694759475\n"
+    )
+
+
 def test_validate_mentions_isolated_vertices(tmp_path, capsys):
     g = MovingGraph(
         ("a", "b", "c"),
