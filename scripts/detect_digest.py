@@ -40,7 +40,7 @@ from lmodel import exprs as E
 from lmodel.collide import DetectionConfig, detect_all
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
 from lmodel.motion import DetectionError, MovingGraph
-from lmodel.numeric import evaluate_on
+from lmodel.numeric import sample_rows
 from lmodel.sampling import grid_minima
 
 
@@ -127,12 +127,7 @@ def outcome(g, cfg):
 
 def every_bracket(g, roles, ts, failures):
     """The codes of every sampled minimum of every pair that evaluates on the grid, sorted."""
-    xs, ys = np.zeros((2, len(g.vertices), len(ts)))
-    for w, v in enumerate(g.vertices):
-        try:
-            xs[w], ys[w] = (evaluate_on(e, ts) for e in g.motion[v])
-        except E.ExprDomainError:
-            pass  # its pairs are in failures
+    xs, ys, _ = sample_rows(g, range(len(g.vertices)), ts)  # failing rows' pairs are in failures
     found = np.sort(grid_minima(xs, ys, roles, ts)[1])
     return found[[k not in failures for k in (found // len(ts)).tolist()]]
 

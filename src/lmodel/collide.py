@@ -48,10 +48,9 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .exprs import ExprDomainError
 from .interval import speed_and_stray
 from .motion import CollisionPair, DetectionError, MovingGraph, edge_label, pair_edge
-from .numeric import eval_position, evaluate_on
+from .numeric import eval_position, sample_rows
 from .sampling import bracket_gap, grid_minima, slack
 
 __all__ = [
@@ -244,18 +243,9 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     error is refined.
     """
     ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
-    motion = [g.motion[w] for w in g.vertices]
-    xs, ys = np.zeros((2, len(motion), len(ts)))
-    grid_err: dict[int, ExprDomainError] = {}
-    sampled = []  # the vertices that evaluate on the whole grid
-    for w in np.flatnonzero(np.bincount(roles.ravel())).tolist():
-        try:
-            xs[w] = evaluate_on(motion[w][0], ts)
-            ys[w] = evaluate_on(motion[w][1], ts)
-        except ExprDomainError as err:
-            grid_err[w] = err
-        else:
-            sampled.append(w)
+    rows = np.flatnonzero(np.bincount(roles.ravel())).tolist()
+    xs, ys, grid_err = sample_rows(g, rows, ts)
+    sampled = [w for w in rows if w not in grid_err]  # the vertices that evaluate on the whole grid
     failures: dict[int, Exception] = {}
     for k, trio in enumerate(roles.T.tolist() if grid_err else ()):
         bad = [grid_err[w] for w in trio if w in grid_err]
@@ -265,9 +255,9 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
     n_pairs = roles.shape[1]
     failed = np.zeros(n_pairs, dtype=bool)
     failed[list(failures)] = True
-    speed, stray = np.zeros((2, len(motion)))
+    speed, stray = np.zeros((2, len(g.vertices)))
     for w in sampled:
-        (sx, ex), (sy, ey) = (speed_and_stray(e, *g.domain) for e in motion[w])
+        (sx, ex), (sy, ey) = (speed_and_stray(e, *g.domain) for e in g.motion[g.vertices[w]])
         speed[w] = math.hypot(sx, sy)
         stray[w] = max(ex, ey)
     lipschitz = 2.0 * _SPEED_SLACK * (speed[roles[0]] + speed[roles[1]] + speed[roles[2]])

@@ -22,9 +22,9 @@ makes each node one closure over the same table's call, so one run serves
 them all with each tree's own bits.
 The kernel checks no node; refinement runs it with numpy's overflow,
 divide and invalid flags raising, and falls back to the checking
-evaluator tree by tree when one goes up.  :func:`eval_position`,
-:func:`positions_on_grid` and :func:`validate_edge_lengths` evaluate a
-moving graph's vertices.
+evaluator tree by tree when one goes up.  :func:`eval_position` and
+:func:`sample_rows`, the one grid sampler that validation and detection
+share, evaluate a moving graph's vertices.
 """
 from __future__ import annotations
 
@@ -43,7 +43,7 @@ __all__ = [
     "split_constants",
     "merged_kernel",
     "eval_position",
-    "positions_on_grid",
+    "sample_rows",
     "EdgeLengthStats",
     "LengthReport",
     "validate_edge_lengths",
@@ -219,17 +219,21 @@ def eval_position(g: MovingGraph, v: str, t: float) -> tuple[float, float]:
         raise ExprDomainError(f"vertex {v!r}: {err.reason}", err.expr, err.t) from None
 
 
-def positions_on_grid(
-    g: MovingGraph, ts: np.ndarray, vertices: Iterable[str] | None = None
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for v in g.vertices if vertices is None else vertices:
-        xe, ye = g.motion[v]
+def sample_rows(g: MovingGraph, rows: Iterable[int], ts: np.ndarray):
+    """``(xs, ys, errors)``: the vertices ``rows``, indices into ``g.vertices``,
+    sampled on the grid ``ts`` into tables of one row per vertex (zero where
+    not asked for), and each failing row's first :class:`ExprDomainError`,
+    x before y; a row whose y fails keeps its x."""
+    xs, ys = np.zeros((2, len(g.vertices), len(ts)))
+    errors: dict[int, ExprDomainError] = {}
+    for w in rows:
+        xe, ye = g.motion[g.vertices[w]]
         try:
-            out[v] = (evaluate_on(xe, ts), evaluate_on(ye, ts))
+            xs[w] = evaluate_on(xe, ts)
+            ys[w] = evaluate_on(ye, ts)
         except ExprDomainError as err:
-            raise ExprDomainError(f"vertex {v!r}: {err.reason}", err.expr, err.t) from None
-    return out
+            errors[w] = err
+    return xs, ys, errors
 
 
 # doubles in one table of edge lengths that validation holds at once
@@ -260,12 +264,13 @@ def validate_edge_lengths(g: MovingGraph, samples: int = 512, tol: float = 1e-9)
     if not 0 < tol < math.inf:  # NaN fails both comparisons
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     ts = np.linspace(g.domain[0], g.domain[1], samples)
-    needed = {w for e in g.edges for w in e}
-    pos = positions_on_grid(g, ts, [v for v in g.vertices if v in needed])
-    row = {v: k for k, v in enumerate(pos)}
-    xs = np.array([x for x, _ in pos.values()]).reshape(-1, samples)
-    ys = np.array([y for _, y in pos.values()]).reshape(-1, samples)
+    row = {v: w for w, v in enumerate(g.vertices)}
     ends = np.array([(row[u], row[v]) for u, v in g.edges], dtype=np.intp).reshape(-1, 2)
+    xs, ys, errors = sample_rows(g, np.unique(ends).tolist(), ts)
+    if errors:
+        w = min(errors)
+        err = errors[w]
+        raise ExprDomainError(f"vertex {g.vertices[w]!r}: {err.reason}", err.expr, err.t)
     mean, dev = np.empty((2, len(ends)))
     # a chunk of edges at a time bounds the lengths table; a row's mean and
     # largest deviation have the bits of the same edge's alone

@@ -16,7 +16,7 @@ from lmodel.cgraph import build_collision_graph
 from lmodel.cli import main
 from lmodel.collide import detect_all
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
-from lmodel.numeric import positions_on_grid, validate_edge_lengths
+from lmodel.numeric import sample_rows, validate_edge_lengths
 from lmodel.plan import (
     assign_heights,
     cyclic_side,
@@ -68,7 +68,9 @@ def seed77_triples():
 def min_sampled_gap(g, samples: int = 2048) -> float:
     """Smallest vertex-edge gap over the sampling grid, all pairs."""
     ts = np.linspace(g.domain[0], g.domain[1], samples)
-    pos = positions_on_grid(g, ts)
+    xs, ys, errors = sample_rows(g, range(len(g.vertices)), ts)
+    assert not errors
+    pos = {v: (xs[w], ys[w]) for w, v in enumerate(g.vertices)}
     worst = math.inf
     for v in g.vertices:
         xv, yv = pos[v]

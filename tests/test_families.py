@@ -13,7 +13,7 @@ from lmodel.families import (
     s2,
 )
 from lmodel.motion import TAU, save_graph
-from lmodel.numeric import positions_on_grid, validate_edge_lengths
+from lmodel.numeric import sample_rows, validate_edge_lengths
 
 from expected import DIXON1_REF_EDGE_LABELS, DIXON1_REF_KW
 from synth import dixon2_expected_length
@@ -39,11 +39,12 @@ def test_dixon1_motion_matches_closed_form(ref_dixon1):
         "q1": (0.0, np.sqrt(1.0 + c2t)),
         "q2": (0.0, -np.sqrt(2.0 + c2t)),
     }
-    pos = positions_on_grid(ref_dixon1, TS)
+    xs, ys, errors = sample_rows(ref_dixon1, range(len(ref_dixon1.vertices)), TS)
+    assert not errors
     for v, (wx, wy) in want.items():
-        xs, ys = pos[v]
-        assert np.allclose(xs, wx, atol=1e-15), v
-        assert np.allclose(ys, wy, atol=1e-15), v
+        w = ref_dixon1.vertices.index(v)
+        assert np.allclose(xs[w], wx, atol=1e-15), v
+        assert np.allclose(ys[w], wy, atol=1e-15), v
 
 
 def test_dixon1_lengths_constant(ref_dixon1):
@@ -109,11 +110,12 @@ def test_dixon2_motion_matches_closed_form(ref_dixon2):
         "7": (-x_out, -y_out),
         "8": (x_out, -y_out),
     }
-    pos = positions_on_grid(ref_dixon2, TS)
+    xs, ys, errors = sample_rows(ref_dixon2, range(len(ref_dixon2.vertices)), TS)
+    assert not errors
     for v, (wx, wy) in want.items():
-        xs, ys = pos[v]
-        assert np.allclose(xs, wx, atol=1e-14), v
-        assert np.allclose(ys, wy, atol=1e-14), v
+        w = ref_dixon2.vertices.index(v)
+        assert np.allclose(xs[w], wx, atol=1e-14), v
+        assert np.allclose(ys[w], wy, atol=1e-14), v
 
 
 def test_dixon2_all_sixteen_lengths(ref_dixon2):
@@ -165,11 +167,12 @@ def test_s2_motion_matches_closed_form(ref_s2):
         "v7": (-3 * a * ct - bx, -a * st - 3 * cy),
         "v8": (-a * ct - bx, a * st + cy),
     }
-    pos = positions_on_grid(ref_s2, TS)
+    xs, ys, errors = sample_rows(ref_s2, range(len(ref_s2.vertices)), TS)
+    assert not errors
     for v, (wx, wy) in want.items():
-        xs, ys = pos[v]
-        assert np.allclose(xs, wx, atol=1e-14), v
-        assert np.allclose(ys, wy, atol=1e-14), v
+        w = ref_s2.vertices.index(v)
+        assert np.allclose(xs[w], wx, atol=1e-14), v
+        assert np.allclose(ys[w], wy, atol=1e-14), v
 
 
 def test_s2_lengths_constant(ref_s2):

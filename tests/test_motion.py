@@ -7,7 +7,7 @@ import pytest
 from lmodel import exprs as E
 from lmodel import numeric
 from lmodel.motion import TAU, GraphFormatError, MovingGraph, edge_label, load_graph, save_graph
-from lmodel.numeric import eval_position, positions_on_grid, validate_edge_lengths
+from lmodel.numeric import eval_position, evaluate_on, sample_rows, validate_edge_lengths
 
 from synth import HUGE_INT, TOO_DEEP, needs_digit_limit, static_graph
 
@@ -78,15 +78,48 @@ def test_eval_position_domain_error_names_vertex():
         eval_position(g, "a", 4.0)
 
 
-def test_positions_on_grid(ref_dixon1):
+def test_sample_rows(ref_dixon1):
     ts = np.linspace(0.0, TAU, 33)
-    pos = positions_on_grid(ref_dixon1, ts)
-    assert set(pos) == set(ref_dixon1.vertices)
-    xs, ys = pos["p0"]
-    assert np.allclose(xs, np.sin(ts))
-    assert (ys == 0.0).all()
-    only = positions_on_grid(ref_dixon1, ts, vertices=("q0",))
-    assert set(only) == {"q0"}
+    n = len(ref_dixon1.vertices)
+    xs, ys, errors = sample_rows(ref_dixon1, range(n), ts)
+    assert xs.shape == ys.shape == (n, 33)
+    assert errors == {}
+    p0 = ref_dixon1.vertices.index("p0")
+    assert np.allclose(xs[p0], np.sin(ts))
+    assert (ys[p0] == 0.0).all()
+    q0 = ref_dixon1.vertices.index("q0")
+    xs, ys, _ = sample_rows(ref_dixon1, [q0], ts)
+    assert np.allclose(ys[q0], np.cos(ts))
+    others = np.arange(n) != q0
+    assert (xs[others] == 0.0).all() and (ys[others] == 0.0).all()
+
+
+def test_sample_rows_reports_each_failing_row_x_first():
+    g = MovingGraph(
+        ("a", "b", "c"),
+        (("a", "b"), ("b", "c")),
+        {
+            "a": (E.parse_expression("sqrt(sin(t))"), E.const(0.0)),
+            "b": (E.parse_expression("cos(t)"), E.parse_expression("1/(t-t)")),
+            "c": (E.parse_expression("sqrt(5-t)"), E.parse_expression("1/(t-t)")),
+        },
+    )
+    ts = np.linspace(0.0, TAU, 33)
+    xs, ys, errors = sample_rows(g, [2, 1, 0], ts)
+    assert sorted(errors) == [0, 1, 2]
+    assert errors[0].reason == "square root of a negative value"
+    assert errors[1].reason == "division by zero"
+    # c's y fails at the first sample, its x only later: x is evaluated first
+    assert errors[2].reason == "square root of a negative value"
+    assert errors[2].t > 5.0
+    # b's y fails, and its x row stays filled
+    assert np.array_equal(xs[1], np.cos(ts))
+    assert (ys[1] == 0.0).all()
+    # every error is the one evaluating the expression alone raises
+    for w, coord in ((0, 0), (1, 1), (2, 0)):
+        with pytest.raises(E.ExprDomainError) as want:
+            evaluate_on(g.motion[g.vertices[w]][coord], ts)
+        assert str(errors[w]) == str(want.value)
 
 
 @pytest.mark.parametrize(
@@ -244,7 +277,9 @@ def test_edge_lengths_match_a_per_edge_reference(
     )
     for g in (ref_dixon1, ref_s2, ref_dixon2, drift):
         ts = np.linspace(g.domain[0], g.domain[1], samples)
-        pos = positions_on_grid(g, ts)
+        xs, ys, errors = sample_rows(g, range(len(g.vertices)), ts)
+        assert not errors
+        pos = {v: (xs[w], ys[w]) for w, v in enumerate(g.vertices)}
         report = validate_edge_lengths(g, samples=samples)
         assert [s.edge for s in report.edges] == list(g.edges)
         for s, (u, v) in zip(report.edges, g.edges):
