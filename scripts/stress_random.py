@@ -11,7 +11,10 @@ blaming every earlier choice: backjumping must find the same witness and
 the same split decision.  Each trial also splits a dense oriented collision
 graph of 10 to 14 nodes, big enough that the split search backs up over
 several choices, and compares it with plain backtracking and, up to 10
-nodes, with every split.  Exits nonzero on any mismatch.
+nodes, with every split.  Every "not-bipartite" witness must be a shortest
+odd cycle: its length is compared with the odd girth of the two-cycle
+structure, found by BFS on its bipartite double cover.  Exits nonzero on
+any mismatch.
 """
 import argparse
 import itertools
@@ -96,6 +99,25 @@ def brute_force_split(c):
     return any(acyclic(upper) and acyclic(everything & ~upper) for upper in range(1 << n))
 
 
+def odd_girth(partners):
+    """Length of a shortest odd cycle of the undirected graph joining each
+    node x to ``partners[x]``, or None when it has none: the least distance
+    from (s, 0) to (s, 1), over all s, in its bipartite double cover, whose
+    node (x, p) reaches (y, 1 - p) for each y in ``partners[x]``."""
+    best = None
+    for s in range(len(partners)):
+        dist = {(s, 0): 0}
+        queue = [(s, 0)]
+        for x, p in queue:  # grows while it is read
+            for y in partners[x]:
+                if (y, 1 - p) not in dist:
+                    dist[y, 1 - p] = dist[x, p] + 1
+                    queue.append((y, 1 - p))
+        if (s, 1) in dist and (best is None or dist[s, 1] < best):
+            best = dist[s, 1]
+    return best
+
+
 def plain_backtracking(run):
     """``run()`` with every search failure blaming all earlier depths, so
     the searches back up one depth at a time."""
@@ -125,7 +147,7 @@ def main():
     rng = random.Random(args.seed)
     dense_rng = random.Random(f"{args.seed}-dense")  # leaves rng's instances as they were
     t0 = time.perf_counter()
-    solvable = splits = mismatches = 0
+    solvable = splits = odd = mismatches = 0
     for k in range(args.trials):
         g, pairs = random_instance(rng, args.max_edges, args.max_pairs)
         witness = exists_arrangement(g, pairs)
@@ -156,6 +178,13 @@ def main():
         elif brute_force_split(c):
             mismatches += 1
             print(f"MISMATCH trial {k}: split search says {dec.reason}, but a split exists")
+        if dec.reason == "not-bipartite":
+            odd += 1
+            girth = odd_girth(c.partners)
+            length = len(dec.odd_cycle) - 1
+            if length != girth:
+                mismatches += 1
+                print(f"MISMATCH trial {k}: odd cycle of {length}, but the odd girth is {girth}")
         dense = oriented_graph(dense_rng, dense_rng.randint(10, 14), 0.6)
         dec = decide_partition(dense)
         if dec != plain_backtracking(lambda: decide_partition(dense)):
@@ -167,7 +196,8 @@ def main():
     dt = time.perf_counter() - t0
 
     print(f"{args.trials} trials, seed {args.seed}: {solvable} solvable, "
-          f"{splits} with an acyclic split, {mismatches} mismatches, {dt:.2f}s")
+          f"{splits} with an acyclic split, {odd} not bipartite, {mismatches} mismatches, "
+          f"{dt:.2f}s")
     return 1 if mismatches else 0
 
 

@@ -209,18 +209,21 @@ def two_colour(
             components.append(tuple([x for x, d in dist.items() if d % 2 == k] for k in (0, 1)))
     if all(colour[x] != colour[y] for x in colour for y in partners[x]):
         return components, None
-    cycles = []
+    best: list[int] = []  # the least of the shortest candidates so far
     for s in colour:
         dist, parent = bfs(s)
         for x in dist:
             for y in partners[x]:
                 if x < y and dist[x] == dist[y]:
+                    # the candidate has 2 * len(px) entries; past the best it cannot win
                     px, py = [x], [y]
-                    while px[-1] != py[-1]:
+                    while px[-1] != py[-1] and (not best or 2 * len(px) < len(best)):
                         px.append(parent[px[-1]])
                         py.append(parent[py[-1]])
-                    cycles.append(px + py[-2::-1] + [x])
-    return None, min(cycles, key=lambda cyc: (len(cyc), cyc))
+                    cyc = px + py[-2::-1] + [x]
+                    if px[-1] == py[-1] and (not best or (len(cyc), cyc) < (len(best), best)):
+                        best = cyc
+    return None, best
 
 
 def to_dot(c: CollisionGraph) -> str:

@@ -152,3 +152,51 @@ def random_dixon1_params(rng):
     sx = tuple(rng.choice((1, -1)) for _ in range(m - 1))
     sy = tuple(rng.choice((1, -1)) for _ in range(n - 1))
     return Dixon1Params(m, n, tuple(a), tuple(b), sx, sy)
+
+
+def two_colour_reference(partners):
+    """:func:`lmodel.cgraph.two_colour` as it was written first: it keeps every
+    odd-cycle candidate and takes the least of the shortest at the end."""
+
+    def bfs(s):
+        dist, parent, queue = {s: 0}, {s: s}, [s]
+        for x in queue:
+            for y in partners[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    queue.append(y)
+        return dist, parent
+
+    colour = {}
+    components = []
+    for s, ys in enumerate(partners):
+        if ys and s not in colour:
+            dist, _ = bfs(s)
+            colour.update((x, d % 2) for x, d in dist.items())
+            components.append(tuple([x for x, d in dist.items() if d % 2 == k] for k in (0, 1)))
+    if all(colour[x] != colour[y] for x in colour for y in partners[x]):
+        return components, None
+    cycles = []
+    for s in colour:
+        dist, parent = bfs(s)
+        for x in dist:
+            for y in partners[x]:
+                if x < y and dist[x] == dist[y]:
+                    px, py = [x], [y]
+                    while px[-1] != py[-1]:
+                        px.append(parent[px[-1]])
+                        py.append(parent[py[-1]])
+                    cycles.append(px + py[-2::-1] + [x])
+    return None, min(cycles, key=lambda cyc: (len(cyc), cyc))
+
+
+def random_partners(rng, n, degree):
+    """A random undirected graph on n nodes with about ``degree`` neighbours
+    each, as ascending neighbour lists (a two-cycle partner structure)."""
+    adj = [set() for _ in range(n)]
+    for _ in range(n * degree // 2):
+        x, y = rng.sample(range(n), 2)
+        adj[x].add(y)
+        adj[y].add(x)
+    return [sorted(ys) for ys in adj]

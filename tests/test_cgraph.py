@@ -24,7 +24,13 @@ from expected import (
     DIXON1_REF_UPPER,
     S2_TRIANGLE,
 )
-from synth import collision_graph, fake_pairs, static_graph
+from synth import (
+    collision_graph,
+    fake_pairs,
+    random_partners,
+    static_graph,
+    two_colour_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +379,17 @@ def test_two_colour_matches_parity_reference(seed):
         assert cyc[0] == cyc[-1]
         assert all(y in partners[x] for x, y in zip(cyc, cyc[1:]))
         assert len(cyc) - 1 == shortest
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=300)
+def test_two_colour_matches_its_reference(seed):
+    # the running best and its cut-off walks pick the reference's witness
+    rng = random.Random(seed)
+    partners = random_partners(rng, rng.randint(2, 24), rng.randint(1, 6))
+    assert two_colour(partners) == two_colour_reference(partners)
+    partners = random_digraph(seed).partners
+    assert two_colour(partners) == two_colour_reference(partners)
 
 
 @given(st.integers(min_value=0, max_value=10**9))

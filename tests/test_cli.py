@@ -407,6 +407,17 @@ def test_generate_rejects_bad_params(args, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_skips_empty_sign_pieces(tmp_path, capsys):
+    args = ["generate", "--family", "dixon1", "--m", "3", "--n", "2"]
+    assert main([*args, "--sx=+,,-", "--out", str(tmp_path / "gaps.json")]) == 0
+    assert main([*args, "--sx=+,-", "--out", str(tmp_path / "plain.json")]) == 0
+    capsys.readouterr()
+    gaps = (tmp_path / "gaps.json").read_text()
+    assert gaps == (tmp_path / "plain.json").read_text()
+    # the second sign puts p2 on the negative side
+    assert E.to_text(load_graph(gaps).motion["p2"][0]).startswith("-")
+
+
 @pytest.mark.parametrize(
     "args,want",
     [

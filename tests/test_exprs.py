@@ -109,7 +109,15 @@ def test_parse_rejects_trailing_garbage():
         E.parse_expression("1+2)")
 
 
+def test_parse_rejects_an_unexpected_character():
+    with pytest.raises(E.ExprSyntaxError, match="unexpected character '\\$'") as exc:
+        E.parse_expression("t $ 1")
+    assert exc.value.position == 2
+
+
 def test_node_validation():
+    with pytest.raises(ValueError, match="unknown node kind 'tan'"):
+        E.Expr("tan", args=(E.tvar(),))
     with pytest.raises(ValueError):
         E.Expr("add", args=(E.tvar(),))
     with pytest.raises(ValueError):

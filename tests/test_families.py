@@ -187,6 +187,8 @@ def test_s2_lengths_constant(ref_s2):
 
 
 def test_s2_rejects_bad_params():
+    with pytest.raises(ValueError, match="a must be positive"):
+        S2Params(a=0)
     with pytest.raises(ValueError):
         S2Params(a=2.0, b=2.0, c=3.0)
     with pytest.raises(ValueError):

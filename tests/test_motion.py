@@ -140,6 +140,10 @@ def test_sample_rows_reports_each_failing_row_x_first():
         (lambda d: d["vertices"][0].pop("y"), "needs"),
         (lambda d: d["vertices"][0].update(x="sin(u)"), "unknown identifier"),
         (lambda d: d["vertices"][0].update(id=7), "must be a string"),
+        (lambda d: d["vertices"][0].update(x=1.5), "'a': x must be an expression string"),
+        (lambda d: d["vertices"][1].update(y=None), "'b': y must be an expression string"),
+        (lambda d: d.update(vertices={}), "'vertices' and 'edges' must be arrays"),
+        (lambda d: d.update(edges="a-b"), "'vertices' and 'edges' must be arrays"),
         (lambda d: d["edges"].append("a-b"), "pair of vertex ids"),
         (lambda d: d.update(domain=[0, 10**400]), "too large for a float"),
         (lambda d: d.update(domain=[-1.7e308, 1.7e308]), "width b - a overflows"),
@@ -186,6 +190,16 @@ def test_load_rejects_json_nested_too_deeply():
 def test_construct_rejects_bad_ids(vid):
     with pytest.raises(GraphFormatError, match="bad vertex id"):
         MovingGraph((vid,), (), {vid: (E.const(0.0), E.const(0.0))})
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(E.const(0.0), "0"), (E.const(0.0),), (E.const(0.0), E.const(0.0), E.const(0.0))],
+    ids=["string", "one", "three"],
+)
+def test_construct_rejects_a_motion_that_is_not_a_pair_of_expressions(pair):
+    with pytest.raises(GraphFormatError, match="motion of 'a' must be a pair of expressions"):
+        MovingGraph(("a",), (), {"a": pair})
 
 
 def test_construct_rejects_missing_motion():
