@@ -262,7 +262,9 @@ def _grid_stage(g: MovingGraph, roles: np.ndarray, cfg: DetectionConfig):
         stray[w] = max(ex, ey)
     lipschitz = 2.0 * _SPEED_SLACK * (speed[roles[0]] + speed[roles[1]] + speed[roles[2]])
     margin = _STRAY * (stray[roles[0]] + stray[roles[1]] + stray[roles[2]])
-    gap_slack = _GAP_SLACK * (1.0 + max(xs.max(), ys.max(), -xs.min(), -ys.min()))
+    # max(a.max(), -a.min()) is never below 0: initial=0.0 serves the empty grid
+    reach = max(max(a.max(initial=0.0), -a.min(initial=0.0)) for a in (xs, ys))
+    gap_slack = _GAP_SLACK * (1.0 + reach)
 
     cidx = np.arange(0, len(ts), COARSE_STRIDE)
     if cidx[-1] != len(ts) - 1:

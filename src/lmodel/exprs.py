@@ -17,7 +17,7 @@ than ``MAX_EXPR_HEIGHT``, so no walk of a tree can exhaust the stack.
 One table, ``_KINDS``, gives every node kind its number of children, its
 printing precedence and its operator symbol; node validation, the parser
 and the printer all read it.  This module parses and prints trees and needs
-no numpy.  The evaluator (``evaluate``, ``evaluate_on``, ``split_constants``,
+no numpy.  The evaluator (``evaluate``, ``split_constants``,
 ``merged_kernel``) lives in :mod:`lmodel.numeric`.
 """
 from __future__ import annotations

@@ -24,7 +24,10 @@ The kernel checks no node; refinement runs it with numpy's overflow,
 divide and invalid flags raising, and falls back to the checking
 evaluator tree by tree when one goes up.  :func:`eval_position` and
 :func:`sample_rows`, the one grid sampler that validation and detection
-share, evaluate a moving graph's vertices.
+share, evaluate a moving graph's vertices.  :func:`distances`, the one
+distance kernel, builds their vertex-to-vertex distance tables in place,
+each of at most ``GRID_BLOCK`` doubles: validation's edge lengths, a chunk
+of edges at a time, and the grid stage's tables (:mod:`lmodel.sampling`).
 """
 from __future__ import annotations
 
@@ -39,11 +42,12 @@ from .motion import GraphFormatError, MovingGraph
 
 __all__ = [
     "evaluate",
-    "evaluate_on",
     "split_constants",
     "merged_kernel",
     "eval_position",
     "sample_rows",
+    "GRID_BLOCK",
+    "distances",
     "EdgeLengthStats",
     "LengthReport",
     "validate_edge_lengths",
@@ -57,11 +61,11 @@ __all__ = [
 def evaluate(e: Expr, t):
     """Evaluate at a scalar ``t`` or an ndarray of times.
 
-    A scalar ``t`` is evaluated as a one-element array, so it gets the bits
-    the same time gets inside any array.  The result of a constant subtree
-    stays scalar even for array input; use :func:`evaluate_on` when a
-    full-size array is required.  Every node is checked as it is computed:
-    the first node to fail, in evaluation order, raises
+    The result has ``t``'s shape: a scalar for a scalar ``t``, and an array
+    for an array ``t``, which a constant tree fills with its value.  A
+    scalar ``t`` is evaluated as a one-element array, so it gets the bits
+    the same time gets inside any array.  Every node is checked as it is
+    computed: the first node to fail, in evaluation order, raises
     :class:`ExprDomainError` with its reason and the first time at which it
     fails (None when a constant part fails), so a scalar and an array
     holding the same time fail at the same place.
@@ -69,15 +73,9 @@ def evaluate(e: Expr, t):
     scalar = np.ndim(t) == 0
     with np.errstate(over="ignore", invalid="ignore"):
         out = _ev(e, np.array([t], dtype=float) if scalar else t)
-    return out[0] if scalar and np.ndim(out) else out
-
-
-def evaluate_on(e: Expr, ts: np.ndarray) -> np.ndarray:
-    """Evaluate on a sample grid, broadcasting constants to full size."""
-    out = np.asarray(evaluate(e, ts), dtype=float)
-    if out.shape != np.shape(ts):
-        out = np.full(np.shape(ts), float(out))
-    return out
+    if np.ndim(out) == 0:  # a constant tree
+        return out if scalar else np.full(np.shape(t), float(out))
+    return out[0] if scalar else out
 
 
 def _check(bad, reason: str, e: Expr, t) -> None:
@@ -229,15 +227,28 @@ def sample_rows(g: MovingGraph, rows: Iterable[int], ts: np.ndarray):
     for w in rows:
         xe, ye = g.motion[g.vertices[w]]
         try:
-            xs[w] = evaluate_on(xe, ts)
-            ys[w] = evaluate_on(ye, ts)
+            xs[w] = evaluate(xe, ts)
+            ys[w] = evaluate(ye, ts)
         except ExprDomainError as err:
             errors[w] = err
     return xs, ys, errors
 
 
-# doubles in one table of edge lengths that validation holds at once
-_LENGTH_BLOCK = 1 << 15
+# doubles in one table of distances: validation's edge lengths and each
+# block of the grid stage (lmodel.sampling) hold no more at once
+GRID_BLOCK = 1 << 15
+
+
+def distances(xs: np.ndarray, ys: np.ndarray, a, b, cols=slice(None)) -> np.ndarray:
+    """``hypot(xs[a] - xs[b], ys[a] - ys[b])`` over the columns ``cols``, one
+    row per index pair (a, b): the one distance kernel of validation and
+    detection.  Built in place, so that no more than three tables live at once.
+    """
+    dist = xs[a, cols]
+    dist -= xs[b, cols]
+    dy = ys[a, cols]
+    dy -= ys[b, cols]
+    return np.hypot(dist, dy, out=dist)
 
 
 class EdgeLengthStats(NamedTuple):
@@ -275,16 +286,9 @@ def validate_edge_lengths(g: MovingGraph, samples: int = 512, tol: float = 1e-9)
     mean, dev = np.empty((2, len(ends)))
     # a chunk of edges at a time bounds the lengths table; a row's mean and
     # largest deviation have the bits of the same edge's alone
-    step = max(1, _LENGTH_BLOCK // samples)
+    step = max(1, GRID_BLOCK // samples)
     for s in range(0, len(ends), step):
-        u, v = ends[s : s + step].T
-        # built in place, so that no more than three tables live at once
-        lens = xs[u]
-        lens -= xs[v]
-        dy = ys[u]
-        dy -= ys[v]
-        np.hypot(lens, dy, out=lens)
-        del dy
+        lens = distances(xs, ys, *ends[s : s + step].T)
         mean[s : s + step] = lens.mean(axis=1)
         lens -= mean[s : s + step, None]
         dev[s : s + step] = np.abs(lens, out=lens).max(axis=1)

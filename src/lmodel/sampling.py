@@ -16,8 +16,9 @@ each shape's kernel compiled once per batch
 (:func:`lmodel.numeric.merged_kernel`).  Both give, bit for bit, what
 evaluating pair by pair and vertex by vertex gives.
 
-``GRID_BLOCK`` bounds the memory the grid stage holds beyond the grid
-itself.  A block's distance table holds at most ``GRID_BLOCK`` doubles,
+``lmodel.numeric.GRID_BLOCK`` bounds the memory the grid stage holds
+beyond the grid itself.  A block's distance table
+(:func:`lmodel.numeric.distances`) holds at most ``GRID_BLOCK`` doubles,
 and so does a chunk of gaps read off it; with the chunk's temporaries
 and its comparison masks, a few such arrays live at once, so memory grows
 in proportion to ``GRID_BLOCK``, and the number of blocks and chunks that
@@ -33,14 +34,11 @@ from array import array
 
 import numpy as np
 
+from . import numeric
 from .exprs import ExprDomainError
-from .numeric import evaluate, evaluate_on, merged_kernel, split_constants
+from .numeric import distances, evaluate, merged_kernel, split_constants
 
-__all__ = ["GRID_BLOCK", "slack", "grid_minima", "bracket_gap"]
-
-# doubles in one distance-table block and in one gap chunk of the grid stage;
-# bounds the memory that sampling holds beyond the grid itself (see above)
-GRID_BLOCK = 1 << 15
+__all__ = ["slack", "grid_minima", "bracket_gap"]
 
 
 def slack(xv, yv, xi, yi, xj, yj):
@@ -78,22 +76,16 @@ def grid_minima(
     ua, ub = np.nonzero(near)
     col = np.zeros(near.shape, dtype=np.intp)  # the table's column of each vertex pair
     col[ua, ub] = col[ub, ua] = np.arange(len(ua))
-    width = max(1, min(n_samples, GRID_BLOCK // max(len(ua), 1) - 2))  # samples per block
-    chunk = max(1, GRID_BLOCK // (width + 2))
+    budget = numeric.GRID_BLOCK
+    width = max(1, min(n_samples, budget // max(len(ua), 1) - 2))  # samples per block
+    chunk = max(1, budget // (width + 2))
 
     low = np.full(n_pairs, math.inf)
     found = array("q")  # the minima, in grid order
     for lo in range(0, n_samples, width):
         hi = min(lo + width, n_samples)
         e0, e1 = max(lo - 1, 0), min(hi + 1, n_samples)
-        span = slice(e0, e1)
-        # built in place, so that no more than three tables live at once
-        dist = xs[ua, span]
-        dist -= xs[ub, span]
-        dy = ys[ua, span]
-        dy -= ys[ub, span]
-        np.hypot(dist, dy, out=dist)
-        del dy
+        dist = distances(xs, ys, ua, ub, slice(e0, e1))
         for s in range(0, n_pairs, chunk):
             k = slice(s, s + chunk)
             gs = dist.take(col[v[k], i[k]], axis=0)
@@ -164,8 +156,8 @@ def bracket_gap(motion: list, roles: np.ndarray, seed: np.ndarray, errors: dict)
         for w, at in vertex_slots.items():
             xe, ye = motion[w]
             try:
-                px[at] = evaluate_on(xe, t[at])
-                py[at] = evaluate_on(ye, t[at])
+                px[at] = evaluate(xe, t[at])
+                py[at] = evaluate(ye, t[at])
             except ExprDomainError:
                 # find every slot that raises, in the order x, y
                 for q in at.tolist():

@@ -231,6 +231,15 @@ def test_detect_is_deterministic(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_detect_on_a_graph_without_vertices(tmp_path, capsys):
+    gpath = tmp_path / "empty.json"
+    gpath.write_text('{"vertices": [], "edges": []}')
+    assert main(["detect", str(gpath)]) == 0
+    out = capsys.readouterr()
+    assert json.loads(out.out)["pairs"] == []
+    assert "error" not in out.err
+
+
 def test_detect_margin_flag(tmp_path, capsys):
     gpath = gen_ref(tmp_path, capsys)
     ppath = tmp_path / "pairs.json"

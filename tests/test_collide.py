@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lmodel import collide, sampling
+from lmodel import collide, numeric, sampling
 from lmodel import exprs as E
 from lmodel.collide import (
     AMBIGUITY_FACTOR,
@@ -29,7 +29,7 @@ from lmodel.motion import (
     pairs_from_json,
     pairs_to_json,
 )
-from lmodel.numeric import evaluate_on
+from lmodel.numeric import evaluate
 from lmodel.sampling import grid_minima, slack
 
 from expected import DIXON1_REF_PAIRS, DIXON1_REF_WITNESS, S2_PAIRS
@@ -249,7 +249,7 @@ BLOCKS = [1, 9, 16, 40, 1 << 13, 100, 300, 1 << 15]
 @pytest.mark.parametrize("block", BLOCKS)
 @pytest.mark.parametrize("kind", ["smooth", "plateaus", "overflow"])
 def test_grid_stage_matches_per_pair_loop(monkeypatch, block, kind):
-    monkeypatch.setattr(sampling, "GRID_BLOCK", block)
+    monkeypatch.setattr(numeric, "GRID_BLOCK", block)
     rng = np.random.default_rng(BLOCKS.index(block))
     for _ in range(12):
         n_vertices, n_samples = int(rng.integers(3, 7)), int(rng.integers(1, 41))
@@ -283,7 +283,7 @@ def test_grid_stage_matches_per_pair_loop(monkeypatch, block, kind):
 def test_grid_stage_local_minima(monkeypatch, block, gs, want):
     # vertex 0 sits at (gap/2, 0) over an edge with both ends at the origin,
     # so the sampled gap is exactly gs
-    monkeypatch.setattr(sampling, "GRID_BLOCK", block)
+    monkeypatch.setattr(numeric, "GRID_BLOCK", block)
     xs = np.zeros((3, len(gs)))
     xs[0] = np.asarray(gs) / 2
     ys = np.zeros_like(xs)
@@ -309,12 +309,34 @@ def test_detection_does_not_depend_on_the_block_size(
     probes = (("p0", ("q0", "p1")), ("p2", ("q0", "p1")), ("q0", ("q2", "p0")))
     want = [detect_pair(ref_dixon1, v, e) for v, e in probes]
     want_bounds = bracket_bounds(ref_dixon1)
-    monkeypatch.setattr(sampling, "GRID_BLOCK", block)
+    monkeypatch.setattr(numeric, "GRID_BLOCK", block)
     assert detect_all(ref_dixon1) == ref_dixon1_result
     assert [detect_pair(ref_dixon1, v, e) for v, e in probes] == want
     # the smallest samples, and with them the bounds and the kept pairs,
     # come out bit for bit alike
     assert bracket_bounds(ref_dixon1) == want_bounds
+
+
+def test_one_budget_sets_validation_chunks_and_grid_blocks(monkeypatch, ref_dixon1):
+    # both users of the distance kernel read numeric.GRID_BLOCK: at 1,
+    # validation takes one edge per table, and the grid stage one sample per
+    # block, with one neighbour on each side
+    shapes, kernel = [], numeric.distances
+
+    def spy(*args):
+        out = kernel(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(numeric, "distances", spy)
+    monkeypatch.setattr(sampling, "distances", spy)
+    monkeypatch.setattr(numeric, "GRID_BLOCK", 1)
+    numeric.validate_edge_lengths(ref_dixon1, samples=16)
+    assert shapes == [(1, 16)] * len(ref_dixon1.edges)
+    shapes.clear()
+    xs = np.arange(15.0).reshape(3, 5)
+    grid_minima(xs, -xs, np.array([[0], [1], [2]]), np.arange(5.0))
+    assert shapes == [(3, 2), (3, 3), (3, 3), (3, 3), (3, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +472,14 @@ def test_detect_all_respects_domain(ref_dixon1):
     assert got == want
 
 
+def test_detect_all_on_a_graph_without_vertices():
+    # the empty grid has no largest coordinate; nothing is probed
+    result = detect_all(MovingGraph((), (), {}))
+    assert result.probed == 0
+    assert result.pairs == () and result.ambiguous == ()
+    assert result.clear_margin is None
+
+
 def test_detect_all_s2(ref_s2_result):
     got = tuple((p.vertex, p.edge) for p in ref_s2_result.pairs)
     assert got == S2_PAIRS
@@ -561,7 +591,7 @@ def refine_everything(g, roles, cfg):
     grid_err, failures = {}, {}
     for w in range(len(motion)):
         try:
-            xs[w], ys[w] = (evaluate_on(e, ts) for e in motion[w])
+            xs[w], ys[w] = (evaluate(e, ts) for e in motion[w])
         except E.ExprDomainError as err:
             grid_err[w] = err
     for k, trio in enumerate(roles.T.tolist()):

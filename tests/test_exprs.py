@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from lmodel import exprs as E
 from lmodel import numeric
 from lmodel.interval import speed_and_stray
-from lmodel.numeric import evaluate, evaluate_on, merged_kernel, split_constants
+from lmodel.numeric import evaluate, merged_kernel, split_constants
 
 
 def test_parse_simple_tree():
@@ -142,17 +142,24 @@ def test_to_text_integral_constants_stay_short():
 def test_evaluate_scalar_and_grid_agree():
     e = E.parse_expression("sqrt(2+sin(t)^2)-cos(t)/2")
     ts = np.linspace(0.0, 2 * math.pi, 64)
-    arr = evaluate_on(e, ts)
+    arr = evaluate(e, ts)
     assert arr.shape == ts.shape
     for i in (0, 17, 63):
         assert math.isclose(float(arr[i]), float(evaluate(e, float(ts[i]))), rel_tol=1e-14)
 
 
-def test_evaluate_on_broadcasts_constants():
-    ts = np.linspace(0.0, 1.0, 8)
-    arr = evaluate_on(E.const(3.0), ts)
-    assert arr.shape == ts.shape
-    assert (arr == 3.0).all()
+@pytest.mark.parametrize("text", ["3", "sin(2)/3", "(1+pi)^3", "-sqrt(2)"])
+def test_evaluate_broadcasts_constants(text):
+    # the result has the shape of t: a constant tree fills an array t with
+    # its value, bit for bit what np.full gives, and stays scalar for a scalar t
+    tree = E.parse_expression(text)
+    value = evaluate(tree, 0.5)
+    assert np.ndim(value) == 0
+    for ts in (np.linspace(0.0, 1.0, 8), np.zeros((2, 3)), np.array([])):
+        arr = evaluate(tree, ts)
+        assert isinstance(arr, np.ndarray)
+        assert arr.shape == ts.shape
+        assert arr.tobytes() == np.full(ts.shape, value).tobytes()
 
 
 def test_sqrt_domain_error():
@@ -247,7 +254,7 @@ def _recast(e, rng):
 def test_scalar_evaluation_matches_the_array_bit_for_bit(tree, times):
     ts = np.array(times)
     try:
-        want = evaluate_on(tree, ts)
+        want = evaluate(tree, ts)
     except E.ExprDomainError:
         # some time fails, and alone it fails too
         with pytest.raises(E.ExprDomainError):
@@ -319,7 +326,7 @@ def _evaluate_each(trees, times):
     out = []
     for e, t in zip(trees, times):
         try:
-            out.append(evaluate_on(e, t))
+            out.append(evaluate(e, t))
         except E.ExprDomainError:
             out.append(None)
     return out
@@ -329,7 +336,7 @@ def _evaluate_each(trees, times):
 @settings(max_examples=300)
 def test_merged_shape_evaluation_matches_each_tree(tree, seed):
     # the same merge against the public evaluator: each tree's points get
-    # the bits evaluate_on gives that tree alone
+    # the bits evaluate gives that tree alone
     rng = np.random.default_rng(seed)
     trees = [tree] + [_recast(tree, rng) for _ in range(int(rng.integers(1, 5)))]
     times = [rng.uniform(-4.0, 4.0, int(rng.integers(1, 6))) for _ in trees]
@@ -583,7 +590,7 @@ def test_speed_bound_exceeds_central_differences(tree, lo, width):
         return
     # central differences at the midpoints of 200 cells of [lo, hi]
     ts = np.linspace(lo, hi, 201)
-    ys = evaluate_on(tree, ts)
+    ys = evaluate(tree, ts)
     span = np.diff(ts)
     diffs = np.abs(np.diff(ys)) / span
     # the rounding of the two evaluations, a few ulps of the values
@@ -602,7 +609,7 @@ def test_rounding_bound_exact_cases():
     # cancellation: the values are at most 1, the rounding is that of 1e8
     ts = np.linspace(0.0, 1.0, 10001)
     cancel = E.sub(E.add(E.tvar(), E.const(1e8)), E.const(1e8))
-    stray = np.abs(evaluate_on(cancel, ts) - ts).max()
+    stray = np.abs(evaluate(cancel, ts) - ts).max()
     assert stray > 1e-9
     assert stray <= _stray(cancel, 0.0, 1.0) < 1e-6
     # no bound where the speed bound has none, nor where rounding could reach a fault
@@ -651,7 +658,7 @@ def test_rounding_bound_covers_the_evaluation_error(tree, lo, width):
         return
     # a finite bound also means the evaluation cannot fault on [lo, hi]
     ts = np.linspace(lo, hi, 41)
-    got = evaluate_on(tree, ts)
+    got = evaluate(tree, ts)
     with mpmath.workprec(200):
         for t, y in zip(ts.tolist(), got.tolist()):
             assert abs(mpmath.mpf(y) - _exact(tree, t, mpmath)) <= bound

@@ -7,7 +7,7 @@ import pytest
 from lmodel import exprs as E
 from lmodel import numeric
 from lmodel.motion import TAU, GraphFormatError, MovingGraph, edge_label, load_graph, save_graph
-from lmodel.numeric import eval_position, evaluate_on, sample_rows, validate_edge_lengths
+from lmodel.numeric import eval_position, evaluate, sample_rows, validate_edge_lengths
 
 from synth import HUGE_INT, TOO_DEEP, needs_digit_limit, static_graph
 
@@ -118,7 +118,7 @@ def test_sample_rows_reports_each_failing_row_x_first():
     # every error is the one evaluating the expression alone raises
     for w, coord in ((0, 0), (1, 1), (2, 0)):
         with pytest.raises(E.ExprDomainError) as want:
-            evaluate_on(g.motion[g.vertices[w]][coord], ts)
+            evaluate(g.motion[g.vertices[w]][coord], ts)
         assert str(errors[w]) == str(want.value)
 
 
@@ -273,13 +273,13 @@ def test_edge_lengths_ignores_isolated_vertices():
     assert validate_edge_lengths(g).passed
 
 
-@pytest.mark.parametrize("block", [1, 1000, numeric._LENGTH_BLOCK])
+@pytest.mark.parametrize("block", [1, 1000, numeric.GRID_BLOCK])
 @pytest.mark.parametrize("samples", [2, 512, 700])
 def test_edge_lengths_match_a_per_edge_reference(
     monkeypatch, ref_dixon1, ref_s2, ref_dixon2, block, samples
 ):
     # the edges are taken a chunk at a time; 1 makes every chunk one edge
-    monkeypatch.setattr(numeric, "_LENGTH_BLOCK", block)
+    monkeypatch.setattr(numeric, "GRID_BLOCK", block)
     drift = MovingGraph(
         ("a", "b", "c"),
         (("a", "b"), ("c", "a")),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import partial
 
@@ -554,6 +555,40 @@ def test_dixon1_heights_table():
 def test_dixon1_heights_verify_on_reference(ref_dixon1, ref_dixon1_result):
     heights = dixon1_heights(4, 3)
     assert verify_collision_free(ref_dixon1, ref_dixon1_result.pairs, heights).ok
+
+
+# The Dixon-1 theorem as a certificate: dixon1_heights(m, n) is
+# collision-free for every sign vector.  The crossing rule adds an outer
+# pair only where two signs agree, so every sign vector's pair set lies in
+# the all-equal one's; sign vectors move no edge label, and each pair is
+# verified alone, so heights that verify on the all-equal set verify on
+# every subset of it.  Detection matching the rule is checked on sampled
+# parameters only (acceptance criterion 5).
+
+
+def axis_params(m, n, sx=None, sy=None):
+    """K(m, n) with radii 1, 2, ...; every sign + unless given."""
+    return Dixon1Params(m, n, range(1, m), range(1, n), sx or [1] * (m - 1), sy or [1] * (n - 1))
+
+
+def test_dixon1_rule_pairs_lie_in_the_all_equal_set():
+    vectors = 0
+    for m, n in itertools.product(range(1, 7), repeat=2):
+        top = dixon1_rule_pairs(axis_params(m, n))
+        for sx in itertools.product((1, -1), repeat=m - 1):
+            for sy in itertools.product((1, -1), repeat=n - 1):
+                assert dixon1_rule_pairs(axis_params(m, n, sx, sy)) <= top, (sx, sy)
+                vectors += 1
+    assert vectors == 3969
+
+
+def test_dixon1_heights_verify_on_the_all_equal_set():
+    sizes = [*itertools.product(range(1, 13), repeat=2), *((k, k) for k in range(13, 41))]
+    assert len(sizes) == 172
+    for m, n in sizes:
+        p = axis_params(m, n)
+        pairs = fake_pairs(sorted(dixon1_rule_pairs(p)))
+        assert verify_collision_free(dixon1(p), pairs, dixon1_heights(m, n)).ok, (m, n)
 
 
 # ---------------------------------------------------------------------------
