@@ -47,7 +47,6 @@ _EXPORTS = {
         "VerifyReport",
         "Violation",
         "assign_heights",
-        "cyclic_side",
         "decide_partition",
         "dixon1_heights",
         "exists_arrangement",

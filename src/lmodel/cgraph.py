@@ -54,10 +54,6 @@ class CollisionGraph(namedtuple("CollisionGraph", "nodes succ")):
                 raise ValueError(f"self-arc at {nodes[x]!r}")
         return self
 
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {n: i for i, n in enumerate(self.nodes)}
-
     @property
     def arcs(self) -> frozenset[tuple[str, str]]:
         """Every arc as a (tail, head) label pair; built anew on each read."""

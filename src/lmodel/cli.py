@@ -9,7 +9,6 @@ stdout or --out as JSON; progress, timings, warnings, tracebacks to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
@@ -22,6 +21,7 @@ from .motion import (
     pairs_from_json,
     pairs_to_json,
     save_graph,
+    to_json,
 )
 
 # Each command imports only the modules it runs: only detect and validate
@@ -160,7 +160,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         ],
         "isolated_vertices": list(g.isolated_vertices),
     }
-    _emit(_json(data), args.out)
+    _emit(to_json(data), args.out)
     worst = max((s.max_deviation for s in report.edges), default=0.0)
     _say(f"validate: {len(report.edges)} edges, worst deviation {worst:.17g}, {dt:.3f}s")
     if g.isolated_vertices:
@@ -221,31 +221,31 @@ def cmd_cgraph(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     g = _load_graph_file(args.graph)
     pairs = pairs_from_json(_read(args.pairs), g)
-    build, assign = _bound("build_collision_graph"), _bound("assign_heights")
+    assign = _bound("assign_heights")
     t0 = time.perf_counter()
-    c = build(g, pairs)
     if args.upper is not None:
         wanted = tuple(x.strip() for x in args.upper.split(",") if x.strip() != "")
         partition = _bound("make_partition")(g.edge_labels, wanted)
-        bad = _bound("cyclic_side")(c, partition)
-        if bad is not None:
-            name, cycle = bad
-            data = dict(result="NO", reason="partition-not-acyclic", side=name, cycle=list(cycle))
-            _emit(_json(data), args.out)
-            _say(f"plan: the given {name} class contains the cycle {' -> '.join(cycle)}")
+        try:
+            heights = assign(g, pairs, partition)
+        except _bound("CyclicGraphError") as err:
+            side, cycle = err.side, list(err.cycle)
+            data = dict(result="NO", reason="partition-not-acyclic", side=side, cycle=cycle)
+            _emit(to_json(data), args.out)
+            _say(f"plan: the given {side} class contains the cycle {' -> '.join(cycle)}")
             return EXIT_NO
     else:
-        decision = _bound("decide_partition")(c)
+        decision = _bound("decide_partition")(_bound("build_collision_graph")(g, pairs))
         if not decision.found:
             data = {"result": "NO", "reason": decision.reason}
             if decision.odd_cycle is not None:
                 data["odd_cycle"] = list(decision.odd_cycle)
-            _emit(_json(data), args.out)
+            _emit(to_json(data), args.out)
             dt = time.perf_counter() - t0
             _say(f"plan: no acyclic bipartition ({decision.reason}), {dt:.3f}s")
             return EXIT_NO
         partition = decision.partition
-    heights = assign(g, pairs, partition)
+        heights = assign(g, pairs, partition)
     _emit(_bound("heights_to_json")(g.edge_labels, heights, partition), args.out)
     dt = time.perf_counter() - t0
     if heights:
@@ -272,7 +272,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for v in report.violations
         ],
     }
-    _emit(_json(data), args.out)
+    _emit(to_json(data), args.out)
     _say(f"verify: {len(report.violations)} violation(s) over {len(pairs)} pairs")
     return EXIT_OK if report.ok else EXIT_NO
 
@@ -285,17 +285,13 @@ def cmd_exists(args: argparse.Namespace) -> int:
     witness = exists(g, pairs)
     dt = time.perf_counter() - t0
     if witness is None:
-        _emit(_json({"result": "NO"}), args.out)
+        _emit(to_json({"result": "NO"}), args.out)
         _say(f"exists: no collision-free arrangement, {dt:.3f}s")
         return EXIT_NO
     data = {"result": "YES", "heights": {lab: witness[lab] for lab in g.edge_labels}}
-    _emit(_json(data), args.out)
+    _emit(to_json(data), args.out)
     _say(f"exists: witness found, {dt:.3f}s")
     return EXIT_OK
-
-
-def _json(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

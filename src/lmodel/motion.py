@@ -36,6 +36,7 @@ __all__ = [
     "DetectionError",
     "SearchCapError",
     "parse_json",
+    "to_json",
     "load_graph",
     "save_graph",
     "pairs_to_json",
@@ -157,7 +158,8 @@ def pair_edge(g: MovingGraph, v, e) -> tuple[str, str]:
         raise GraphFormatError(f"pair references unknown vertex {v!r}")
     u, w = e if isinstance(e, (tuple, list)) and len(e) == 2 else (None, None)
     by = g.edge_by_label
-    edge = isinstance(u, str) and isinstance(w, str) and (by.get(f"{u}-{w}") or by.get(f"{w}-{u}"))
+    named = isinstance(u, str) and isinstance(w, str)
+    edge = named and (by.get(edge_label((u, w))) or by.get(edge_label((w, u))))
     if not edge:
         raise GraphFormatError(f"pair references unknown edge {e!r}: not an edge of the graph")
     if v in edge:
@@ -189,6 +191,11 @@ def parse_json(text: str):
     except ValueError:  # int() refused a literal past the interpreter's digit limit
         limit = sys.get_int_max_str_digits()
         raise GraphFormatError(f"invalid JSON: an integer has more than {limit} digits") from None
+
+
+def to_json(data) -> str:
+    """``data`` as the JSON text every file and report is written in."""
+    return json.dumps(data, indent=2) + "\n"
 
 
 def load_graph(text: str) -> MovingGraph:
@@ -246,7 +253,7 @@ def save_graph(g: MovingGraph) -> str:
         ],
         "edges": [[u, v] for u, v in g.edges],
     }
-    return json.dumps(data, indent=2) + "\n"
+    return to_json(data)
 
 
 def pairs_to_json(
@@ -261,7 +268,7 @@ def pairs_to_json(
     }
     if margin is not None:
         data["margin"] = margin
-    return json.dumps(data, indent=2) + "\n"
+    return to_json(data)
 
 
 def pairs_from_json(text: str, g: MovingGraph) -> tuple[CollisionPair, ...]:

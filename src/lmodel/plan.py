@@ -13,7 +13,9 @@ nothing; ``exists_arrangement`` decides the general question exactly by
 branching, per collision pair, on whether the colliding edge goes below or
 above every edge at the vertex.
 
-Each class of a split is a node mask on the one collision graph.
+Each class of a split is a node mask on the one collision graph;
+:func:`assign_heights` sweeps each one, and its :class:`CyclicGraphError`
+names the class that holds a cycle.
 
 Both searches backjump: a failed choice names, through the cycle that
 :func:`lmodel.cgraph.on_cycle` finds, the earlier choices it rests on
@@ -26,7 +28,6 @@ stand the search takes that failure again without checking for a cycle.
 """
 from __future__ import annotations
 
-import json
 from typing import Iterable, NamedTuple, Sequence
 
 from .cgraph import (
@@ -38,7 +39,14 @@ from .cgraph import (
     topo_order,
     two_colour,
 )
-from .motion import CollisionPair, GraphFormatError, MovingGraph, SearchCapError, parse_json
+from .motion import (
+    CollisionPair,
+    GraphFormatError,
+    MovingGraph,
+    SearchCapError,
+    parse_json,
+    to_json,
+)
 
 __all__ = [
     "CyclicGraphError",
@@ -47,7 +55,6 @@ __all__ = [
     "Violation",
     "VerifyReport",
     "make_partition",
-    "cyclic_side",
     "decide_partition",
     "assign_heights",
     "verify_collision_free",
@@ -59,9 +66,12 @@ __all__ = [
 
 
 class CyclicGraphError(ValueError):
-    def __init__(self, cycle: Sequence[str]):
+    """The class ``side`` of a split, "upper" or "lower", holds ``cycle``."""
+
+    def __init__(self, cycle: Sequence[str], side: str):
         super().__init__("graph has a directed cycle: " + " -> ".join(cycle))
         self.cycle = tuple(cycle)
+        self.side = side
 
 
 # search nodes ``decide_partition`` may expand before giving up; the hardest
@@ -89,38 +99,23 @@ def make_partition(all_labels: Sequence[str], upper: Iterable[str]) -> Partition
     )
 
 
-def _mask(c: CollisionGraph, labels: Iterable[str]) -> bytearray:
-    alive = bytearray(len(c.nodes))
-    for lab in labels:
-        if lab not in c.index:
-            raise ValueError(f"unknown node {lab!r}")
-        alive[c.index[lab]] = 1
-    return alive
-
-
-def _sweep(c: CollisionGraph, start: int, step: int, alive: bytearray) -> dict[str, int]:
-    # a node's wave is its longest path from an in-degree-0 node of the
-    # masked subgraph; waves are numbered in turn, each in canonical node order
+def _sweep(c: CollisionGraph, side: str, labels: Iterable[str]) -> dict[str, int]:
+    # the upper class climbs from 1, the lower descends from 0; a node's wave
+    # is its longest path from an in-degree-0 node of the class's subgraph;
+    # waves are numbered in turn, each in canonical node order
+    start, step = (1, 1) if side == "upper" else (0, -1)
+    labels = set(labels)
+    alive = bytearray([n in labels for n in c.nodes])
     succ = c.succ
     order = topo_order(succ, alive)
     if len(order) < alive.count(1):
-        raise CyclicGraphError([c.nodes[i] for i in find_cycle(succ, alive)])
+        raise CyclicGraphError([c.nodes[i] for i in find_cycle(succ, alive)], side)
     wave = [0] * len(succ)
     for x in order:
         for y in succ[x]:
             wave[y] = max(wave[y], wave[x] + 1)
     ranked = sorted(order, key=lambda x: (wave[x], x))
     return {c.nodes[x]: start + step * k for k, x in enumerate(ranked)}
-
-
-def cyclic_side(c: CollisionGraph, p: Partition) -> tuple[str, tuple[str, ...]] | None:
-    """The first class of p, "upper" then "lower", whose induced subgraph has
-    a cycle, with that cycle; None when both are acyclic."""
-    for name, side in (("upper", p.upper), ("lower", p.lower)):
-        cycle = find_cycle(c.succ, _mask(c, side))
-        if cycle is not None:
-            return name, tuple(c.nodes[i] for i in cycle)
-    return None
 
 
 def _search(n: int, step, undo, budget: int, what: str) -> bool:
@@ -252,8 +247,9 @@ def assign_heights(
 ) -> dict[str, int]:
     """Sweep the upper class up from 1 and the lower class down from 0.
 
-    Requires both induced collision subgraphs to be acyclic (else
-    :class:`CyclicGraphError`); the result always verifies collision-free.
+    Requires both induced collision subgraphs to be acyclic, else raises
+    :class:`CyclicGraphError` for the first cyclic class, upper before
+    lower; the result always verifies collision-free.
     """
     labels = g.edge_labels
     up_set, lo_set = set(partition.upper), set(partition.lower)
@@ -261,8 +257,8 @@ def assign_heights(
         raise ValueError("partition must split the edge set into two disjoint parts")
     pairs = tuple(pairs)
     c = build_collision_graph(g, pairs)
-    heights = _sweep(c, 1, +1, _mask(c, partition.upper))
-    heights.update(_sweep(c, 0, -1, _mask(c, partition.lower)))
+    heights = _sweep(c, "upper", partition.upper)
+    heights.update(_sweep(c, "lower", partition.lower))
     report = verify_collision_free(g, pairs, heights)
     if not report.ok:
         raise RuntimeError("internal error: sweep heights failed verification")
@@ -393,7 +389,7 @@ def heights_to_json(
     data: dict = {"heights": {lab: int(heights[lab]) for lab in labels}}
     if partition is not None:
         data["partition"] = {"upper": list(partition.upper), "lower": list(partition.lower)}
-    return json.dumps(data, indent=2) + "\n"
+    return to_json(data)
 
 
 def heights_from_json(text: str) -> tuple[dict[str, int], Partition | None]:

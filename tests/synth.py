@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from lmodel.cgraph import CollisionGraph
+from lmodel.cgraph import CollisionGraph, find_cycle
 from lmodel.exprs import const
 from lmodel.motion import CollisionPair, MovingGraph, edge_label
 
@@ -39,6 +39,12 @@ def collision_graph(nodes, label_arcs):
     for u, v in label_arcs:
         heads[index[u]].add(index[v])
     return CollisionGraph(nodes, [sorted(ys) for ys in heads])
+
+
+def class_cycles(c, partition):
+    """``find_cycle`` on each class of ``partition`` as a node mask of c,
+    upper then lower: (None, None) when both classes are acyclic."""
+    return tuple(find_cycle(c.succ, bytearray([n in side for n in c.nodes])) for side in partition)
 
 
 def fake_pairs(items):

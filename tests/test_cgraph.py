@@ -16,7 +16,7 @@ from lmodel.cgraph import (
     two_colour,
 )
 from lmodel.motion import CollisionPair
-from lmodel.plan import CyclicGraphError, Partition, cyclic_side, decide_partition
+from lmodel.plan import CyclicGraphError, Partition, assign_heights, decide_partition
 
 from expected import (
     DIXON1_REF_ARCS,
@@ -25,6 +25,7 @@ from expected import (
     S2_TRIANGLE,
 )
 from synth import (
+    class_cycles,
     collision_graph,
     fake_pairs,
     random_partners,
@@ -55,10 +56,11 @@ def labels(c, xs):
 
 
 def test_successors_are_canonically_ordered(ref_cgraph):
-    assert labels(ref_cgraph, ref_cgraph.succ[ref_cgraph.index["q0-p0"]]) == (
+    index = ref_cgraph.nodes.index
+    assert labels(ref_cgraph, ref_cgraph.succ[index("q0-p0")]) == (
         "q0-p1", "q0-p2", "q0-p3", "q1-p0", "q2-p0"
     )
-    assert ref_cgraph.succ[ref_cgraph.index["q2-p3"]] == ()
+    assert ref_cgraph.succ[index("q2-p3")] == ()
 
 
 def test_build_rejects_foreign_pairs(ref_dixon1):
@@ -100,10 +102,11 @@ def test_induced_upper_class(ref_cgraph):
     assert find_cycle(sub.succ) is None
 
 
-def test_induced_rejects_unknown_nodes(ref_cgraph):
+def test_induced_rejects_unknown_nodes(ref_dixon1, ref_dixon1_result):
     # a class of a split is a node mask, and a mask knows only the graph's nodes
-    with pytest.raises(ValueError, match="unknown node 'nope'"):
-        cyclic_side(ref_cgraph, Partition(("nope",), ref_cgraph.nodes))
+    split = Partition(("nope",), ref_dixon1.edge_labels)
+    with pytest.raises(ValueError, match="split the edge set"):
+        assign_heights(ref_dixon1, ref_dixon1_result.pairs, split)
 
 
 def test_full_reference_graph_is_cyclic(ref_cgraph):
@@ -213,7 +216,7 @@ def test_to_dot_reference_text(ref_cgraph):
 def kahn_is_acyclic(c):
     indeg = [0] * len(c.nodes)
     for _, v in c.arcs:
-        indeg[c.index[v]] += 1
+        indeg[c.nodes.index(v)] += 1
     queue = [x for x, d in enumerate(indeg) if d == 0]
     seen = 0
     while queue:
@@ -295,10 +298,11 @@ def test_on_cycle_returns_a_closed_path(seed, bits):
         assert all(alive[y] for y in path[1:-1])
 
 
-def _swept(c, start, step, alive):
+def _swept(c, side, labels):
     try:
-        return list(plan._sweep(c, start, step, alive).items())
+        return list(plan._sweep(c, side, labels).items())
     except CyclicGraphError as err:
+        assert err.side == side
         return err.cycle
 
 
@@ -308,13 +312,12 @@ def test_masks_match_induced_copies(seed, bits):
     c = random_digraph(seed)
     alive = bytearray(bits >> x & 1 for x in range(len(c.nodes)))
     sub = induced(c, [n for n, a in zip(c.nodes, alive) if a])
-    back = [c.index[n] for n in sub.nodes]
+    back = [c.nodes.index(n) for n in sub.nodes]
     cyc = find_cycle(sub.succ)
     assert find_cycle(c.succ, alive) == (None if cyc is None else [back[x] for x in cyc])
     assert topo_order(c.succ, alive) == [back[x] for x in topo_order(sub.succ)]
-    everything = bytearray([1]) * len(sub.nodes)
-    for start, step in ((1, +1), (0, -1)):
-        assert _swept(c, start, step, alive) == _swept(sub, start, step, everything)
+    for side in ("upper", "lower"):
+        assert _swept(c, side, sub.nodes) == _swept(sub, side, sub.nodes)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -324,14 +327,15 @@ def test_decide_partition_matches_brute_force(seed):
     dec = decide_partition(c)
     assert dec.found == brute_force_split(c)
     if dec.found:
-        assert cyclic_side(c, dec.partition) is None
+        assert class_cycles(c, dec.partition) == (None, None)
 
 
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=150)
 def test_multi_edged_captures_exactly_the_two_cycles(seed):
     c = random_digraph(seed)
-    want = {(c.index[a], c.index[b]) for a, b in c.arcs if (b, a) in c.arcs}
+    index = c.nodes.index
+    want = {(index(a), index(b)) for a, b in c.arcs if (b, a) in c.arcs}
     assert {(x, y) for x, ys in enumerate(c.partners) for y in ys} == want
     assert all(list(ys) == sorted(ys) for ys in c.partners)
     assert c.two_cycles == sorted((x, y) for x, y in want if x < y)

@@ -11,7 +11,13 @@ from lmodel import exprs as E
 from lmodel.cli import main
 from lmodel.families import Dixon1Params, dixon1
 from lmodel.motion import MovingGraph, load_graph, pairs_from_json, pairs_to_json, save_graph
-from lmodel.plan import heights_from_json, verify_collision_free
+from lmodel.plan import (
+    CyclicGraphError,
+    assign_heights,
+    heights_from_json,
+    make_partition,
+    verify_collision_free,
+)
 
 from expected import (
     DIXON1_REF_EDGE_LABELS,
@@ -141,15 +147,47 @@ def test_plan_on_a_graph_without_edges(upper, tmp_path, capsys):
 
 
 def test_plan_rejects_cyclic_partition(tmp_path, capsys):
+    # every edge upper, then q0-p0 alone upper: the report is the refusal
+    # of assign_heights on the same split
     gpath = gen_ref(tmp_path, capsys)
     ppath = detect_ref(tmp_path, capsys, gpath)
-    assert main(["plan", str(gpath), str(ppath), "--upper", "q0-p0"]) == 1
-    out = capsys.readouterr()
-    data = json.loads(out.out)
-    assert data["result"] == "NO"
-    assert data["reason"] == "partition-not-acyclic"
-    assert data["side"] == "lower"
-    assert data["cycle"][0] == data["cycle"][-1]
+    g = load_graph(gpath.read_text())
+    pairs = pairs_from_json(ppath.read_text(), g)
+    for upper, side in ((DIXON1_REF_EDGE_LABELS, "upper"), (("q0-p0",), "lower")):
+        assert main(["plan", str(gpath), str(ppath), "--upper", ",".join(upper)]) == 1
+        out = capsys.readouterr()
+        with pytest.raises(CyclicGraphError) as exc:
+            assign_heights(g, pairs, make_partition(g.edge_labels, upper))
+        cycle = exc.value.cycle
+        assert (exc.value.side, cycle[0]) == (side, cycle[-1])
+        assert json.loads(out.out) == {
+            "result": "NO",
+            "reason": "partition-not-acyclic",
+            "side": side,
+            "cycle": list(cycle),
+        }
+        assert out.err == f"plan: the given {side} class contains the cycle {' -> '.join(cycle)}\n"
+
+
+def test_plan_upper_builds_the_collision_graph_once(tmp_path, capsys, monkeypatch):
+    # assign_heights, the one check of a forced split, builds it
+    gpath = gen_ref(tmp_path, capsys)
+    ppath = detect_ref(tmp_path, capsys, gpath)
+    build, builds = plan.build_collision_graph, []
+
+    def spy(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "build_collision_graph", spy)
+    monkeypatch.setattr(plan, "build_collision_graph", spy)
+    for upper, code in (
+        (DIXON1_REF_EDGE_LABELS, 1), (("q0-p0",), 1), ((), 1), (DIXON1_REF_UPPER, 0)
+    ):
+        builds.clear()
+        assert main(["plan", str(gpath), str(ppath), "--upper", ",".join(upper)]) == code
+        capsys.readouterr()
+        assert len(builds) == 1, upper
 
 
 def test_plan_unknown_upper_label_is_usage_error(tmp_path, capsys):

@@ -72,7 +72,7 @@ def test_cli_serves_library_names_and_nothing_else():
     from lmodel import cli, plan
 
     assert cli.exists_arrangement is plan.exists_arrangement
-    assert cli.cyclic_side is plan.cyclic_side
+    assert cli.CyclicGraphError is plan.CyclicGraphError
     assert not hasattr(cli, "__path__")
     with pytest.raises(AttributeError, match="pair_constraints"):
         cli.pair_constraints  # defined in cgraph, but not a library name

@@ -15,7 +15,6 @@ from lmodel.plan import (
     Partition,
     Violation,
     assign_heights,
-    cyclic_side,
     decide_partition,
     dixon1_heights,
     exists_arrangement,
@@ -36,6 +35,7 @@ from synth import (
     HUGE_INT,
     TOO_DEEP,
     brute_force_exists,
+    class_cycles,
     collision_graph,
     dixon1_rule_pairs,
     fake_pairs,
@@ -60,12 +60,12 @@ def ref_partition(ref_dixon1):
 
 
 def test_heights_up_reference_upper_class(ref_cgraph, ref_partition):
-    got = plan._sweep(ref_cgraph, 1, +1, plan._mask(ref_cgraph, ref_partition.upper))
+    got = plan._sweep(ref_cgraph, "upper", ref_partition.upper)
     assert got == {"q0-p0": 1, "q0-p1": 2, "q0-p2": 3, "q0-p3": 4}
 
 
 def test_heights_down_reference_lower_class(ref_cgraph, ref_partition):
-    got = plan._sweep(ref_cgraph, 0, -1, plan._mask(ref_cgraph, ref_partition.lower))
+    got = plan._sweep(ref_cgraph, "lower", ref_partition.lower)
     assert got == {
         "q1-p0": 0, "q1-p1": -1, "q1-p2": -2, "q1-p3": -3,
         "q2-p0": -4, "q2-p1": -5, "q2-p2": -6, "q2-p3": -7,
@@ -74,7 +74,8 @@ def test_heights_down_reference_lower_class(ref_cgraph, ref_partition):
 
 def test_sweep_rejects_cycles(ref_cgraph):
     with pytest.raises(CyclicGraphError) as exc:
-        plan._sweep(ref_cgraph, 1, +1, plan._mask(ref_cgraph, ref_cgraph.nodes))
+        plan._sweep(ref_cgraph, "upper", ref_cgraph.nodes)
+    assert exc.value.side == "upper"
     cyc = exc.value.cycle
     assert cyc[0] == cyc[-1]
     for u, v in zip(cyc, cyc[1:]):
@@ -95,10 +96,9 @@ def test_sweep_heights_respect_arcs(seed):
     arcs = rng.sample(possible, rng.randint(0, len(possible)))
     c = collision_graph(nodes, arcs)
 
-    everything = bytearray([1]) * n
-    up = plan._sweep(c, 1, +1, everything)
+    up = plan._sweep(c, "upper", nodes)
     assert sorted(up.values()) == list(range(1, n + 1))
-    down = plan._sweep(c, 0, -1, everything)
+    down = plan._sweep(c, "lower", nodes)
     assert sorted(down.values()) == list(range(-(n - 1), 1))
     for u, v in c.arcs:
         assert up[u] < up[v]
@@ -121,20 +121,19 @@ def test_make_partition_rejects_unknown_labels(ref_dixon1):
 
 
 def test_partition_validity(ref_cgraph, ref_partition):
-    assert cyclic_side(ref_cgraph, ref_partition) is None
+    assert class_cycles(ref_cgraph, ref_partition) == (None, None)
     everything = Partition(tuple(ref_cgraph.nodes), ())
-    assert cyclic_side(ref_cgraph, everything) is not None
+    assert class_cycles(ref_cgraph, everything)[0] is not None
 
 
 def test_decide_partition_reference(ref_cgraph):
     dec = decide_partition(ref_cgraph)
     assert dec.found
     assert dec.reason is None
-    assert cyclic_side(ref_cgraph, dec.partition) is None
+    assert class_cycles(ref_cgraph, dec.partition) == (None, None)
     # both classes come back in canonical node order
-    idx = ref_cgraph.index
     for side in (dec.partition.upper, dec.partition.lower):
-        assert list(side) == sorted(side, key=idx.__getitem__)
+        assert list(side) == sorted(side, key=ref_cgraph.nodes.index)
 
 
 def test_decide_partition_s2(ref_s2, ref_s2_result):
@@ -195,7 +194,7 @@ def test_decide_partition_expansion_budget(monkeypatch):
     c = collision_graph(nodes, ())
     dec = decide_partition(c)
     assert dec.found
-    assert cyclic_side(c, dec.partition) is None
+    assert class_cycles(c, dec.partition) == (None, None)
     # the same search needs 25 expansions, so a budget of 10 runs out
     monkeypatch.setattr(plan, "SPLIT_SEARCH_BUDGET", 10)
     with pytest.raises(SearchCapError, match="10 expansions"):
@@ -234,10 +233,20 @@ def test_assign_heights_validates_cover(ref_dixon1, ref_dixon1_result):
         assign_heights(ref_dixon1, ref_dixon1_result.pairs, Partition((), ()))
 
 
-def test_assign_heights_rejects_cyclic_side(ref_dixon1, ref_dixon1_result):
-    all_up = Partition(ref_dixon1.edge_labels, ())
-    with pytest.raises(CyclicGraphError):
-        assign_heights(ref_dixon1, ref_dixon1_result.pairs, all_up)
+def test_assign_heights_rejects_cyclic_side(ref_dixon1, ref_dixon1_result, ref_cgraph):
+    # the first cyclic class, upper before lower, with find_cycle's witness on its mask
+    labels = ref_dixon1.edge_labels
+    for split, side in (
+        (Partition(labels, ()), "upper"),
+        (Partition((), labels), "lower"),
+        (make_partition(labels, ["q0-p0"]), "lower"),
+    ):
+        with pytest.raises(CyclicGraphError) as exc:
+            assign_heights(ref_dixon1, ref_dixon1_result.pairs, split)
+        assert exc.value.side == side
+        witness = class_cycles(ref_cgraph, split)[side == "lower"]
+        assert exc.value.cycle == tuple(ref_cgraph.nodes[x] for x in witness)
+        assert str(exc.value) == "graph has a directed cycle: " + " -> ".join(exc.value.cycle)
 
 
 def test_verify_reference_tables(ref_dixon1, ref_dixon1_result, ref_s2, ref_s2_result):
