@@ -12,7 +12,8 @@ from numpy's ``sin`` and ``cos``, whose last bit may differ from one CPU to
 another, so the digest is only comparable on one machine.
 
 ``--bounds`` first checks the rule that lets detection drop pairs: it
-refines every bracket of every pair of every instance, prints per
+refines every bracket of every pair of every instance with the tier-1
+reference ``refine_everything`` (``tests/synth.py``), prints per
 instance how many pairs the coarse and then the fine grid keep, and how
 many of all brackets detection refines, and exits 1 if detection's
 brackets are not exactly all brackets of the pairs the fine grid keeps,
@@ -32,6 +33,7 @@ import math
 import random
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -40,8 +42,10 @@ from lmodel import exprs as E
 from lmodel.collide import DetectionConfig, detect_all
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
 from lmodel.motion import DetectionError, MovingGraph
-from lmodel.numeric import sample_rows
-from lmodel.sampling import grid_minima
+
+# the reference that tests detection's pruning
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from synth import refine_everything  # noqa: E402
 
 
 def _radii(rng, count):
@@ -125,13 +129,6 @@ def outcome(g, cfg):
     return out + "".join(f"\nwarning: {w.message}" for w in caught)
 
 
-def every_bracket(g, roles, ts, failures):
-    """The codes of every sampled minimum of every pair that evaluates on the grid, sorted."""
-    xs, ys, _ = sample_rows(g, range(len(g.vertices)), ts)  # failing rows' pairs are in failures
-    found = np.sort(grid_minima(xs, ys, roles, ts)[1])
-    return found[[k not in failures for k in (found // len(ts)).tolist()]]
-
-
 def check_bounds(g, cfg):
     """(pairs, pairs each grid keeps, brackets, brackets detection refines, faults).
 
@@ -143,10 +140,8 @@ def check_bounds(g, cfg):
     """
     cfg = cfg or DetectionConfig()
     roles = collide._pair_roles(g)
-    ts, failures, found, kept, bounds = collide._grid_stage(g, roles, cfg)
-    every = every_bracket(g, roles, ts, failures)
-    errors = dict(failures)
-    _, minima = collide._refine(g, roles, ts, every, errors)
+    ts, _, found, kept, bounds = collide._grid_stage(g, roles, cfg)
+    _, best, errors, every, minima = refine_everything(g, roles, cfg)
     pair = every // len(ts)
     refined = every[np.isin(pair, kept[-1])]
     counts = roles.shape[1], [len(k) for k in kept], len(every), len(refined)
@@ -155,8 +150,6 @@ def check_bounds(g, cfg):
     # a bracket whose probe left the domain reads NaN, which no bound
     # exceeds, and so does the NaN bound of a pair a grid does not read
     bad = sum(np.count_nonzero(b[pair] > minima) for b in bounds)
-    best = np.full(roles.shape[1], math.inf)
-    np.fmin.at(best, pair, minima)
     dropped = np.ones(roles.shape[1], dtype=bool)
     dropped[kept[-1]] = False
     clear = best[~dropped][best[~dropped] >= cfg.collide_eps].min(initial=math.inf)

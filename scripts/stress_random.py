@@ -17,15 +17,13 @@ structure, found by BFS on its bipartite double cover.  Exits nonzero on
 any mismatch.
 """
 import argparse
-import itertools
 import random
 import sys
 import time
+from pathlib import Path
 
 from lmodel import plan
-from lmodel.cgraph import CollisionGraph, build_collision_graph
-from lmodel.exprs import const
-from lmodel.motion import CollisionPair, MovingGraph, edge_label
+from lmodel.cgraph import build_collision_graph
 from lmodel.plan import (
     assign_heights,
     decide_partition,
@@ -33,89 +31,15 @@ from lmodel.plan import (
     verify_collision_free,
 )
 
-
-def random_instance(rng, max_edges, max_pairs):
-    nv = rng.randint(3, 6)
-    verts = tuple(f"n{i}" for i in range(nv))
-    motion = {v: (const(float(i)), const(0.0)) for i, v in enumerate(verts)}
-    possible = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
-    chosen = rng.sample(possible, rng.randint(1, min(max_edges, len(possible))))
-    g = MovingGraph(verts, tuple((f"n{a}", f"n{b}") for a, b in chosen), motion)
-    cand = [(v, e) for v in g.vertices for e in g.edges if v not in e]
-    k = rng.randint(0, min(len(cand), max_pairs)) if cand else 0
-    pairs = tuple(CollisionPair(v, e, 0.0, 0.0) for v, e in rng.sample(cand, k))
-    return g, pairs
-
-
-def brute_force(g, pairs):
-    labels = g.edge_labels
-    idx = {lab: i for i, lab in enumerate(labels)}
-    cons = [
-        (idx[edge_label(p.edge)], [idx[lab] for lab in g.incident[p.vertex]])
-        for p in pairs
-        if g.incident[p.vertex]
-    ]
-    for perm in itertools.permutations(range(len(labels))):
-        if all(
-            not (min(perm[i] for i in inc) <= perm[t] <= max(perm[i] for i in inc))
-            for t, inc in cons
-        ):
-            return True
-    return False
-
-
-def oriented_graph(rng, n, density):
-    """Each pair of n nodes joined with probability ``density`` by one arc,
-    either way: no two-cycles, so every node is a free choice."""
-    succ = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            if rng.random() < density:
-                if rng.random() < 0.5:
-                    succ[x].append(y)
-                else:
-                    succ[y].append(x)
-    # row r gains its heads below r first, then those above: ascending
-    return CollisionGraph([f"e{i}" for i in range(n)], succ)
-
-
-def brute_force_split(c):
-    n = len(c.nodes)
-    pred = [0] * n  # bit x of pred[y]: an arc x -> y
-    for x, ys in enumerate(c.succ):
-        for y in ys:
-            pred[y] |= 1 << x
-
-    def acyclic(left):
-        """Peel off nodes with no arc in from the rest until none are left."""
-        while left:
-            sources = sum(1 << x for x in range(n) if left >> x & 1 and not pred[x] & left)
-            if not sources:
-                return False
-            left &= ~sources
-        return True
-
-    everything = (1 << n) - 1
-    return any(acyclic(upper) and acyclic(everything & ~upper) for upper in range(1 << n))
-
-
-def odd_girth(partners):
-    """Length of a shortest odd cycle of the undirected graph joining each
-    node x to ``partners[x]``, or None when it has none: the least distance
-    from (s, 0) to (s, 1), over all s, in its bipartite double cover, whose
-    node (x, p) reaches (y, 1 - p) for each y in ``partners[x]``."""
-    best = None
-    for s in range(len(partners)):
-        dist = {(s, 0): 0}
-        queue = [(s, 0)]
-        for x, p in queue:  # grows while it is read
-            for y in partners[x]:
-                if (y, 1 - p) not in dist:
-                    dist[y, 1 - p] = dist[x, p] + 1
-                    queue.append((y, 1 - p))
-        if (s, 1) in dist and (best is None or dist[s, 1] < best):
-            best = dist[s, 1]
-    return best
+# the generators and brute-force references of the tier-1 tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from synth import (  # noqa: E402
+    brute_force_exists,
+    brute_force_split,
+    odd_girth,
+    oriented_graph,
+    random_instance,
+)
 
 
 def plain_backtracking(run):
@@ -154,7 +78,7 @@ def main():
         if witness != plain_backtracking(lambda: exists_arrangement(g, pairs)):
             mismatches += 1
             print(f"MISMATCH trial {k}: plain backtracking finds another witness")
-        want = brute_force(g, pairs)
+        want = brute_force_exists(g, pairs)
         if (witness is not None) != want:
             mismatches += 1
             print(f"MISMATCH trial {k}: exact={witness is not None} brute={want}")

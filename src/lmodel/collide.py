@@ -48,6 +48,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from . import numeric
 from .interval import speed_and_stray
 from .motion import CollisionPair, DetectionError, MovingGraph, edge_label, pair_edge
 from .numeric import eval_position, sample_rows
@@ -184,9 +185,6 @@ def golden_minimize(
 # ---------------------------------------------------------------------------
 # detection
 
-# brackets refined together; bounds the memory that refinement holds at once
-_REFINE_CHUNK = 2048
-
 # The pruning rule's rounding margins.  Speed bounds are computed in floating
 # point, rounded to nearest: the gap's Lipschitz constant is scaled up by
 # _SPEED_SLACK.  A coordinate evaluates to within its rounding bound E of its
@@ -298,8 +296,10 @@ def _refine(
     """
     motion = [g.motion[w] for w in g.vertices]
     t_at, v_at = np.empty((2, len(found)))
-    for s in range(0, len(found), _REFINE_CHUNK):
-        ks, i = np.divmod(found[s : s + _REFINE_CHUNK], len(ts))
+    # detection's one memory budget sizes the batches (lmodel.sampling)
+    chunk = max(1, numeric.GRID_BLOCK // 16)
+    for s in range(0, len(found), chunk):
+        ks, i = np.divmod(found[s : s + chunk], len(ts))
         errors: dict[int, Exception] = {}
         f = bracket_gap(motion, roles[:, ks], ts[i], errors)
         lo = ts[np.maximum(i - 1, 0)]

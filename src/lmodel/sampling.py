@@ -16,9 +16,12 @@ each shape's kernel compiled once per batch
 (:func:`lmodel.numeric.merged_kernel`).  Both give, bit for bit, what
 evaluating pair by pair and vertex by vertex gives.
 
-``lmodel.numeric.GRID_BLOCK`` bounds the memory the grid stage holds
-beyond the grid itself.  A block's distance table
-(:func:`lmodel.numeric.distances`) holds at most ``GRID_BLOCK`` doubles,
+``lmodel.numeric.GRID_BLOCK`` is detection's one memory budget: no
+other constant sizes a table or a batch.  It bounds the memory the grid
+stage holds beyond the grid itself, and refinement advances
+``GRID_BLOCK // 16`` brackets a batch (2048 at the default).  A block's
+distance table (:func:`lmodel.numeric.distances`) holds at most
+``GRID_BLOCK`` doubles,
 and so does a chunk of gaps read off it; with the chunk's temporaries
 and its comparison masks, a few such arrays live at once, so memory grows
 in proportion to ``GRID_BLOCK``, and the number of blocks and chunks that

@@ -1,10 +1,14 @@
-"""Helpers for building small synthetic instances in tests.
+"""Instance generators and brute-force reference oracles, one copy each.
 
-The graphs built here carry static (constant) motions, so any vertex/edge
-pair can be declared a "collision" freely; the planning layer only sees the
-pair list and the incidence structure, never the geometry.
+The tier-1 tests, ``scripts/stress_random.py`` and ``scripts/detect_digest.py``
+all import them from here.  The graphs built here carry static (constant)
+motions, so any vertex/edge pair can be declared a "collision" freely; the
+planning layer only sees the pair list and the incidence structure, never
+the geometry.  Only ``refine_everything`` needs numpy, and imports it when
+called.
 """
 import itertools
+import math
 import sys
 
 import pytest
@@ -76,6 +80,8 @@ def brute_force_exists(g, pairs):
 
 
 def random_instance(rng, max_edges=8, max_pairs=10):
+    """A static graph on 3 to 6 vertices and up to ``max_edges`` edges, with
+    up to ``max_pairs`` random non-incident pairs."""
     nv = rng.randint(3, 6)
     possible = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
     ne = rng.randint(1, min(max_edges, len(possible)))
@@ -84,6 +90,164 @@ def random_instance(rng, max_edges=8, max_pairs=10):
     cand = [(v, e) for v in g.vertices for e in g.edges if v not in e]
     k = rng.randint(0, min(len(cand), max_pairs)) if cand else 0
     return g, fake_pairs(rng.sample(cand, k))
+
+
+def oriented_graph(rng, n, density):
+    """Each pair of n nodes joined with probability ``density`` by one arc,
+    either way: no two-cycles, so every node is a free choice, and dense
+    enough that the split search backtracks."""
+    succ = [[] for _ in range(n)]
+    for x in range(n):
+        for y in range(x + 1, n):
+            if rng.random() < density:
+                if rng.random() < 0.5:
+                    succ[x].append(y)
+                else:
+                    succ[y].append(x)
+    # row r gains its heads below r first, then those above: ascending
+    return CollisionGraph([f"e{i}" for i in range(n)], succ)
+
+
+def brute_force_split(c):
+    """Is there any split of the nodes of c into two acyclic sides?  Tries
+    every split, as bit masks.  Reference oracle, exponential."""
+    n = len(c.nodes)
+    pred = [0] * n  # bit x of pred[y]: an arc x -> y
+    for x, ys in enumerate(c.succ):
+        for y in ys:
+            pred[y] |= 1 << x
+
+    def acyclic(left):
+        """Peel off nodes with no arc in from the rest until none are left."""
+        while left:
+            sources = sum(1 << x for x in range(n) if left >> x & 1 and not pred[x] & left)
+            if not sources:
+                return False
+            left &= ~sources
+        return True
+
+    everything = (1 << n) - 1
+    return any(acyclic(upper) and acyclic(everything & ~upper) for upper in range(1 << n))
+
+
+def odd_girth(partners):
+    """Length of a shortest odd cycle of the undirected graph joining each
+    node x to ``partners[x]``, or None when it has none: the least distance
+    from (s, 0) to (s, 1), over all s, in its bipartite double cover, whose
+    node (x, p) reaches (y, 1 - p) for each y in ``partners[x]``."""
+    best = None
+    for s in range(len(partners)):
+        dist = {(s, 0): 0}
+        queue = [(s, 0)]
+        for x, p in queue:  # grows while it is read
+            for y in partners[x]:
+                if (y, 1 - p) not in dist:
+                    dist[y, 1 - p] = dist[x, p] + 1
+                    queue.append((y, 1 - p))
+        if (s, 1) in dist and (best is None or dist[s, 1] < best):
+            best = dist[s, 1]
+    return best
+
+
+def refine_everything(g, roles, cfg):
+    """Detection's probe with every bracket refined: the reference for pruning.
+
+    Samples every vertex with its own loop over the evaluator, and refines
+    every sampled minimum of every pair that evaluates on the grid.
+    Returns what ``collide._probe`` returns, then the brackets, in code
+    order, and the refined minimum of each.
+    """
+    import numpy as np
+
+    from lmodel import collide, sampling
+    from lmodel.exprs import ExprDomainError
+    from lmodel.numeric import evaluate
+
+    ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
+    motion = [g.motion[w] for w in g.vertices]
+    xs, ys = np.zeros((2, len(motion), len(ts)))
+    grid_err, failures = {}, {}
+    for w in range(len(motion)):
+        try:
+            xs[w], ys[w] = (evaluate(e, ts) for e in motion[w])
+        except ExprDomainError as err:
+            grid_err[w] = err
+    for k, trio in enumerate(roles.T.tolist()):
+        bad = [grid_err[w] for w in trio if w in grid_err]
+        if bad:
+            failures[k] = bad[0]
+    found = np.sort(sampling.grid_minima(xs, ys, roles, ts)[1])
+    found = found[[k not in failures for k in (found // len(ts)).tolist()]]
+    best_t = np.full(roles.shape[1], ts[0])
+    best_v = np.full(roles.shape[1], math.inf)
+    minima = np.empty(len(found))
+    for s in range(0, len(found), 2048):
+        ks, i = np.divmod(found[s : s + 2048], len(ts))
+        errors = {}
+        f = sampling.bracket_gap(motion, roles[:, ks], ts[i], errors)
+        lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
+        t_at, v_at = collide.golden_minimize(f, lo, hi, collide.REFINE_TOL, seeds=(ts[i],))
+        minima[s : s + len(ks)] = v_at
+        for k in sorted(errors):
+            failures.setdefault(int(ks[k]), errors[k])
+        for q in range(len(ks)):
+            if v_at[q] < best_v[ks[q]]:
+                best_t[ks[q]], best_v[ks[q]] = t_at[q], v_at[q]
+    return best_t, best_v, failures, found, minima
+
+
+def two_sat_refutation(edges, pairs):
+    """A shortest proof that no choice of below or above for every pair
+    avoids a two-cycle, or None when the two-cycles alone rule out no
+    choice set.
+
+    Each pair (v, e) is a variable whose two values are the choices of
+    ``exists``: e below every edge f of ``edges`` at v, arcs e -> f, or
+    above them all, arcs f -> e.  Two choices of different pairs conflict
+    when an arc of one and an arc of the other close a directed two-cycle;
+    then the first forces the other pair's other choice.  These
+    implications make the implication graph of Aspvall, Plass & Tarjan
+    (*IPL* 8, 1979): no choice set is left when some choice x reaches its
+    negation and back.  Returns the steps of a shortest closed walk
+    x -> ... -> not x -> ... -> x, each step as (choice, forced choice,
+    the first choice's arc whose reverse the forced pair's other choice
+    holds); a choice is (pair, above) and an arc (lower edge, upper edge).
+    """
+    choices = [(p, above) for p in sorted(pairs) for above in (False, True)]
+    arcs = {
+        ((v, e), above): {(f, e) if above else (e, f) for f in edges if v in f}
+        for (v, e), above in choices
+    }
+    forced = {x: [] for x in choices}
+    for x in choices:
+        for y in choices:
+            closing = sorted((u, w) for u, w in arcs[x] if (w, u) in arcs[y])
+            if x[0] != y[0] and closing:
+                forced[x].append(((y[0], not y[1]), closing[0]))
+
+    def walk(x, z):
+        """The steps of a shortest walk from x to z, or None."""
+        back, queue = {x: None}, [x]
+        for y in queue:  # grows while it is read
+            for w, arc in forced[y]:
+                if w not in back:
+                    back[w] = (y, arc)
+                    queue.append(w)
+        if z not in back:
+            return None
+        steps = []
+        while z != x:
+            y, arc = back[z]
+            steps.append((y, z, arc))
+            z = y
+        return steps[::-1]
+
+    best = None
+    for x in choices:
+        there, back = walk(x, (x[0], not x[1])), walk((x[0], not x[1]), x)
+        if there and back and (best is None or len(there) + len(back) < len(best)):
+            best = there + back
+    return best
 
 
 def dixon1_rule_pairs(p):

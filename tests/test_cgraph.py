@@ -1,5 +1,4 @@
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +24,11 @@ from expected import (
     S2_TRIANGLE,
 )
 from synth import (
+    brute_force_split,
     class_cycles,
     collision_graph,
     fake_pairs,
+    odd_girth,
     random_partners,
     static_graph,
     two_colour_reference,
@@ -229,16 +230,6 @@ def kahn_is_acyclic(c):
     return seen == len(c.nodes)
 
 
-def brute_force_split(c):
-    """Is there any split of the nodes into two acyclic sides?"""
-    for mask in range(2 ** len(c.nodes)):
-        up = [n for k, n in enumerate(c.nodes) if mask >> k & 1]
-        lo = [n for n in c.nodes if n not in up]
-        if kahn_is_acyclic(induced(c, up)) and kahn_is_acyclic(induced(c, lo)):
-            return True
-    return False
-
-
 def random_digraph(seed):
     rng = random.Random(seed)
     n = rng.randint(1, 7)
@@ -341,32 +332,13 @@ def test_multi_edged_captures_exactly_the_two_cycles(seed):
     assert c.two_cycles == sorted((x, y) for x, y in want if x < y)
 
 
-def shortest_odd_closed_walk(partners):
-    """Reference: the length of a shortest odd closed walk on the two-cycle
-    structure, by BFS over (node, parity) states from every node; None if
-    there is none."""
-    best = None
-    for s in range(len(partners)):
-        dist = {(s, 0): 0}
-        queue = deque([(s, 0)])
-        while queue:
-            x, parity = queue.popleft()
-            for y in partners[x]:
-                if (y, 1 - parity) not in dist:
-                    dist[y, 1 - parity] = dist[x, parity] + 1
-                    queue.append((y, 1 - parity))
-        if (s, 1) in dist and (best is None or dist[s, 1] < best):
-            best = dist[s, 1]
-    return best
-
-
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=200)
 def test_two_colour_matches_parity_reference(seed):
     c = random_digraph(seed)
     partners = c.partners
     components, cyc = two_colour(partners)
-    shortest = shortest_odd_closed_walk(partners)
+    shortest = odd_girth(partners)
     assert (components is None) == (shortest is not None)
     if components is not None:
         colour, home = {}, {}

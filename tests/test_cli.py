@@ -300,6 +300,53 @@ def test_detect_interval_override_warns(tmp_path, capsys):
     assert got == set(DIXON1_REF_PAIRS) - {("p0", ("q0", "p2"))}
 
 
+def _detect_static(tmp_path, capsys, motion, edges):
+    """Run detect on a graph whose coordinates are the expression texts of
+    ``motion``; (exit code, stdout, stderr lines)."""
+    g = MovingGraph(
+        tuple(motion),
+        edges,
+        {v: tuple(E.parse_expression(c) for c in xy) for v, xy in motion.items()},
+    )
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(save_graph(g))
+    code = main(["detect", str(gpath)])
+    out = capsys.readouterr()
+    return code, out.out, out.err.splitlines()
+
+
+def test_detect_warns_of_a_motion_that_does_not_return(tmp_path, capsys):
+    code, out, err = _detect_static(
+        tmp_path, capsys, {"a": ("t", "1"), "b": ("2", "0"), "c": ("3", "0")}, (("b", "c"),)
+    )
+    assert code == 0
+    assert json.loads(out)["pairs"] == []
+    assert err[0] == (
+        "detect: warning: motion of 'a' does not return to its start over "
+        "[0, 6.2831853071795862]; collisions outside this window are not seen"
+    )
+    assert err[1].startswith("detect: 1 pairs probed, 0 collisions, ")
+    assert err[2].startswith("detect: clear margin ")
+    assert len(err) == 3
+
+
+def test_detect_leaves_a_vertex_undefined_at_an_end_to_detection(tmp_path, capsys):
+    # sqrt(t-1) fails at t=0: detection reports the pair it spoils, and the
+    # periodicity check, which comes after, never evaluates a there
+    motion = {"a": ("sqrt(t-1)", "0"), "b": ("0", "1"), "c": ("1", "1")}
+    code, out, err = _detect_static(tmp_path, capsys, motion, (("b", "c"),))
+    assert code == 2
+    assert out == ""
+    assert len(err) == 1
+    assert err[0].startswith("error: 1 pair(s) undecidable: (a, b-c): ")
+    # on no pair, a is never probed, and it is not a fault either
+    code, out, err = _detect_static(tmp_path, capsys, {"a": motion["a"]}, ())
+    assert code == 0
+    assert json.loads(out)["pairs"] == []
+    assert err[0].startswith("detect: 0 pairs probed, 0 collisions, ")
+    assert "warning" not in " ".join(err)
+
+
 def test_detect_flags_ambiguous_band(tmp_path, capsys):
     g = MovingGraph(
         ("s0", "s1", "v"),

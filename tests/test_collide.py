@@ -29,7 +29,6 @@ from lmodel.motion import (
     pairs_from_json,
     pairs_to_json,
 )
-from lmodel.numeric import evaluate
 from lmodel.sampling import grid_minima, slack
 
 from expected import DIXON1_REF_PAIRS, DIXON1_REF_WITNESS, S2_PAIRS
@@ -39,6 +38,7 @@ from synth import (
     dixon2_partner_pairs,
     needs_digit_limit,
     random_dixon1_params,
+    refine_everything,
 )
 
 HALF_PI = math.pi / 2
@@ -320,7 +320,8 @@ def test_detection_does_not_depend_on_the_block_size(
 def test_one_budget_sets_validation_chunks_and_grid_blocks(monkeypatch, ref_dixon1):
     # both users of the distance kernel read numeric.GRID_BLOCK: at 1,
     # validation takes one edge per table, and the grid stage one sample per
-    # block, with one neighbour on each side
+    # block, with one neighbour on each side; refinement takes GRID_BLOCK // 16
+    # brackets a batch, and at least one
     shapes, kernel = [], numeric.distances
 
     def spy(*args):
@@ -337,6 +338,21 @@ def test_one_budget_sets_validation_chunks_and_grid_blocks(monkeypatch, ref_dixo
     xs = np.arange(15.0).reshape(3, 5)
     grid_minima(xs, -xs, np.array([[0], [1], [2]]), np.arange(5.0))
     assert shapes == [(3, 2), (3, 3), (3, 3), (3, 3), (3, 2)]
+    widths, batch = [], collide.bracket_gap
+
+    def spy_batch(motion, roles, seed, errors):
+        widths.append(roles.shape[1])
+        return batch(motion, roles, seed, errors)
+
+    monkeypatch.setattr(collide, "bracket_gap", spy_batch)
+    roles = collide._pair_roles(ref_dixon1)
+    ts = np.linspace(*ref_dixon1.domain, 64)
+    found = np.arange(2049)  # every sample of the first 32 pairs, and one more
+    for block, want in ((1, [1] * 5), (32, [2, 2, 1]), (1 << 15, [2048, 1])):
+        monkeypatch.setattr(numeric, "GRID_BLOCK", block)
+        widths.clear()
+        collide._refine(ref_dixon1, roles, ts, found[: sum(want)], {})
+        assert widths == want
 
 
 # ---------------------------------------------------------------------------
@@ -577,45 +593,6 @@ def test_refinement_error_in_a_merged_shape():
 
 # ---------------------------------------------------------------------------
 # refining only the brackets that can matter
-
-
-def refine_everything(g, roles, cfg):
-    """Detection's probe with every bracket refined: the reference for pruning.
-
-    Returns what ``collide._probe`` returns, then the brackets, in code
-    order, and the refined minimum of each.
-    """
-    ts = np.linspace(g.domain[0], g.domain[1], cfg.samples)
-    motion = [g.motion[w] for w in g.vertices]
-    xs, ys = np.zeros((2, len(motion), len(ts)))
-    grid_err, failures = {}, {}
-    for w in range(len(motion)):
-        try:
-            xs[w], ys[w] = (evaluate(e, ts) for e in motion[w])
-        except E.ExprDomainError as err:
-            grid_err[w] = err
-    for k, trio in enumerate(roles.T.tolist()):
-        bad = [grid_err[w] for w in trio if w in grid_err]
-        if bad:
-            failures[k] = bad[0]
-    found = np.sort(grid_minima(xs, ys, roles, ts)[1])
-    found = found[[k not in failures for k in (found // len(ts)).tolist()]]
-    best_t = np.full(roles.shape[1], ts[0])
-    best_v = np.full(roles.shape[1], math.inf)
-    minima = np.empty(len(found))
-    for s in range(0, len(found), 2048):
-        ks, i = np.divmod(found[s : s + 2048], len(ts))
-        errors = {}
-        f = sampling.bracket_gap(motion, roles[:, ks], ts[i], errors)
-        lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
-        t_at, v_at = golden_minimize(f, lo, hi, collide.REFINE_TOL, seeds=(ts[i],))
-        minima[s : s + len(ks)] = v_at
-        for k in sorted(errors):
-            failures.setdefault(int(ks[k]), errors[k])
-        for q in range(len(ks)):
-            if v_at[q] < best_v[ks[q]]:
-                best_t[ks[q]], best_v[ks[q]] = t_at[q], v_at[q]
-    return best_t, best_v, failures, found, minima
 
 
 def outcome(g, cfg=None):

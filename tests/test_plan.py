@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmodel import plan
-from lmodel.cgraph import CollisionGraph, build_collision_graph
-from lmodel.families import Dixon1Params, dixon1
+from lmodel.cgraph import build_collision_graph
+from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2
 from lmodel.motion import CollisionPair, GraphFormatError, SearchCapError
 from lmodel.plan import (
     CyclicGraphError,
@@ -27,6 +27,7 @@ from lmodel.plan import (
 from expected import (
     DIXON1_43_CLOSED_FORM,
     DIXON1_REF_HEIGHTS,
+    DIXON1_REF_PAIRS,
     DIXON1_REF_UPPER,
     S2_HEIGHTS,
     S2_TRIANGLE,
@@ -38,10 +39,13 @@ from synth import (
     class_cycles,
     collision_graph,
     dixon1_rule_pairs,
+    dixon2_partner_pairs,
     fake_pairs,
     needs_digit_limit,
+    oriented_graph,
     random_instance,
     static_graph,
+    two_sat_refutation,
 )
 
 
@@ -443,26 +447,11 @@ def _mid_size_instance(rng, size):
     return g, fake_pairs(rng.sample(cand, round(size * rng.uniform(1.2, 1.5))))
 
 
-def _oriented_graph(rng, n, density):
-    """Each pair of n nodes joined with probability ``density`` by one arc,
-    either way: no two-cycles, and dense enough that the split search backtracks."""
-    succ = [[] for _ in range(n)]
-    for x in range(n):
-        for y in range(x + 1, n):
-            if rng.random() < density:
-                if rng.random() < 0.5:
-                    succ[x].append(y)
-                else:
-                    succ[y].append(x)
-    # row r gains its heads below r first, then those above: ascending
-    return CollisionGraph([f"e{i}" for i in range(n)], succ)
-
-
 def test_backjumping_gives_the_answers_of_plain_backtracking(monkeypatch):
     rng = random.Random(23)
     instances = [random_instance(rng) for _ in range(300)]
     instances += [_mid_size_instance(rng, rng.randint(20, 40)) for _ in range(20)]
-    graphs = [_oriented_graph(rng, rng.randint(10, 14), 0.6) for _ in range(100)]
+    graphs = [oriented_graph(rng, rng.randint(10, 14), 0.6) for _ in range(100)]
     graphs += [build_collision_graph(g, pairs) for g, pairs in instances]
     real = plan._search
 
@@ -598,6 +587,40 @@ def test_dixon1_heights_verify_on_the_all_equal_set():
         p = axis_params(m, n)
         pairs = fake_pairs(sorted(dixon1_rule_pairs(p)))
         assert verify_collision_free(dixon1(p), pairs, dixon1_heights(m, n)).ok, (m, n)
+
+
+# The Dixon-2 theorem as a certificate: no arrangement exists for any
+# parameters.  The crossing rule has no parameters: the same 24 pairs on the
+# same K(4,4) whenever b > a and d > a.  ``exists`` loses nothing by putting
+# each pair's edge below or above every edge at its vertex, and a 2-SAT
+# refutation from those choices' two-cycles alone rules every choice set
+# out, so it proves the NO for every parameter choice.  Detection matching
+# the rule is checked on sampled parameters only (acceptance criterion 4).
+
+
+def test_dixon2_no_rests_on_a_six_pair_refutation(ref_dixon1):
+    edges = [(str(i), str(j)) for i in range(1, 5) for j in range(5, 9)]
+    assert dixon2(Dixon2Params(1.0, 2.0, 3.0)).edges == tuple(edges)
+    pairs = dixon2_partner_pairs()
+    steps = two_sat_refutation(edges, pairs)
+
+    def arcs(pair, above):
+        """(lower, upper) edges: the pair's edge below or above every edge at its vertex."""
+        v, e = pair
+        return {(f, e) if above else (e, f) for f in edges if v in f}
+
+    x = steps[0][0]
+    assert (x[0], not x[1]) in [z for _, z, _ in steps[:-1]]
+    for (y, z, (lower, upper)), after in zip(steps, steps[1:] + steps[:1]):
+        assert y[0] in pairs and z[0] in pairs and y[0] != z[0]
+        assert after[0] == z  # the steps close a walk x -> ... -> not x -> ... -> x
+        # choice y and the other choice of z's pair close a two-cycle, so y forces z
+        assert (lower, upper) in arcs(*y)
+        assert (upper, lower) in arcs(z[0], not z[1])
+    assert len({y[0] for y, _, _ in steps}) == 6
+    assert len(steps) == 12
+    # the pairs of a YES instance have no refutation
+    assert two_sat_refutation(ref_dixon1.edges, DIXON1_REF_PAIRS) is None
 
 
 # ---------------------------------------------------------------------------
