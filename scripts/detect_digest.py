@@ -11,15 +11,15 @@ margins, probe counts, warnings and ``DetectionError`` failure lists.
 from numpy's ``sin`` and ``cos``, whose last bit may differ from one CPU to
 another, so the digest is only comparable on one machine.
 
-``--bounds`` first checks the rule that lets detection drop pairs: it
-refines every bracket of every pair of every instance with the tier-1
-reference ``refine_everything`` (``tests/synth.py``), prints per
-instance how many pairs the coarse and then the fine grid keep, and how
-many of all brackets detection refines, and exits 1 if detection's
-brackets are not exactly all brackets of the pairs the fine grid keeps,
-if a pair's bound on either grid exceeds one of its refined minima, or if
-a dropped pair refines below ten times eps or below the clear margin of
-the kept pairs.  Those are inequalities, so they hold on every CPU.
+``--bounds`` first checks the rule that lets detection drop pairs: with
+``check_bounds`` (``tests/synth.py``) it refines every bracket of every
+pair of every instance with the tier-1 reference ``refine_everything``,
+prints per instance how many pairs the coarse and then the fine grid keep,
+and how many of all brackets detection refines, and exits 1 if detection's
+brackets are not exactly all brackets of the pairs the fine grid keeps, if
+a pair's bound on either grid exceeds one of its refined minima, or if a
+dropped pair refines below ten times eps or below the clear margin of the
+kept pairs.  Those are inequalities, so they hold on every CPU.
 
 The corpus: three seeded detect ladders (dixon1 K(10,10) and K(14,14) and a
 dixon2), s2, dixon2(1,2,3), the README K(4,3) at the default and at a dense
@@ -32,20 +32,18 @@ import hashlib
 import math
 import random
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from lmodel import collide
 from lmodel import exprs as E
-from lmodel.collide import DetectionConfig, detect_all
+from lmodel.collide import DetectionConfig
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
-from lmodel.motion import DetectionError, MovingGraph
+from lmodel.motion import MovingGraph
 
-# the reference that tests detection's pruning
+# the outcome text and the pruning checker of the tier-1 tests
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from synth import refine_everything  # noqa: E402
+from synth import check_bounds, outcome  # noqa: E402
 
 
 def _radii(rng, count):
@@ -116,46 +114,6 @@ def corpus():
     yield "ambiguity-band", _static(
         ("s0", "s1", "v"), (("s0", "s1"),), (("-1", "0"), ("1", "0"), ("0", "0.00071"))
     ), None
-
-
-def outcome(g, cfg):
-    """The exact text of what detect_all returns, warns and raises."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            out = repr(detect_all(g, cfg))
-        except DetectionError as err:
-            out = repr([(v, e, repr(x), str(x), getattr(x, "t", None)) for v, e, x in err.failures])
-    return out + "".join(f"\nwarning: {w.message}" for w in caught)
-
-
-def check_bounds(g, cfg):
-    """(pairs, pairs each grid keeps, brackets, brackets detection refines, faults).
-
-    A fault is a bracket detection returns that is not one of a kept pair,
-    or one of a kept pair that it does not return; a pair's bound on either
-    grid above one of its refined minima; or a dropped pair that refines
-    below ten times eps or below the clear margin of the kept pairs, or
-    whose refinement leaves the domain.
-    """
-    cfg = cfg or DetectionConfig()
-    roles = collide._pair_roles(g)
-    ts, _, found, kept, bounds = collide._grid_stage(g, roles, cfg)
-    _, best, errors, every, minima = refine_everything(g, roles, cfg)
-    pair = every // len(ts)
-    refined = every[np.isin(pair, kept[-1])]
-    counts = roles.shape[1], [len(k) for k in kept], len(every), len(refined)
-    if np.sort(found).tolist() != refined.tolist():
-        return (*counts, 1)
-    # a bracket whose probe left the domain reads NaN, which no bound
-    # exceeds, and so does the NaN bound of a pair a grid does not read
-    bad = sum(np.count_nonzero(b[pair] > minima) for b in bounds)
-    dropped = np.ones(roles.shape[1], dtype=bool)
-    dropped[kept[-1]] = False
-    clear = best[~dropped][best[~dropped] >= cfg.collide_eps].min(initial=math.inf)
-    bad += np.count_nonzero(best[dropped] < max(collide.AMBIGUITY_FACTOR * cfg.collide_eps, clear))
-    bad += sum(bool(dropped[k]) for k in errors)
-    return (*counts, int(bad))
 
 
 def main():

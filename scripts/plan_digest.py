@@ -22,12 +22,12 @@ import argparse
 import hashlib
 import random
 import sys
+from pathlib import Path
 
 from lmodel.cgraph import build_collision_graph
 from lmodel.collide import detect_all
-from lmodel.exprs import const
 from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2, s2
-from lmodel.motion import CollisionPair, MovingGraph, SearchCapError
+from lmodel.motion import SearchCapError
 from lmodel.plan import (
     CyclicGraphError,
     Partition,
@@ -37,22 +37,18 @@ from lmodel.plan import (
     verify_collision_free,
 )
 
-
-def _default_dixon1(m, n):
-    a, b = tuple(map(float, range(1, m))), tuple(map(float, range(1, n)))
-    return dixon1(Dixon1Params(m, n, a, b, (1,) * (m - 1), (1,) * (n - 1)))
+# the instance generators of the tier-1 tests
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from synth import axis_params, fake_pairs, static_graph  # noqa: E402
 
 
 def _static(rng, n_edges, pair_factor):
     """A static graph with ``n_edges`` random edges and random declared pairs."""
     nv = max(4, int(n_edges**0.5 * 2))
-    verts = tuple(f"n{i}" for i in range(nv))
-    motion = {v: (const(float(i)), const(0.0)) for i, v in enumerate(verts)}
-    possible = [(verts[a], verts[b]) for a in range(nv) for b in range(a + 1, nv)]
-    g = MovingGraph(verts, tuple(rng.sample(possible, n_edges)), motion)
+    possible = [(f"n{a}", f"n{b}") for a in range(nv) for b in range(a + 1, nv)]
+    g = static_graph(nv, rng.sample(possible, n_edges))
     cand = [(v, e) for v in g.vertices for e in g.edges if v not in e]
-    chosen = rng.sample(cand, min(len(cand), int(n_edges * pair_factor)))
-    return g, tuple(CollisionPair(v, e, 0.0, 0.0) for v, e in chosen)
+    return g, fake_pairs(rng.sample(cand, min(len(cand), int(n_edges * pair_factor))))
 
 
 def corpus():
@@ -62,8 +58,8 @@ def corpus():
         ("readme-4x3", readme),
         ("s2", s2()),
         ("dixon2-1-2-3", dixon2(Dixon2Params(1.0, 2.0, 3.0))),
-        ("dixon1-6x6", _default_dixon1(6, 6)),
-        ("dixon1-10x10", _default_dixon1(10, 10)),
+        ("dixon1-6x6", dixon1(axis_params(6, 6))),
+        ("dixon1-10x10", dixon1(axis_params(10, 10))),
     ):
         yield name, g, detect_all(g).pairs
     rng = random.Random(5)

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Randomized stress run for the planning layer.
 
-Builds random synthetic instances (static graphs with freely declared
-collision pairs) and checks the exact decision against brute-force
+Builds random synthetic instances (static graphs of up to 7 edges with up
+to 10 freely declared collision pairs) and checks the exact decision against brute-force
 enumeration of all height orders.  Where the bipartition route finds a
 split, the swept heights must verify; where it finds none ("exhausted" or
 "not-bipartite"), brute-force enumeration of all splits must find none
@@ -64,8 +64,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-edges", type=int, default=7)
-    ap.add_argument("--max-pairs", type=int, default=10)
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
@@ -73,7 +71,7 @@ def main():
     t0 = time.perf_counter()
     solvable = splits = odd = mismatches = 0
     for k in range(args.trials):
-        g, pairs = random_instance(rng, args.max_edges, args.max_pairs)
+        g, pairs = random_instance(rng, max_edges=7, max_pairs=10)
         witness = exists_arrangement(g, pairs)
         if witness != plain_backtracking(lambda: exists_arrangement(g, pairs)):
             mismatches += 1

@@ -194,7 +194,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _warn_if_not_periodic(g: MovingGraph, tol: float = 1e-9) -> None:
+def _warn_if_not_periodic(g: MovingGraph) -> None:
     """Warn about the first vertex that ends the domain away from its start.
 
     Runs after detection, whose grid holds both ends: a vertex that fails
@@ -209,7 +209,7 @@ def _warn_if_not_periodic(g: MovingGraph, tol: float = 1e-9) -> None:
             x1, y1 = eval_position(g, v, t1)
         except ExprDomainError:
             continue
-        if abs(x0 - x1) > tol or abs(y0 - y1) > tol:
+        if abs(x0 - x1) > 1e-9 or abs(y0 - y1) > 1e-9:
             _say(
                 f"detect: warning: motion of {v!r} does not return to its start over "
                 f"[{t0:.17g}, {t1:.17g}]; collisions outside this window are not seen"

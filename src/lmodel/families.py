@@ -111,22 +111,29 @@ def dixon1(p: Dixon1Params) -> MovingGraph:
     return MovingGraph(tuple(vertices), edges, motion)
 
 
+def _bar_lengths(a: float, b: float, name: str, x: float) -> tuple[float, float, float]:
+    """The lengths a, b and x (called ``name``) of a bar linkage as floats:
+    each finite, 0 < a < b, a < x, and b*b and x*x finite.  a < b, so a*a
+    and 3*a fit whenever b*b does."""
+    a, b, x = _finite("a", a), _finite("b", b), _finite(name, x)
+    if not a > 0:
+        raise ValueError("a must be positive")
+    if not b > a:
+        raise ValueError("b must exceed a")
+    if not x > a:
+        raise ValueError(f"{name} must exceed a")
+    _finite(f"b*b (b = {b!r})", b * b)
+    _finite(f"{name}*{name} ({name} = {x!r})", x * x)
+    return a, b, x
+
+
 class Dixon2Params(namedtuple("Dixon2Params", "a b d")):
     """K_{4,4} instance with edge lengths a, b, c, d; c is derived."""
 
     __slots__ = ()
 
     def __new__(cls, a: float, b: float, d: float):
-        self = super().__new__(cls, _finite("a", a), _finite("b", b), _finite("d", d))
-        if not self.a > 0:
-            raise ValueError("a must be positive")
-        if not self.b > self.a:
-            raise ValueError("b must exceed a")
-        if not self.d > self.a:
-            raise ValueError("d must exceed a")
-        # a < b and a < d, so a*a fits whenever these do
-        _finite(f"b*b (b = {self.b!r})", self.b * self.b)
-        _finite(f"d*d (d = {self.d!r})", self.d * self.d)
+        self = super().__new__(cls, *_bar_lengths(a, b, "d", d))
         _finite(f"c (b = {self.b!r}, d = {self.d!r})", self.c)
         return self
 
@@ -164,17 +171,7 @@ class S2Params(namedtuple("S2Params", "a b c")):
     __slots__ = ()
 
     def __new__(cls, a: float = 1.0, b: float = 11.0 / 5.0, c: float = 1.5):
-        self = super().__new__(cls, _finite("a", a), _finite("b", b), _finite("c", c))
-        if not self.a > 0:
-            raise ValueError("a must be positive")
-        if not self.b > self.a:
-            raise ValueError("b must exceed a")
-        if not self.c > self.a:
-            raise ValueError("c must exceed a")
-        # a < b, so a*a and 3*a fit whenever b*b does
-        _finite(f"b*b (b = {self.b!r})", self.b * self.b)
-        _finite(f"c*c (c = {self.c!r})", self.c * self.c)
-        return self
+        return super().__new__(cls, *_bar_lengths(a, b, "c", c))
 
 
 S2_EDGES = (

@@ -1,20 +1,33 @@
-"""Instance generators and brute-force reference oracles, one copy each.
+"""Instance generators, reference oracles and checkers, one copy each.
 
-The tier-1 tests, ``scripts/stress_random.py`` and ``scripts/detect_digest.py``
-all import them from here.  The graphs built here carry static (constant)
-motions, so any vertex/edge pair can be declared a "collision" freely; the
-planning layer only sees the pair list and the incidence structure, never
-the geometry.  Only ``refine_everything`` needs numpy, and imports it when
-called.
+The tier-1 tests and the scripts ``stress_random.py``, ``plan_digest.py``
+and ``detect_digest.py`` import them from here: instance generators
+(static graphs with declared pairs, collision graphs, dixon1 parameters),
+brute-force references (``brute_force_exists``, ``brute_force_split``,
+``odd_girth``, ``two_colour_reference``, ``two_sat_refutation`` and
+``refine_everything``), the families' predicted crossing sets, the
+detection checkers ``outcome`` and ``check_bounds``, and ``run_python``,
+which runs a fresh interpreter with lmodel importable.
+
+The graphs built here carry static (constant) motions, so any vertex/edge
+pair can be declared a "collision" freely; the planning layer only sees the
+pair list and the incidence structure, never the geometry.  Only
+``refine_everything``, ``outcome`` and ``check_bounds`` need numpy, and
+import it when called.
 """
 import itertools
 import math
+import os
+import subprocess
 import sys
+import warnings
 
 import pytest
 
+import lmodel
 from lmodel.cgraph import CollisionGraph, find_cycle
 from lmodel.exprs import const
+from lmodel.families import Dixon1Params
 from lmodel.motion import CollisionPair, MovingGraph, edge_label
 
 # the most digits int() reads from a string here; 0 where it has no limit
@@ -196,6 +209,63 @@ def refine_everything(g, roles, cfg):
     return best_t, best_v, failures, found, minima
 
 
+def outcome(g, cfg=None):
+    """The exact text of what ``detect_all`` returns, warns and raises."""
+    from lmodel.collide import detect_all
+    from lmodel.motion import DetectionError
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr(detect_all(g, cfg))
+        except DetectionError as err:
+            out = repr([(v, e, repr(x), str(x), getattr(x, "t", None)) for v, e, x in err.failures])
+    return out + "".join(f"\nwarning: {w.message}" for w in caught)
+
+
+def check_bounds(g, cfg=None):
+    """(pairs, pairs each grid keeps, brackets, brackets detection refines, faults).
+
+    A fault is a bracket detection returns that is not one of a kept pair,
+    or one of a kept pair that it does not return; a pair's bound on either
+    grid above one of its refined minima; or a dropped pair that refines
+    below ten times eps or below the clear margin of the kept pairs, or
+    whose refinement leaves the domain.
+    """
+    import numpy as np
+
+    from lmodel import collide
+
+    cfg = cfg or collide.DetectionConfig()
+    roles = collide._pair_roles(g)
+    ts, _, found, kept, bounds = collide._grid_stage(g, roles, cfg)
+    _, best, errors, every, minima = refine_everything(g, roles, cfg)
+    pair = every // len(ts)
+    refined = every[np.isin(pair, kept[-1])]
+    counts = roles.shape[1], [len(k) for k in kept], len(every), len(refined)
+    if np.sort(found).tolist() != refined.tolist():
+        return (*counts, 1)
+    # a bracket whose probe left the domain reads NaN, which no bound
+    # exceeds, and so does the NaN bound of a pair a grid does not read
+    bad = sum(np.count_nonzero(b[pair] > minima) for b in bounds)
+    dropped = np.ones(roles.shape[1], dtype=bool)
+    dropped[kept[-1]] = False
+    clear = best[~dropped][best[~dropped] >= cfg.collide_eps].min(initial=math.inf)
+    bad += np.count_nonzero(best[dropped] < max(collide.AMBIGUITY_FACTOR * cfg.collide_eps, clear))
+    bad += sum(bool(dropped[k]) for k in errors)
+    return (*counts, int(bad))
+
+
+def run_python(*argv, cwd=None):
+    """``python *argv`` run to its end in a fresh interpreter with lmodel's
+    source on PYTHONPATH; its output as text."""
+    src = os.path.dirname(os.path.dirname(lmodel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120, env=env, cwd=cwd
+    )
+
+
 def two_sat_refutation(edges, pairs):
     """A shortest proof that no choice of below or above for every pair
     avoids a two-cycle, or None when the two-cycles alone rule out no
@@ -273,6 +343,11 @@ def dixon1_rule_pairs(p):
     return out
 
 
+def axis_params(m, n, sx=None, sy=None):
+    """K(m, n) with radii 1, 2, ...; every sign + unless given."""
+    return Dixon1Params(m, n, range(1, m), range(1, n), sx or [1] * (m - 1), sy or [1] * (n - 1))
+
+
 # sign patterns of the two four-vertex orbits, by vertex number mod 4
 _D2_PATTERN = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
 
@@ -307,8 +382,6 @@ def dixon2_expected_length(p, i, j):
 
 
 def random_dixon1_params(rng):
-    from lmodel.families import Dixon1Params
-
     m = rng.randint(2, 5)
     n = rng.randint(2, 5)
     a, cur = [], 0.0

@@ -1,15 +1,11 @@
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import lmodel
 from lmodel import cli, plan
 from lmodel import exprs as E
 from lmodel.cli import main
-from lmodel.families import Dixon1Params, dixon1
+from lmodel.families import dixon1
 from lmodel.motion import MovingGraph, load_graph, pairs_from_json, pairs_to_json, save_graph
 from lmodel.plan import (
     CyclicGraphError,
@@ -26,7 +22,7 @@ from expected import (
     DIXON1_REF_UPPER,
     S2_TRIANGLE,
 )
-from synth import TOO_DEEP, dixon1_rule_pairs, fake_pairs
+from synth import TOO_DEEP, axis_params, dixon1_rule_pairs, fake_pairs, run_python
 
 REF_ARGS = [
     "generate", "--family", "dixon1", "--m", "4", "--n", "3",
@@ -114,7 +110,7 @@ def test_plan_splits_default_dixon1(k, tmp_path, capsys):
     gpath, ppath, hpath = (tmp_path / f for f in ("graph.json", "pairs.json", "heights.json"))
     assert main(["generate", "--family", "dixon1", "--m", str(k), "--n", str(k),
                  "--out", str(gpath)]) == 0
-    p = Dixon1Params(k, k, range(1, k), range(1, k), [1] * (k - 1), [1] * (k - 1))
+    p = axis_params(k, k)
     ppath.write_text(pairs_to_json(fake_pairs(sorted(dixon1_rule_pairs(p))), str(gpath)))
     assert main(["plan", str(gpath), str(ppath), "--out", str(hpath)]) == 0
     assert main(["verify", str(gpath), str(ppath), str(hpath)]) == 0
@@ -124,7 +120,7 @@ def test_plan_splits_default_dixon1(k, tmp_path, capsys):
 def test_plan_and_exists_solve_default_dixon1_40x40(tmp_path, capsys):
     # 1560 pairs: both searches once ended in a RecursionError and exit 1
     gpath, ppath, hpath = (tmp_path / f for f in ("graph.json", "pairs.json", "heights.json"))
-    p = Dixon1Params(40, 40, range(1, 40), range(1, 40), [1] * 39, [1] * 39)
+    p = axis_params(40, 40)
     gpath.write_text(save_graph(dixon1(p)))
     ppath.write_text(pairs_to_json(fake_pairs(sorted(dixon1_rule_pairs(p))), str(gpath)))
     assert main(["plan", str(gpath), str(ppath), "--out", str(hpath)]) == 0
@@ -637,13 +633,9 @@ def test_no_arguments_is_usage_error(capsys):
 
 
 def test_module_entry_point_smoke():
-    proc = subprocess.run(
-        [sys.executable, "-m", "lmodel", "--help"],
-        capture_output=True,
-        timeout=60,
-    )
+    proc = run_python("-m", "lmodel", "--help")
     assert proc.returncode == 0
-    assert b"usage" in proc.stdout.lower()
+    assert "usage" in proc.stdout.lower()
 
 
 @pytest.mark.parametrize(
@@ -693,7 +685,7 @@ def test_non_finite_family_constant_is_usage_error(args, want, tmp_path, capsys)
 
 def test_exists_past_its_budget_is_usage_error(tmp_path, capsys, monkeypatch):
     gpath, ppath = tmp_path / "graph.json", tmp_path / "pairs.json"
-    p = Dixon1Params(6, 5, range(1, 6), range(1, 5), [1] * 5, [1] * 4)  # 30 edges
+    p = axis_params(6, 5)  # 30 edges
     gpath.write_text(save_graph(dixon1(p)))
     ppath.write_text(pairs_to_json(fake_pairs(sorted(dixon1_rule_pairs(p))), str(gpath)))
     monkeypatch.setattr(plan, "EXACT_SEARCH_BUDGET", 10)
@@ -738,15 +730,6 @@ def test_commands_call_the_names_bound_on_cli(tmp_path, capsys, monkeypatch):
     assert set(calls) == set(TRACED)
 
 
-def run_child(code, *args, cwd):
-    """Run ``code`` in a fresh interpreter with lmodel importable."""
-    src = os.path.dirname(os.path.dirname(lmodel.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, timeout=120, env=env, cwd=cwd
-    )
-
-
 def test_planning_commands_never_import_numpy(tmp_path, capsys):
     gpath = gen_ref(tmp_path, capsys)
     ppath = detect_ref(tmp_path, capsys, gpath)
@@ -774,8 +757,8 @@ def test_planning_commands_never_import_numpy(tmp_path, capsys):
         " ('numpy', 'lmodel'))])\n"
         "print(json.dumps(seen))\n"
     )
-    proc = run_child(child, json.dumps(runs), cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr.decode()
+    proc = run_python("-c", child, json.dumps(runs), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert [code for code, _ in seen] == [0] * len(runs)
     numeric = {"numpy", "lmodel.collide", "lmodel.sampling", "lmodel.numeric"}
@@ -803,7 +786,8 @@ def ref_files(tmp_path_factory):
 @pytest.fixture(scope="module")
 def startup_modules(ref_files):
     """The modules a fresh interpreter holds before it runs anything."""
-    proc = run_child("import json, sys; print(json.dumps(sorted(sys.modules)))", cwd=ref_files)
+    code = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+    proc = run_python("-c", code, cwd=ref_files)
     return set(json.loads(proc.stdout))
 
 
@@ -836,10 +820,10 @@ LAUNCH = (
 @pytest.mark.parametrize("command", LAUNCHES)
 def test_each_launch_loads_only_what_its_command_runs(command, ref_files, startup_modules):
     args, own = LAUNCHES[command]
-    proc = run_child(LAUNCH, command, *args, cwd=ref_files)
-    assert proc.returncode == 0, proc.stderr.decode()
+    proc = run_python("-c", LAUNCH, command, *args, cwd=ref_files)
+    assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout)
-    assert code == 0, proc.stderr.decode()
+    assert code == 0, proc.stderr
     loaded = set(modules) - startup_modules
     assert {m for m in loaded if m.split(".")[0] == "lmodel"} == LAUNCH_CORE | own
     assert "dataclasses" not in loaded
@@ -850,8 +834,8 @@ def test_each_launch_loads_only_what_its_command_runs(command, ref_files, startu
 def test_missing_numpy_is_one_line(command, ref_files):
     # a None entry in sys.modules makes every import of numpy fail as if absent
     child = "import sys\nsys.modules['numpy'] = None\n" + LAUNCH
-    proc = run_child(child, command, "graph.json", cwd=ref_files)
-    err = proc.stderr.decode()
+    proc = run_python("-c", child, command, "graph.json", cwd=ref_files)
+    err = proc.stderr
     assert proc.returncode == 0, err
     assert json.loads(proc.stdout)[0] == 2
     assert err.startswith(f"error: {command} needs numpy (")
@@ -883,8 +867,8 @@ def test_command_timings_leave_out_the_imports(command, ref_files):
         "code = main(sys.argv[1:])\n"
         "print(json.dumps([code, seen]))\n"
     )
-    proc = run_child(child, command, *LAUNCHES[command][0], cwd=ref_files)
-    assert proc.returncode == 0, proc.stderr.decode()
+    proc = run_python("-c", child, command, *LAUNCHES[command][0], cwd=ref_files)
+    assert proc.returncode == 0, proc.stderr
     code, seen = json.loads(proc.stdout)
-    assert code == 0, proc.stderr.decode()
+    assert code == 0, proc.stderr
     assert seen and all(seen), seen

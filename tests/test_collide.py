@@ -1,11 +1,7 @@
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -35,10 +31,14 @@ from expected import DIXON1_REF_PAIRS, DIXON1_REF_WITNESS, S2_PAIRS
 from synth import (
     HUGE_INT,
     TOO_DEEP,
+    axis_params,
+    check_bounds,
     dixon2_partner_pairs,
     needs_digit_limit,
+    outcome,
     random_dixon1_params,
     refine_everything,
+    run_python,
 )
 
 HALF_PI = math.pi / 2
@@ -595,17 +595,6 @@ def test_refinement_error_in_a_merged_shape():
 # refining only the brackets that can matter
 
 
-def outcome(g, cfg=None):
-    """The exact text of what detect_all returns, warns and raises."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            out = repr(detect_all(g, cfg))
-        except DetectionError as err:
-            out = repr([(v, e, str(x), getattr(x, "t", None)) for v, e, x in err.failures])
-    return out + "".join(f"\nwarning: {w.message}" for w in caught)
-
-
 def _seeded_dixon1(seed):
     return dixon1(random_dixon1_params(random.Random(seed)))
 
@@ -666,9 +655,7 @@ def cancelling_graph():
 
 
 PRUNING_GRAPHS = {
-    "dixon1-6x6": lambda: dixon1(
-        Dixon1Params(6, 6, (1.0, 2.0, 3.0, 4.0, 5.0), (1.0, 2.0, 3.0, 4.0, 5.0), (1,) * 5, (1,) * 5)
-    ),
+    "dixon1-6x6": lambda: dixon1(axis_params(6, 6)),
     "s2": s2,
     "dixon2-1-2-3": lambda: dixon2(Dixon2Params(1.0, 2.0, 3.0)),
     "ambiguity-band": lambda: hover_graph(7.1e-4),
@@ -692,17 +679,9 @@ def test_pruned_detection_matches_refining_everything(monkeypatch, name):
 @pytest.mark.parametrize("name", PRUNING_GRAPHS)
 def test_bracket_bounds_are_below_their_refined_minima(name):
     # each pair's bound on either grid is at or below every refined minimum
-    # of the pair's brackets, and the brackets are exactly the kept pairs'
-    g = PRUNING_GRAPHS[name]()
-    cfg, roles = DetectionConfig(), collide._pair_roles(g)
-    _, _, found, kept, bounds = collide._grid_stage(g, roles, cfg)
-    *_, want_found, minima = refine_everything(g, roles, cfg)
-    pair = want_found // cfg.samples
-    assert np.sort(found).tolist() == want_found[np.isin(pair, kept[-1])].tolist()
-    # a bracket that fails reads NaN, never above a bound, and so does the
-    # NaN bound of a pair the fine grid does not read
-    for bound in bounds:
-        assert not np.any(bound[pair] > minima)
+    # of the pair's brackets, the brackets are exactly the kept pairs', and
+    # every dropped pair refines clear of the kept pairs
+    assert check_bounds(PRUNING_GRAPHS[name]())[-1] == 0
 
 
 @pytest.mark.parametrize("name", ["dixon1-6x6", "two-dips", "fast-dips", "cancelling"])
@@ -749,11 +728,8 @@ def test_detection_does_not_depend_on_the_order_of_the_minima(monkeypatch, name)
 
 def test_pruning_refines_few_brackets():
     # 80 of the 840 brackets of all pairs
-    g = PRUNING_GRAPHS["dixon1-6x6"]()
-    cfg, roles = DetectionConfig(), collide._pair_roles(g)
-    found = collide._grid_stage(g, roles, cfg)[2]
-    *_, every, _ = refine_everything(g, roles, cfg)
-    assert len(found) <= 0.1 * len(every)
+    *_, every, refined, bad = check_bounds(PRUNING_GRAPHS["dixon1-6x6"]())
+    assert not bad and refined <= 0.1 * every
 
 
 @pytest.mark.parametrize("name,most", [("dixon1-6x6", 0.4), ("dixon1-10x10", 0.1)])
@@ -793,13 +769,9 @@ def test_fine_pass_drops_pairs_the_coarse_pass_kept(name):
 def test_coarse_grid_ends_on_the_last_sample(monkeypatch, samples, name):
     # with 16 samples the last is appended to the coarse grid; with the
     # others every 16th sample already ends on it.  Both grids' bounds lie
-    # below every refined minimum
-    g = PRUNING_GRAPHS[name]()
-    cfg, roles = DetectionConfig(samples=samples), collide._pair_roles(g)
-    *_, (coarse, fine) = collide._grid_stage(g, roles, cfg)
-    *_, every, minima = refine_everything(g, roles, cfg)
-    assert not np.any(coarse[every // samples] > minima)
-    assert not np.any(fine[every // samples] > minima)
+    # below every refined minimum, and the pruning holds
+    g, cfg = PRUNING_GRAPHS[name](), DetectionConfig(samples=samples)
+    assert check_bounds(g, cfg)[-1] == 0
     got = outcome(g, cfg)
     monkeypatch.setattr(collide, "_probe", lambda *a: refine_everything(*a)[:3])
     assert got == outcome(g, cfg)
@@ -858,16 +830,9 @@ def test_detection_loads_no_numpy_module():
         "detect_all(g)\n"
         "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'numpy'))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-        timeout=60,
-    )
-    assert out.stdout.strip() == "[]"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def narrow_dip_graph():

@@ -1,14 +1,13 @@
 import ast
 import inspect
-import os
 import pkgutil
-import subprocess
-import sys
 from importlib import import_module
 
 import pytest
 
 import lmodel
+
+from synth import run_python
 
 
 def test_every_exported_name_resolves_to_its_module():
@@ -84,11 +83,9 @@ def loaded_after(statement: str) -> list[str]:
         f"import sys; {statement}\n"
         "print([m for m in sys.modules if m.split('.')[0] in ('lmodel', 'numpy')])"
     )
-    src = os.path.dirname(os.path.dirname(lmodel.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60, env=env)
-    assert proc.returncode == 0, proc.stderr.decode()
-    return ast.literal_eval(proc.stdout.decode())
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
 
 
 def test_import_lmodel_loads_no_module():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lmodel import plan
 from lmodel.cgraph import build_collision_graph
-from lmodel.families import Dixon1Params, Dixon2Params, dixon1, dixon2
+from lmodel.families import Dixon2Params, dixon1, dixon2
 from lmodel.motion import CollisionPair, GraphFormatError, SearchCapError
 from lmodel.plan import (
     CyclicGraphError,
@@ -35,6 +35,7 @@ from expected import (
 from synth import (
     HUGE_INT,
     TOO_DEEP,
+    axis_params,
     brute_force_exists,
     class_cycles,
     collision_graph,
@@ -207,7 +208,7 @@ def test_decide_partition_expansion_budget(monkeypatch):
 
 def test_exists_expansion_budget(monkeypatch):
     # dixon1 K(6,5): 30 edges, so the exact search makes at least 30 first tries
-    p = Dixon1Params(6, 5, range(1, 6), range(1, 5), [1] * 5, [1] * 4)
+    p = axis_params(6, 5)
     g = dixon1(p)
     pairs = fake_pairs(sorted(dixon1_rule_pairs(p)))
     assert len(g.edges) == 30
@@ -525,7 +526,7 @@ def test_search_remembers_failures_on_synthetic_nogoods():
 def test_both_planners_solve_default_dixon1_40x40():
     # 1560 pairs, so a search that recursed once per item or constraint
     # would pass the default recursion limit
-    p = Dixon1Params(40, 40, range(1, 40), range(1, 40), [1] * 39, [1] * 39)
+    p = axis_params(40, 40)
     g = dixon1(p)
     pairs = fake_pairs(sorted(dixon1_rule_pairs(p)))
     dec = decide_partition(build_collision_graph(g, pairs))
@@ -562,11 +563,6 @@ def test_dixon1_heights_verify_on_reference(ref_dixon1, ref_dixon1_result):
 # verified alone, so heights that verify on the all-equal set verify on
 # every subset of it.  Detection matching the rule is checked on sampled
 # parameters only (acceptance criterion 5).
-
-
-def axis_params(m, n, sx=None, sy=None):
-    """K(m, n) with radii 1, 2, ...; every sign + unless given."""
-    return Dixon1Params(m, n, range(1, m), range(1, n), sx or [1] * (m - 1), sy or [1] * (n - 1))
 
 
 def test_dixon1_rule_pairs_lie_in_the_all_equal_set():
